@@ -33,24 +33,19 @@ from .hyper import (
     HyperGram,
     HyperKernelParams,
     assemble_hyper_gram,
-    dump_hyper_gram,
     eval_hyper_kernel,
     full_pair_list,
-    load_hyper_gram,
-    pair_from_index,
-    pair_index,
     scaled_gaussian,
 )
 from .krr import CoefficientField, KrrConfig, fit_krr, krr_objective
 from .learned import (
     DefinitenessReport,
     LearnedKernel,
-    Projector,
+    eval_all_pairs,
     eval_learned,
     eval_pairs,
     learned_gram,
     load_learned,
-    project,
     save_learned,
 )
 from .pipeline import (

@@ -39,26 +39,28 @@ from .errors import (
     PipelineFailure,
     ResourceLimit,
 )
-from .krr import KrrConfig, fit_krr
-from .hyper import HyperKernelParams, assemble_hyper_gram, full_pair_list
-from .learned import LearnedKernel, learned_gram, load_learned, save_learned
+from .hyper import HyperKernelParams
+from .learned import (
+    LearnedKernel,
+    eval_all_pairs,
+    learned_gram,
+    load_learned,
+    save_learned,
+)
 from .pipeline import (
     ExperimentConfig,
+    base_config,
     cross_validate,
     data_sigma2,
-    eval_pairs,
     fit_extend,
+    heldout_pair_rmse,
     learning_rate_study,
     rmse,
     split_dataset,
     svm_predict,
     svm_train,
-    _cross_gram,
-    _holdout_mask,
-    _pair_gram,
 )
 from .scaling import ScalingConfig, fit_decomposed
-from .svr import SvrConfig
 
 COMMANDS = ("fit", "extend", "eval", "rate-study", "decompose-demo")
 
@@ -79,7 +81,6 @@ DEFAULTS = {
     "seed": 0,
     "standardize": True,
     "spectrum_fix": "clip",
-    "threads": 1,
     "jitter": True,
     "tune": True,
     "c_svm": 1.0,
@@ -251,8 +252,16 @@ def _load_settings(manifest: RunManifest) -> dict:
         raise InvalidInput(f"method must be krr or svr, got {settings['method']!r}")
     if settings["spectrum_fix"] not in ("none", "clip"):
         raise InvalidInput("spectrum_fix must be none or clip")
-    if int(settings["threads"]) < 1:
-        raise InvalidInput("threads must be at least 1")
+    if settings["trace"] and (
+        manifest.command not in ("fit", "extend")
+        or settings["method"] != "svr"
+        or settings["clusters"] is not None
+        or settings["landmarks"] is not None
+    ):
+        raise InvalidInput(
+            "trace records the svr solver: it needs fit or extend with "
+            "--method svr and no --clusters or --landmarks"
+        )
     return settings
 
 
@@ -287,17 +296,8 @@ def _hyperparams(settings: dict, X: np.ndarray) -> dict:
         "kkt_tol": float(settings["kkt_tol"]),
     }
     if not settings["jitter"]:
-        hp["solver"] = "direct"
+        hp["jitter"] = False
     return hp
-
-
-def _base_for(settings: dict, hp: dict):
-    if settings["method"] == "krr":
-        return KrrConfig(
-            lam=hp["reg"],
-            jitter_retries=3 if settings["jitter"] else 0,
-        )
-    return SvrConfig(C=hp["reg"], epsilon=hp["epsilon"], kkt_tol=hp["kkt_tol"])
 
 
 def _scaling_for(settings: dict, m: int) -> ScalingConfig | None:
@@ -333,7 +333,7 @@ def _definiteness(lk: LearnedKernel, pts) -> dict:
 
 def _ovr_models(lk: LearnedKernel, train_pts, labels, settings: dict):
     """One binary SVM per class over the learned Gram (one-vs-rest)."""
-    G = _pair_gram(lk, train_pts)
+    G = eval_all_pairs(lk, train_pts)
     classes = np.unique(labels)
     if classes.size < 2:
         raise InvalidInput("classification needs at least two classes")
@@ -359,7 +359,7 @@ def _ovr_predict(classes, models, rows):
 
 
 def _accuracy(lk, classes, models, pts, train_pts, labels) -> float:
-    rows = _cross_gram(lk, pts, train_pts)
+    rows = eval_all_pairs(lk, pts, train_pts)
     return float(np.mean(_ovr_predict(classes, models, rows) == labels))
 
 
@@ -458,6 +458,21 @@ def _given_kernel(manifest: RunManifest, settings: dict, X, labels) -> np.ndarra
     return _target_matrix(settings, X, labels)
 
 
+def _fit(settings: dict, hp: dict, X, K, outdir: Path, scaling):
+    """Fit the learned kernel to K on X; returns (LearnedKernel, diagnostics).
+
+    With a ScalingConfig the decomposed strategy runs and returns its
+    diagnostics; without one the direct fit runs and diagnostics are None.
+    """
+    if scaling is not None:
+        params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
+        return fit_decomposed(
+            X, K, base_config(settings["method"], hp), scaling, params
+        )
+    trace = outdir / "trace.csv" if settings["trace"] else None
+    return fit_extend(X, K, settings["method"], hp, trace_path=trace), None
+
+
 def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     X, labels = _require_dataset(manifest, settings, labeled=True)
     if labels is None:
@@ -481,30 +496,18 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
             settings = dict(settings, c_svm=selected["c_svm"])
         _write_score_table(outdir / "cv_scores.csv", table)
 
-    scaling = _scaling_for(settings, lab.size)
-    trace = outdir / "trace.csv" if settings["trace"] else None
-    diag = None
-    if scaling is not None:
-        params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
-        lk, diag = fit_decomposed(
-            X[lab], K[np.ix_(lab, lab)], _base_for(settings, hp), scaling, params
-        )
-    else:
-        lk = fit_extend(
-            X[lab], K[np.ix_(lab, lab)], settings["method"], hp, trace_path=trace
-        )
+    lk, diag = _fit(
+        settings, hp, X[lab], K[np.ix_(lab, lab)], outdir,
+        _scaling_for(settings, lab.size),
+    )
     save_learned(lk, outdir / "model.json")
 
     classes, models = _ovr_models(lk, X[lab], labels[lab], settings)
     holdout = np.concatenate([unlab, test])
-    mask = _holdout_mask(X.shape[0], holdout)
-    pairs = full_pair_list(X.shape[0])[mask]
-    pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
-
     report = {
         "config": _plain(settings),
         "selected_hyperparams": selected or hp,
-        "rmse_heldout_pairs": rmse(pred, K[pairs[:, 0], pairs[:, 1]]),
+        "rmse_heldout_pairs": heldout_pair_rmse(lk, X, K, holdout),
         "accuracy_unlabeled": _accuracy(lk, classes, models, X[unlab], X[lab], labels[unlab]),
         "accuracy_test": _accuracy(lk, classes, models, X[test], X[lab], labels[test]),
         "definiteness": _definiteness(lk, X[test]),
@@ -519,28 +522,13 @@ def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     X, labels = _require_dataset(manifest, settings)
     K = _given_kernel(manifest, settings, X, labels)
     hp = _hyperparams(settings, X)
-    scaling = _scaling_for(settings, X.shape[0])
-    trace = outdir / "trace.csv" if settings["trace"] else None
-    diag = None
-    if scaling is not None:
-        params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
-        lk, diag = fit_decomposed(X, K, _base_for(settings, hp), scaling, params)
-    elif settings["method"] == "krr" and not settings["jitter"]:
-        # keep the no-jitter contract reachable: solve directly, no ladder
-        params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
-        gram = assemble_hyper_gram(params, X, full_pair_list(X.shape[0]))
-        coeffs = fit_krr(gram, K.ravel(), _base_for(settings, hp))
-        lk = LearnedKernel(X, coeffs, 0.0, params)
-    else:
-        lk = fit_extend(X, K, settings["method"], hp, trace_path=trace)
+    lk, diag = _fit(settings, hp, X, K, outdir, _scaling_for(settings, X.shape[0]))
     save_learned(lk, outdir / "model.json")
 
-    pairs = full_pair_list(X.shape[0])
-    pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
     report = {
         "config": _plain(settings),
         "selected_hyperparams": hp,
-        "rmse_train_pairs": rmse(pred, K.ravel()),
+        "rmse_train_pairs": rmse(eval_all_pairs(lk, X, X), K),
         "rmse_heldout_pairs": None,
         "definiteness": _definiteness(lk, X),
     }
@@ -567,9 +555,7 @@ def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         K = ingest_kernel_matrix(manifest.kernel_matrix)
         if K.shape[0] != X.shape[0]:
             raise InvalidInput("kernel matrix size does not match the dataset")
-        pairs = full_pair_list(X.shape[0])
-        pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
-        report["rmse_pairs"] = rmse(pred, K.ravel())
+        report["rmse_pairs"] = rmse(eval_all_pairs(lk, X, X), K)
     if labels is not None:
         classes, models = _ovr_models(lk, X, labels, settings)
         report["accuracy_training"] = _accuracy(lk, classes, models, X, X, labels)
@@ -609,8 +595,7 @@ def _cmd_decompose(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     scaling = _scaling_for(settings, m) or ScalingConfig(
         v=2, u=m, seed=int(settings["seed"])
     )
-    params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
-    lk, diag = fit_decomposed(X, K, _base_for(settings, hp), scaling, params)
+    lk, diag = _fit(settings, hp, X, K, outdir, scaling)
     save_learned(lk, outdir / "model.json")
     merged = dict(settings, clusters=scaling.v, landmarks=scaling.u)
     return {
@@ -659,12 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None)
         p.add_argument("--no-standardize", dest="standardize", action="store_false")
         p.add_argument("--spectrum-fix", choices=("none", "clip"))
-        p.add_argument("--threads", type=int)
         p.add_argument("--target", choices=("ideal", "rbf", "tl1", "log"))
         p.add_argument("--no-tune", dest="tune", action="store_false", default=None)
         p.add_argument("--no-jitter", dest="jitter", action="store_false", default=None)
         p.add_argument("--trace", action="store_true", default=None,
-                       help="write the svr convergence trace csv")
+                       help="write the svr convergence trace csv (direct svr "
+                       "fit or extend only)")
         if name == "rate-study":
             p.add_argument("--trials", type=int)
             p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
@@ -686,7 +671,6 @@ _FLAG_KEYS = {
     "seed": "seed",
     "standardize": "standardize",
     "spectrum_fix": "spectrum_fix",
-    "threads": "threads",
     "target": "target",
     "tune": "tune",
     "jitter": "jitter",

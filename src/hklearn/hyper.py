@@ -16,8 +16,7 @@ vectorized, exactly symmetric, and positive semi-definite up to roundoff
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,25 +79,10 @@ def eval_hyper_kernel(params: HyperKernelParams, p1, p2) -> float:
     return f1 * f2 * f3
 
 
-def pair_index(i: int, j: int, m: int) -> int:
-    """Row-major index of the 1-based pair (i, j): ``m * (i - 1) + j``."""
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise InvalidInput(f"indices ({i}, {j}) out of range for m={m}")
-    return m * (i - 1) + j
-
-
-def pair_from_index(idx: int, m: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`; returns the 1-based pair (i, j)."""
-    if not (1 <= idx <= m * m):
-        raise InvalidInput(f"index {idx} out of range for m={m}")
-    i, j = divmod(idx - 1, m)
-    return i + 1, j + 1
-
-
 def full_pair_list(m: int) -> np.ndarray:
     """All m^2 ordered pairs as 0-based index rows, in row-major order.
 
-    Row k of the result is the pair with 1-based row/column index k + 1.
+    Row k of the result is the pair ``divmod(k, m)``.
     """
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     return np.column_stack([ii.ravel(), jj.ravel()])
@@ -212,40 +196,3 @@ def assemble_hyper_gram(
     # outer(g, g) is bitwise symmetric; multiplying elementwise keeps K so
     K *= np.multiply.outer(g, g)
     return HyperGram(K, pairs)
-
-
-_HEADER = struct.Struct("<Q")
-
-
-def dump_hyper_gram(gram: HyperGram, path) -> None:
-    """Write entries as little-endian float64, row-major, after an 8-byte
-    unsigned little-endian row count.  The pair list is not stored."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(gram.n))
-        fh.write(np.ascontiguousarray(gram.entries, dtype="<f8").tobytes())
-
-
-def load_hyper_gram(path, pair_list=None) -> HyperGram:
-    """Read a matrix written by :func:`dump_hyper_gram`.
-
-    ``pair_list`` must be supplied unless the stored size is a perfect square
-    m^2, in which case the full row-major enumeration over m points is
-    assumed.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise InvalidInput(f"truncated header in {path}")
-        (n,) = _HEADER.unpack(head)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise InvalidInput(f"expected {n * n} entries in {path}, found {data.size}")
-    entries = data.reshape(n, n).astype(float)
-    if pair_list is None:
-        m = math.isqrt(n)
-        if m * m != n:
-            raise InvalidInput(
-                f"stored size {n} is not a perfect square; pass pair_list explicitly"
-            )
-        pair_list = full_pair_list(m)
-    return HyperGram(entries, pair_list)

@@ -27,12 +27,12 @@ class KrrConfig:
     ``lam`` must be positive for the SPD factorization guarantee; zero is
     accepted so that deliberately singular systems surface as
     ``NumericalFailure`` instead of being rejected up front.  ``solver`` is
-    ``direct`` (Cholesky), ``cg`` (conjugate gradient), or ``auto`` which
-    takes the iterative path above ``direct_limit`` unknowns.
+    ``direct`` (Cholesky), ``cg`` (conjugate gradient), or ``auto`` (the
+    default) which takes the iterative path above ``direct_limit`` unknowns.
     """
 
     lam: float
-    solver: str = "direct"
+    solver: str = "auto"
     cg_tol: float = 1e-10
     cg_max_iter: int = 20_000
     direct_limit: int = 2000

@@ -15,22 +15,11 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import FormatError, InvalidInput
-from .hyper import HyperKernelParams, _pair_factors, scaled_gaussian
+from .hyper import HyperKernelParams, _pair_factors
 from .krr import CoefficientField
 
 SCHEMA_VERSION = 1
 _QUERY_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Clamp to [-bound, bound]."""
-
-    bound: float
-
-    def __post_init__(self):
-        if not self.bound > 0:
-            raise InvalidInput(f"projection bound must be positive, got {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -66,21 +55,6 @@ class LearnedKernel:
     @property
     def pair_list(self) -> np.ndarray:
         return self.coefficients.pair_list
-
-    def drop_zeros(self) -> "LearnedKernel":
-        """Discard zero-coefficient pairs; the represented function is unchanged."""
-        keep = self.coefficients.values != 0.0
-        trimmed = CoefficientField(
-            self.coefficients.values[keep],
-            self.coefficients.pair_list[keep],
-            self.coefficients.m,
-        )
-        return LearnedKernel(self.points, trimmed, self.bias, self.hyper_params)
-
-
-def project(p: Projector, value):
-    """Clamp a value (or array of values) to [-p.bound, p.bound]."""
-    return np.clip(value, -p.bound, p.bound)
 
 
 def _expansion_state(lk: LearnedKernel):
@@ -128,26 +102,38 @@ def eval_learned(lk: LearnedKernel, x, x2) -> float:
     return float(eval_pairs(lk, x[None, :], x2[None, :])[0])
 
 
-def learned_gram(lk: LearnedKernel, X, projector: Projector | None = None):
+def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
+    """Evaluate k* on every pair of A x B, as a (len(A), len(B)) matrix.
+
+    Omitting ``B`` means ``B = A``: the upper triangle is evaluated once and
+    mirrored, so that matrix is exactly symmetric.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    na = A.shape[0]
+    if B is None:
+        iu, ju = np.triu_indices(na)
+        vals = eval_pairs(lk, A[iu], A[ju])
+        G = np.empty((na, na))
+        G[iu, ju] = vals
+        G[ju, iu] = vals
+        return G
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    nb = B.shape[0]
+    ii, jj = np.divmod(np.arange(na * nb), nb)
+    return eval_pairs(lk, A[ii], B[jj]).reshape(na, nb)
+
+
+def learned_gram(lk: LearnedKernel, X):
     """Evaluate k* on all pairs from X; returns (matrix, DefinitenessReport).
 
-    The matrix is exactly symmetric (upper triangle computed once and
-    mirrored); the report flags indefiniteness when the smallest eigenvalue
-    dips below -1e-8 times the largest.
+    The matrix is exactly symmetric (see :func:`eval_all_pairs`); the report
+    flags indefiniteness when the smallest eigenvalue dips below -1e-8 times
+    the largest.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
         raise InvalidInput("learned_gram needs at least one point")
-    p = X.shape[0]
-    iu, ju = np.triu_indices(p)
-    vals = eval_pairs(lk, X[iu], X[ju]) if lk.coefficients.n else np.full(
-        iu.size, float(lk.bias)
-    )
-    if projector is not None:
-        vals = project(projector, vals)
-    G = np.zeros((p, p))
-    G[iu, ju] = vals
-    G[ju, iu] = vals
+    G = eval_all_pairs(lk, X)
     evals = eigvalsh(G)
     lo, hi = float(evals[0]), float(evals[-1])
     return G, DefinitenessReport(lo, hi, lo < -1e-8 * hi)

@@ -25,10 +25,10 @@ from .errors import (
     StratificationWarning,
 )
 from .hyper import HyperKernelParams, assemble_hyper_gram, full_pair_list
-from .krr import CoefficientField, KrrConfig, fit_krr
-from .learned import LearnedKernel, eval_pairs
-from .scaling import ScalingConfig, fit_decomposed
-from .svr import SvrConfig, fit_svr
+from .krr import CoefficientField, KrrConfig
+from .learned import LearnedKernel, eval_all_pairs, eval_pairs
+from .scaling import solve_pair_system
+from .svr import SvrConfig
 
 DEFAULT_REG_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
@@ -138,13 +138,13 @@ def data_sigma2(X) -> float:
     return s2
 
 
-def fit_extend(X, given_kernel, method: str, hyperparams: dict, scaling=None,
+def fit_extend(X, given_kernel, method: str, hyperparams: dict,
                trace_path=None) -> LearnedKernel:
     """Regress a learned kernel onto a given m x m target matrix.
 
     ``hyperparams`` carries sigma2, sigma_h2, reg, and (for svr) epsilon and
-    kkt_tol.  With a ScalingConfig the divide-and-conquer path is used.
-    ``trace_path`` records the SVR convergence trace (ignored for krr).
+    kkt_tol; see :func:`base_config`.  ``trace_path`` records the SVR
+    convergence trace (ignored for krr).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -154,24 +154,23 @@ def fit_extend(X, given_kernel, method: str, hyperparams: dict, scaling=None,
     params = HyperKernelParams(
         float(hyperparams["sigma2"]), float(hyperparams["sigma_h2"]), X.shape[1]
     )
-    base = _base_config(method, hyperparams)
-    if scaling is not None:
-        lk, _diag = fit_decomposed(X, Y, base, scaling, params)
-        return lk
-    pairs = full_pair_list(m)
-    gram = assemble_hyper_gram(params, X, pairs)
-    responses = Y.ravel()
-    if isinstance(base, KrrConfig):
-        coeffs = fit_krr(gram, responses, base)
-        return LearnedKernel(X, coeffs, 0.0, params)
-    model = fit_svr(gram, responses, base, trace_path=trace_path)
-    return LearnedKernel(X, model.beta, model.bias, params)
+    base = base_config(method, hyperparams)
+    gram = assemble_hyper_gram(params, X, full_pair_list(m))
+    coeffs, bias = solve_pair_system(gram, Y.ravel(), base, trace_path=trace_path)
+    return LearnedKernel(X, coeffs, bias, params)
 
 
-def _base_config(method: str, hyperparams: dict):
+def base_config(method: str, hyperparams: dict):
+    """The KRR or SVR solve settings for ``method`` from a hyperparameter dict.
+
+    ``reg`` is lambda for krr and C for svr.  A ``jitter`` entry of False
+    turns off the jitter ladder of direct KRR solves.
+    """
     reg = float(hyperparams["reg"])
     if method == "krr":
-        return KrrConfig(lam=reg, solver=hyperparams.get("solver", "auto"))
+        if hyperparams.get("jitter", True):
+            return KrrConfig(lam=reg)
+        return KrrConfig(lam=reg, jitter_retries=0)
     if method == "svr":
         return SvrConfig(
             C=reg,
@@ -185,11 +184,18 @@ def _fold_indices(m: int, folds: int, rng) -> list:
     return np.array_split(rng.permutation(m), folds)
 
 
-def _holdout_mask(m: int, val_idx: np.ndarray) -> np.ndarray:
-    """Row-major mask of pairs with at least one endpoint in the validation set."""
+def heldout_pair_rmse(lk: LearnedKernel, X, Y, holdout) -> float:
+    """RMSE of k* against Y over the pairs with an endpoint in ``holdout``.
+
+    The pairs are taken in row-major order over the m points of X.
+    """
+    m = X.shape[0]
     in_val = np.zeros(m, dtype=bool)
-    in_val[val_idx] = True
-    return (in_val[:, None] | in_val[None, :]).ravel()
+    in_val[holdout] = True
+    mask = (in_val[:, None] | in_val[None, :]).ravel()
+    pairs = full_pair_list(m)[mask]
+    pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
+    return rmse(pred, Y.ravel()[mask])
 
 
 def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None):
@@ -271,31 +277,12 @@ def _score_fold(X, Y, method, hp, val_idx, labels, c_svm):
     train = np.setdiff1d(np.arange(m), val_idx)
     lk = fit_extend(X[train], Y[np.ix_(train, train)], method, hp)
     if labels is None:
-        mask = _holdout_mask(m, val_idx)
-        pairs = full_pair_list(m)[mask]
-        pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
-        return rmse(pred, Y.ravel()[mask])
-    G = _pair_gram(lk, X[train])
+        return heldout_pair_rmse(lk, X, Y, val_idx)
+    G = eval_all_pairs(lk, X[train])
     model = svm_train(G, labels[train], c_svm, "clip")
-    rows = _cross_gram(lk, X[val_idx], X[train])
+    rows = eval_all_pairs(lk, X[val_idx], X[train])
     pred = svm_predict(model, rows)
     return float(np.mean(pred == labels[val_idx]))
-
-
-def _pair_gram(lk: LearnedKernel, pts) -> np.ndarray:
-    iu, ju = np.triu_indices(pts.shape[0])
-    vals = eval_pairs(lk, pts[iu], pts[ju])
-    G = np.zeros((pts.shape[0], pts.shape[0]))
-    G[iu, ju] = vals
-    G[ju, iu] = vals
-    return G
-
-
-def _cross_gram(lk: LearnedKernel, A, B) -> np.ndarray:
-    """Learned-kernel evaluations of every point of A against every point of B."""
-    na, nb = A.shape[0], B.shape[0]
-    ii, jj = np.divmod(np.arange(na * nb), nb)
-    return eval_pairs(lk, A[ii], B[jj]).reshape(na, nb)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,9 @@ from .learned import LearnedKernel
 from .svr import SvrConfig, fit_svr
 
 RESIDUAL_GROUP = 0  # pair_partition id for cross-cluster pairs
+# Above this many restricted pairs fit_decomposed skips the full solve behind
+# the observed gap.
+FULL_SOLVE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -164,29 +167,40 @@ def nystrom_restrict(m: int, u: int, seed: int):
 
 
 def decomposition_bound(
-    gram: HyperGram, pair_clusters, C: float, observed_gap: float | None = None
+    gram: HyperGram, pair_clusters, C: float | None, observed_gap: float | None = None
 ) -> DecompositionDiagnostics:
-    """Deviation diagnostics: q_pi, sigma_min, and the bound C^2 q_pi / (2 sigma_min)."""
+    """Deviation diagnostics: q_pi, sigma_min, and the bound C^2 q_pi / (2 sigma_min).
+
+    ``C`` is the box constant of an SVR base; with ``C=None`` (a ridge base)
+    the bound is None and only q_pi and sigma_min are computed.
+    """
     clusters = np.asarray(pair_clusters, dtype=np.intp)
     if clusters.size != gram.n:
         raise InvalidInput(
             f"pair_clusters length {clusters.size} != gram dimension {gram.n}"
         )
-    if not C > 0:
+    if C is not None and not C > 0:
         raise InvalidInput("C must be positive")
     cross = clusters[:, None] != clusters[None, :]
     q_pi = float(np.abs(gram.entries[cross]).sum())
     sigma_min = float(eigvalsh(gram.entries)[0])
-    bound = C * C * q_pi / (2.0 * sigma_min) if sigma_min > 0 else float("inf")
+    if C is None:
+        bound = None
+    else:
+        bound = C * C * q_pi / (2.0 * sigma_min) if sigma_min > 0 else float("inf")
     raw = sigma_min - gram.jitter_applied if gram.jitter_applied > 0 else None
     return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap, raw)
 
 
-def _solve_subproblem(gram, responses, base):
+def solve_pair_system(gram: HyperGram, responses, base, trace_path=None):
+    """Fit one pair system with a KRR or SVR base; returns (CoefficientField, bias).
+
+    ``trace_path`` records the SVR convergence trace; ridge fits write none.
+    """
     if isinstance(base, KrrConfig):
-        return fit_krr(gram, responses, base).values, 0.0
-    model = fit_svr(gram, responses, base)
-    return model.beta.values, model.bias
+        return fit_krr(gram, responses, base), 0.0
+    model = fit_svr(gram, responses, base, trace_path=trace_path)
+    return model.beta, model.bias
 
 
 def fit_decomposed(
@@ -195,7 +209,6 @@ def fit_decomposed(
     base,
     scaling: ScalingConfig,
     params: HyperKernelParams,
-    full_solve_limit: int = 2048,
 ):
     """Cluster, solve per-cluster subproblems, concatenate, and diagnose.
 
@@ -204,7 +217,7 @@ def fit_decomposed(
     so v=1, u=m reproduces the direct solver bit for bit.  The SVR bias is the
     pair-count-weighted mean of the per-cluster biases.  Diagnostics need the
     full restricted gram; the observed gap additionally needs a full solve and
-    is skipped above ``full_solve_limit`` pairs.
+    is skipped above ``FULL_SOLVE_LIMIT`` pairs.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -231,11 +244,11 @@ def fit_decomposed(
         sub_gram = assemble_hyper_gram(params, X, sub_pairs)
         sub_y = Y[sub_pairs[:, 0], sub_pairs[:, 1]]
         try:
-            vals, bias_c = _solve_subproblem(sub_gram, sub_y, base)
+            coeffs_c, bias_c = solve_pair_system(sub_gram, sub_y, base)
         except HklearnError as exc:
             exc.args = (f"cluster {c}: {exc}",) + exc.args[1:]
             raise
-        values[sel] = vals
+        values[sel] = coeffs_c.values
         bias_num += sel.size * bias_c
         bias_den += sel.size
 
@@ -245,16 +258,8 @@ def fit_decomposed(
 
     full_gram = assemble_hyper_gram(params, X, pairs)
     gap = None
-    if pairs.shape[0] <= full_solve_limit:
-        full_vals, _ = _solve_subproblem(
-            full_gram, Y[pairs[:, 0], pairs[:, 1]], base
-        )
-        gap = float(np.linalg.norm(full_vals - values))
-    if isinstance(base, SvrConfig):
-        diag = decomposition_bound(full_gram, clusters, base.C, gap)
-    else:
-        sigma_min = float(eigvalsh(full_gram.entries)[0])
-        cross = clusters[:, None] != clusters[None, :]
-        q_pi = float(np.abs(full_gram.entries[cross]).sum())
-        diag = DecompositionDiagnostics(q_pi, sigma_min, None, gap)
-    return lk, diag
+    if pairs.shape[0] <= FULL_SOLVE_LIMIT:
+        full, _ = solve_pair_system(full_gram, Y[pairs[:, 0], pairs[:, 1]], base)
+        gap = float(np.linalg.norm(full.values - values))
+    C = base.C if isinstance(base, SvrConfig) else None
+    return lk, decomposition_bound(full_gram, clusters, C, gap)

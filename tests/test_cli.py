@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +355,31 @@ def test_svr_trace_artifact(tmp_path):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "DATA", "--method", "krr"],
+        ["fit", "DATA", "--no-tune", "--method", "krr"],
+        ["extend", "DATA", "--method", "svr", "--clusters", "2"],
+        ["fit", "DATA", "--no-tune", "--method", "svr", "--landmarks", "4"],
+        ["decompose-demo", "DATA", "--method", "svr"],
+        ["eval", "DATA", "--method", "svr"],
+        ["rate-study", "--method", "svr"],
+    ],
+    ids=["extend-krr", "fit-krr", "extend-clusters", "fit-landmarks",
+         "decompose-demo", "eval", "rate-study"],
+)
+def test_trace_on_a_run_without_trace_exits_2(tmp_path, capsys, argv):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    out = tmp_path / "out"
+    argv = [data if a == "DATA" else a for a in argv]
+    code = main(argv + ["--trace", "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trace" in err and err.count("\n") == 1
+    assert not (out / "trace.csv").exists()
+
+
 def test_rate_study_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -454,15 +480,17 @@ def test_kernel_matrix_size_mismatch_exits_2(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
-def test_singular_solve_without_jitter_exits_3(tmp_path, capsys):
-    # duplicate rows make the pair system exactly singular at lambda 0
-    p = _write(
-        tmp_path / "dup.csv",
-        "0.0,0.0,1\n0.0,0.0,1\n1.0,1.0,-1\n2.0,0.5,-1\n",
-    )
+@pytest.mark.parametrize(
+    "command", [["extend"], ["fit", "--no-tune"]], ids=["extend", "fit"]
+)
+def test_singular_solve_without_jitter_exits_3(tmp_path, capsys, command):
+    # duplicate rows make the pair system exactly singular at lambda 0; with
+    # four distinct points, the five labeled rows of fit hold a duplicate
+    rows = ["0.0,0.0,1", "1.0,1.0,-1", "2.0,0.5,-1", "0.5,1.5,1"] * 3
+    p = _write(tmp_path / "dup.csv", "\n".join(rows) + "\n")
     code = main(
-        [
-            "extend", p,
+        command + [
+            p,
             "--method", "krr",
             "--lambda", "0.0",
             "--no-jitter",
@@ -472,6 +500,13 @@ def test_singular_solve_without_jitter_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_readme_config_keys_match_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(DEFAULTS)
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hklearn import (
     HyperGram,
@@ -13,11 +11,8 @@ from hklearn import (
     assemble_hyper_gram,
     eval_hyper_kernel,
     full_pair_list,
-    pair_from_index,
-    pair_index,
     scaled_gaussian,
 )
-from hklearn.hyper import dump_hyper_gram, load_hyper_gram
 
 
 def test_scaled_gaussian_unit_prefactor():
@@ -71,37 +66,12 @@ def test_params_validation():
         HyperKernelParams(1.0, 1.0, 0)
 
 
-def test_pair_index_formula():
-    assert pair_index(1, 1, 1) == 1
-    assert pair_index(1, 1, 7) == 1
-    assert pair_index(2, 3, 4) == 7
-    for m in (1, 2, 5, 64):
-        assert pair_index(m, m, m) == m * m
-
-
-def test_pair_index_out_of_range():
-    with pytest.raises(InvalidInput):
-        pair_index(0, 1, 4)
-    with pytest.raises(InvalidInput):
-        pair_index(1, 5, 4)
-
-
-@given(st.integers(1, 64), st.data())
-def test_pair_index_bijection(m, data):
-    i = data.draw(st.integers(1, m))
-    j = data.draw(st.integers(1, m))
-    idx = pair_index(i, j, m)
-    assert 1 <= idx <= m * m
-    assert pair_from_index(idx, m) == (i, j)
-
-
 def test_full_pair_list_row_major():
     pairs = full_pair_list(3)
     assert pairs.shape == (9, 2)
     np.testing.assert_array_equal(pairs[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
-    # row k carries the pair whose 1-based index is k + 1
-    for k, (i, j) in enumerate(pairs):
-        assert pair_index(i + 1, j + 1, 3) == k + 1
+    for k in range(9):
+        assert tuple(pairs[k]) == divmod(k, 3)
 
 
 def test_single_point_gram_positive():
@@ -181,11 +151,3 @@ def test_hyper_gram_validation(rng):
     with pytest.raises(InvalidInput):
         HyperGram(np.array([[1.0, 2.0], [0.0, 1.0]]), full_pair_list(1), 0.0)
 
-
-def test_binary_dump_round_trip(tmp_path, rng):
-    X = rng.standard_normal((3, 2))
-    gram = assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X)
-    path = tmp_path / "gram.bin"
-    dump_hyper_gram(gram, path)
-    back = load_hyper_gram(path, pair_list=gram.pair_list)
-    np.testing.assert_array_equal(back.entries, gram.entries)

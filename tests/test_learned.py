@@ -2,17 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hklearn import (
     CoefficientField,
     FormatError,
     GaussianRBF,
     HyperKernelParams,
-    InvalidInput,
     LearnedKernel,
-    Projector,
     TL1,
     assemble_hyper_gram,
     data_sigma2,
@@ -25,7 +21,6 @@ from hklearn import (
     KrrConfig,
     learned_gram,
     load_learned,
-    project,
     save_learned,
 )
 
@@ -63,26 +58,6 @@ def test_training_pairs_reproduce_solver_values(rng):
     pairs = full_pair_list(4)
     got = eval_pairs(lk, lk.points[pairs[:, 0]], lk.points[pairs[:, 1]])
     assert np.max(np.abs(got - expected)) <= 1e-10
-
-
-def test_project_clamps_and_passes_through():
-    p = Projector(1.0)
-    assert project(p, 5.0) == 1.0
-    assert project(p, -5.0) == -1.0
-    assert project(p, 0.3) == 0.3
-
-
-@given(st.floats(0.1, 10), st.floats(-100, 100))
-def test_project_idempotent_and_bounded(bound, value):
-    p = Projector(bound)
-    once = project(p, value)
-    assert abs(once) <= bound
-    assert project(p, once) == once
-
-
-def test_projector_requires_positive_bound():
-    with pytest.raises(InvalidInput):
-        Projector(0.0)
 
 
 def test_learned_gram_constant_kernel(rng):
@@ -124,25 +99,6 @@ def test_tl1_fit_goes_indefinite():
     _, report = learned_gram(lk, rng.standard_normal((10, 2)))
     assert report.indefinite
     assert report.min_eigenvalue < -1e-6
-
-
-def test_drop_zeros_leaves_evaluation_unchanged(rng):
-    lk, _, _ = _fitted(rng)
-    values = lk.coefficients.values.copy()
-    values[::3] = 0.0
-    sparse_in = LearnedKernel(
-        lk.points,
-        CoefficientField(values, lk.coefficients.pair_list, 4),
-        lk.bias,
-        lk.hyper_params,
-    )
-    dropped = sparse_in.drop_zeros()
-    assert dropped.coefficients.values.size < values.size
-    A = rng.standard_normal((15, 2))
-    B = rng.standard_normal((15, 2))
-    np.testing.assert_allclose(
-        eval_pairs(dropped, A, B), eval_pairs(sparse_in, A, B), atol=1e-14
-    )
 
 
 def test_save_load_round_trip(tmp_path, rng):

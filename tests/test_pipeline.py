@@ -21,7 +21,6 @@ from hklearn import (
     svm_predict,
     svm_train,
 )
-from hklearn.pipeline import _pair_gram
 from qp_oracle import solve_svm_dual
 
 

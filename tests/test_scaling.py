@@ -15,6 +15,7 @@ from hklearn import (
     data_sigma2,
     decomposition_bound,
     fit_decomposed,
+    fit_extend,
     fit_krr,
     fit_svr,
     full_pair_list,
@@ -200,6 +201,21 @@ def test_degenerate_decomposition_matches_direct_svr(rng):
     lk, _ = fit_decomposed(X, Y, cfg, ScalingConfig(v=1, u=5, seed=0), params)
     direct = fit_svr(assemble_hyper_gram(params, X), Y.ravel(), cfg)
     assert np.max(np.abs(lk.coefficients.values - direct.beta.values)) <= 1e-10
+
+
+def test_degenerate_decomposition_equals_direct_fit_above_direct_limit(rng):
+    # 2,025 pairs exceed KrrConfig.direct_limit: both paths must pick the
+    # same solver and so give the same coefficients bit for bit
+    m = 45
+    X = rng.standard_normal((m, 2))
+    s2 = data_sigma2(X)
+    Y = gram_matrix(GaussianRBF(s2), X)
+    params = HyperKernelParams(s2, s2, 2)
+    lk, _ = fit_decomposed(
+        X, Y, KrrConfig(1e-3), ScalingConfig(v=1, u=m, seed=0), params
+    )
+    direct = fit_extend(X, Y, "krr", {"sigma2": s2, "sigma_h2": s2, "reg": 1e-3})
+    assert np.array_equal(lk.coefficients.values, direct.coefficients.values)
 
 
 def test_far_blobs_decompose_like_full_solve():
