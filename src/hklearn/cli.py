@@ -339,12 +339,10 @@ def _ovr_models(lk: LearnedKernel, train_pts, labels, settings: dict):
         raise InvalidInput("classification needs at least two classes")
     c_svm = float(settings["c_svm"])
     fix = settings["spectrum_fix"]
-    if classes.size == 2:
-        y = np.where(labels == classes[1], 1.0, -1.0)
-        return classes, [svm_train(G, y, c_svm, fix)]
+    positives = classes[1:] if classes.size == 2 else classes
     return classes, [
         svm_train(G, np.where(labels == c, 1.0, -1.0), c_svm, fix)
-        for c in classes
+        for c in positives
     ]
 
 
@@ -382,10 +380,10 @@ def _plain(obj):
     return obj
 
 
-def _diag_dict(diag, settings) -> dict:
+def _diag_dict(diag, scaling: ScalingConfig) -> dict:
     doc = {
-        "v": settings["clusters"] or 1,
-        "u": settings["landmarks"],
+        "v": scaling.v,
+        "u": scaling.u,
         "q_pi": diag.q_pi,
         "sigma_min": diag.sigma_min,
         "bound": diag.bound,
@@ -485,21 +483,16 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     hp = _hyperparams(settings, X[lab])
     if settings["tune"]:
         selected, table = cross_validate(
-            X[lab], K[np.ix_(lab, lab)], settings["method"], config, labels=labels[lab]
+            X[lab], K[np.ix_(lab, lab)], settings["method"], config,
+            labels=labels[lab], hyperparams=hp,
         )
-        hp.update(
-            sigma2=selected["sigma2"],
-            sigma_h2=selected["sigma_h2"],
-            reg=selected["reg"],
-        )
+        hp.update(sigma_h2=selected["sigma_h2"], reg=selected["reg"])
         if "c_svm" in selected:
             settings = dict(settings, c_svm=selected["c_svm"])
         _write_score_table(outdir / "cv_scores.csv", table)
 
-    lk, diag = _fit(
-        settings, hp, X[lab], K[np.ix_(lab, lab)], outdir,
-        _scaling_for(settings, lab.size),
-    )
+    scaling = _scaling_for(settings, lab.size)
+    lk, diag = _fit(settings, hp, X[lab], K[np.ix_(lab, lab)], outdir, scaling)
     save_learned(lk, outdir / "model.json")
 
     classes, models = _ovr_models(lk, X[lab], labels[lab], settings)
@@ -514,7 +507,7 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         "split_sizes": [int(lab.size), int(unlab.size), int(test.size)],
     }
     if diag is not None:
-        report["scaling_diagnostics"] = _diag_dict(diag, settings)
+        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
     return report
 
 
@@ -522,7 +515,8 @@ def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     X, labels = _require_dataset(manifest, settings)
     K = _given_kernel(manifest, settings, X, labels)
     hp = _hyperparams(settings, X)
-    lk, diag = _fit(settings, hp, X, K, outdir, _scaling_for(settings, X.shape[0]))
+    scaling = _scaling_for(settings, X.shape[0])
+    lk, diag = _fit(settings, hp, X, K, outdir, scaling)
     save_learned(lk, outdir / "model.json")
 
     report = {
@@ -533,7 +527,7 @@ def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         "definiteness": _definiteness(lk, X),
     }
     if diag is not None:
-        report["scaling_diagnostics"] = _diag_dict(diag, settings)
+        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
     return report
 
 
@@ -597,10 +591,9 @@ def _cmd_decompose(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     )
     lk, diag = _fit(settings, hp, X, K, outdir, scaling)
     save_learned(lk, outdir / "model.json")
-    merged = dict(settings, clusters=scaling.v, landmarks=scaling.u)
     return {
         "config": _plain(settings),
-        "scaling_diagnostics": _diag_dict(diag, merged),
+        "scaling_diagnostics": _diag_dict(diag, scaling),
         "definiteness": _definiteness(lk, X),
     }
 
@@ -632,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-labels", action="store_true",
                        help="dataset csv has no label column")
         p.add_argument("--method", choices=("krr", "svr"))
-        p.add_argument("--lambda", dest="lam", type=float,
+        p.add_argument("--lambda", dest="lambda", type=float,
                        help="ridge regularization weight")
         p.add_argument("--C", type=float, help="box bound of the svr dual")
         p.add_argument("--epsilon", type=float, help="insensitive tube width")
@@ -660,34 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {
-    "method": "method",
-    "lam": "lambda",
-    "C": "C",
-    "epsilon": "epsilon",
-    "sigma_h2": "sigma_h2",
-    "clusters": "clusters",
-    "landmarks": "landmarks",
-    "seed": "seed",
-    "standardize": "standardize",
-    "spectrum_fix": "spectrum_fix",
-    "target": "target",
-    "tune": "tune",
-    "jitter": "jitter",
-    "trace": "trace",
-    "trials": "trials",
-    "noise_sigma": "noise_sigma",
-    "m_values": "m_values",
-    "rate_target": "rate_target",
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
-        key: getattr(args, attr)
-        for attr, key in _FLAG_KEYS.items()
-        if getattr(args, attr, None) is not None
+        key: value for key, value in vars(args).items()
+        if key in DEFAULTS and value is not None
     }
     try:
         manifest = RunManifest(

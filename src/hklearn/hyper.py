@@ -130,15 +130,22 @@ class HyperGram:
         return 1e-10 * float(np.trace(self.entries)) / max(self.n, 1)
 
 
-def _pair_factors(params: HyperKernelParams, X: np.ndarray, pairs: np.ndarray):
-    """Within-pair Gaussian factors g and midpoints M for each listed pair."""
-    P1 = X[pairs[:, 0]]
-    P2 = X[pairs[:, 1]]
-    sq = np.sum((P1 - P2) ** 2, axis=1)
+def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
+    """Within-pair Gaussian factors g and midpoints for the pairs (A[k], B[k])."""
+    sq = np.sum((A - B) ** 2, axis=1)
     pref = (2.0 * math.pi * params.sigma2) ** (-params.dim / 2.0)
     g = pref * np.exp(-sq / (2.0 * params.sigma2))
-    M = (P1 + P2) / 2.0
-    return g, M
+    return g, (A + B) / 2.0
+
+
+def midpoint_gram(params: HyperKernelParams, M1: np.ndarray, M2: np.ndarray):
+    """The midpoint factor between every row of M1 and every row of M2."""
+    sh = params.sigma2 + params.sigma_h2
+    pref_h = (2.0 * math.pi * sh) ** (-params.dim / 2.0)
+    # one expression: numpy then reuses the temporaries in place
+    return pref_h * np.exp(
+        -np.sum((M1[:, None, :] - M2[None, :, :]) ** 2, axis=2) / (2.0 * sh)
+    )
 
 
 def assemble_hyper_gram(
@@ -184,15 +191,11 @@ def assemble_hyper_gram(
             "restrict pairs or use the scaling module"
         )
 
-    g, M = _pair_factors(params, X, pairs)
-    sh = params.sigma2 + params.sigma_h2
-    pref_h = (2.0 * math.pi * sh) ** (-params.dim / 2.0)
-
+    g, M = pair_factors(params, X[pairs[:, 0]], X[pairs[:, 1]])
     K = np.empty((n, n), dtype=float)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        d2 = np.sum((M[a:b, None, :] - M[None, :, :]) ** 2, axis=2)
-        K[a:b] = pref_h * np.exp(-d2 / (2.0 * sh))
+        K[a:b] = midpoint_gram(params, M[a:b], M)
     # outer(g, g) is bitwise symmetric; multiplying elementwise keeps K so
     K *= np.multiply.outer(g, g)
     return HyperGram(K, pairs)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import FormatError, InvalidInput
-from .hyper import HyperKernelParams, _pair_factors
+from .hyper import HyperKernelParams, midpoint_gram, pair_factors
 from .krr import CoefficientField
 
 SCHEMA_VERSION = 1
@@ -57,12 +57,6 @@ class LearnedKernel:
         return self.coefficients.pair_list
 
 
-def _expansion_state(lk: LearnedKernel):
-    """Weights and midpoints of the stored expansion pairs."""
-    g, mids = _pair_factors(lk.hyper_params, lk.points, lk.coefficients.pair_list)
-    return lk.coefficients.values * g, mids
-
-
 def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     """Evaluate k*(A[r], B[r]) for row-aligned query arrays."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -70,21 +64,15 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     d = lk.hyper_params.dim
     if A.shape != B.shape or A.shape[1] != d:
         raise InvalidInput(f"query arrays must both be (q, {d})")
-    w, mids = _expansion_state(lk)
-    s2 = lk.hyper_params.sigma2
-    sh = s2 + lk.hyper_params.sigma_h2
-    pref_q = (2.0 * np.pi * s2) ** (-0.5 * d)
-    pref_h = (2.0 * np.pi * sh) ** (-0.5 * d)
-
+    params = lk.hyper_params
+    P = lk.points[lk.coefficients.pair_list]
+    g, mids = pair_factors(params, P[:, 0], P[:, 1])
+    w = lk.coefficients.values * g
     out = np.empty(A.shape[0])
     for a in range(0, A.shape[0], _QUERY_CHUNK):
         b = min(a + _QUERY_CHUNK, A.shape[0])
-        gq = pref_q * np.exp(
-            -np.sum((A[a:b] - B[a:b]) ** 2, axis=1) / (2.0 * s2)
-        )
-        mq = 0.5 * (A[a:b] + B[a:b])
-        d2 = np.sum((mq[:, None, :] - mids[None, :, :]) ** 2, axis=2)
-        out[a:b] = gq * ((pref_h * np.exp(-d2 / (2.0 * sh))) @ w)
+        gq, mq = pair_factors(params, A[a:b], B[a:b])
+        out[a:b] = gq * (midpoint_gram(params, mq, mids) @ w)
     return out + lk.bias
 
 

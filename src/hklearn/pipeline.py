@@ -17,7 +17,6 @@ from scipy.linalg import eigh
 
 from .base_kernels import GaussianRBF, gram_matrix
 from .errors import (
-    ConvergenceFailure,
     HklearnError,
     InvalidInput,
     PipelineFailure,
@@ -28,7 +27,7 @@ from .hyper import HyperKernelParams, assemble_hyper_gram, full_pair_list
 from .krr import CoefficientField, KrrConfig
 from .learned import LearnedKernel, eval_all_pairs, eval_pairs
 from .scaling import solve_pair_system
-from .svr import SvrConfig
+from .svr import SvrConfig, smo
 
 DEFAULT_REG_GRID = tuple(10.0 ** k for k in range(-5, 6))
 
@@ -180,10 +179,6 @@ def base_config(method: str, hyperparams: dict):
     raise InvalidInput(f"unknown method {method!r}, expected 'krr' or 'svr'")
 
 
-def _fold_indices(m: int, folds: int, rng) -> list:
-    return np.array_split(rng.permutation(m), folds)
-
-
 def heldout_pair_rmse(lk: LearnedKernel, X, Y, holdout) -> float:
     """RMSE of k* against Y over the pairs with an endpoint in ``holdout``.
 
@@ -198,13 +193,18 @@ def heldout_pair_rmse(lk: LearnedKernel, X, Y, holdout) -> float:
     return rmse(pred, Y.ravel()[mask])
 
 
-def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None):
+def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None,
+                   hyperparams=None):
     """Grid-search sigma_h2 and the regularization constant by 5-fold CV.
 
     ``y`` is the target kernel matrix over the labeled points.  With class
     ``labels`` given, folds are scored by downstream SVM accuracy (and a
     nested pass tunes C_svm afterwards); otherwise by RMSE on the fold's
-    held-out pairs.  Returns (selected hyperparameters, score table).
+    held-out pairs.  ``hyperparams`` is the run's dict (see
+    :func:`base_config`); every fold fits with it and varies only
+    ``sigma_h2``, as a multiplier of its ``sigma2``, and ``reg``.  Omitted,
+    it holds only ``sigma2 = data_sigma2(X_labeled)``.  Returns (selected
+    hyperparameters, score table).
     """
     X = np.atleast_2d(np.asarray(X_labeled, dtype=float))
     m = X.shape[0]
@@ -214,16 +214,18 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     if m < config.cv_folds:
         raise InvalidInput(f"labeled set of {m} cannot support {config.cv_folds} folds")
 
-    s2 = data_sigma2(X)
+    if hyperparams is None:
+        hyperparams = {"sigma2": data_sigma2(X)}
+    s2 = float(hyperparams["sigma2"])
     rng = np.random.default_rng(config.seed)
-    folds = _fold_indices(m, config.cv_folds, rng)
+    folds = np.array_split(rng.permutation(m), config.cv_folds)
     classify = labels is not None
     lbl = np.asarray(labels) if classify else None
 
     table = []
     for mult in config.sigma_h2_grid:
         for reg in config.reg_grid:
-            hp = {"sigma2": s2, "sigma_h2": mult * s2, "reg": reg}
+            hp = dict(hyperparams, sigma_h2=mult * s2, reg=reg)
             scores = []
             try:
                 for val in folds:
@@ -255,7 +257,7 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     }
 
     if classify:
-        hp = {"sigma2": s2, "sigma_h2": best_mult * s2, "reg": best_reg}
+        hp = dict(hyperparams, sigma_h2=best_mult * s2, reg=best_reg)
         by_c = []
         for c_svm in config.reg_grid:
             try:
@@ -290,16 +292,15 @@ class SvmModel:
     alphas: np.ndarray
     labels: np.ndarray
     bias: float
-    support: np.ndarray
-    spectrum_fix: str = "clip"
 
 
 def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
-              kkt_tol: float = 1e-3, max_iter: int = 200_000) -> SvmModel:
+              kkt_tol: float = 1e-3) -> SvmModel:
     """Binary SVM on a precomputed (possibly indefinite) Gram matrix.
 
     With spectrum_fix="clip" the training Gram's negative eigenvalues are
-    clipped at zero; prediction always uses raw kernel values.
+    clipped at zero; prediction always uses raw kernel values.  The dual is
+    solved by :func:`hklearn.svr.smo` in the signed form beta = y * alpha.
     """
     G = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
@@ -320,55 +321,12 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
         G = (vecs * np.maximum(evals, 0.0)) @ vecs.T
         G = 0.5 * (G + G.T)
 
-    Q = (y[:, None] * y[None, :]) * G
-    diag = np.diag(Q).copy()
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a
-
-    for _ in range(max_iter):
-        F = -y * grad
-        up = ((y > 0) & (alpha < C_svm)) | ((y < 0) & (alpha > 0))
-        dn = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C_svm))
-        if not (up.any() and dn.any()):
-            break
-        i = int(np.flatnonzero(up)[np.argmax(F[up])])
-        j = int(np.flatnonzero(dn)[np.argmin(F[dn])])
-        if F[i] - F[j] <= kkt_tol:
-            break
-        # step along (y_i e_i, -y_j e_j), which preserves y'alpha
-        eta = max(diag[i] + diag[j] - 2.0 * G[i, j], 1e-12)
-        lim_i = C_svm - alpha[i] if y[i] > 0 else alpha[i]
-        lim_j = alpha[j] if y[j] > 0 else C_svm - alpha[j]
-        t = min((F[i] - F[j]) / eta, lim_i, lim_j)
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        if t == lim_i:
-            alpha[i] = C_svm if y[i] > 0 else 0.0
-        if t == lim_j:
-            alpha[j] = 0.0 if y[j] > 0 else C_svm
-        grad += t * (y[i] * Q[:, i] - y[j] * Q[:, j])
-    else:
-        F = -y * grad
-        up = ((y > 0) & (alpha < C_svm)) | ((y < 0) & (alpha > 0))
-        dn = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C_svm))
-        gap = float(F[up].max() - F[dn].min()) if up.any() and dn.any() else 0.0
-        if gap > kkt_tol:
-            raise ConvergenceFailure(
-                f"SVM failed to reach KKT tolerance, violation {gap:.3e}",
-                violation=gap,
-            )
-
-    F = -y * grad
-    interior = (alpha > 0) & (alpha < C_svm)
-    if interior.any():
-        bias = float(np.mean(F[interior]))
-    else:
-        up = ((y > 0) & (alpha < C_svm)) | ((y < 0) & (alpha > 0))
-        dn = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C_svm))
-        lo = F[up].max() if up.any() else 0.0
-        hi = F[dn].min() if dn.any() else 0.0
-        bias = float(0.5 * (lo + hi))
-    return SvmModel(alpha, y, bias, np.flatnonzero(alpha > 0), spectrum_fix)
+    # the SVR solver's default iteration budget
+    beta, bias = smo(
+        G, y, np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0), 0.0,
+        kkt_tol, SvrConfig.max_passes, SvrConfig.max_iter,
+    )
+    return SvmModel(y * beta, y, bias)
 
 
 def svm_predict(model: SvmModel, kernel_row_values):

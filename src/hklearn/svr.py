@@ -11,11 +11,16 @@ coefficient beta = bhat - bcheck in [-C, C] and the eps term becomes an l1
 penalty.  Pairs of coefficients are updated along e_i - e_j (which preserves
 the equality constraint) with an exact line search on the resulting concave
 piecewise quadratic; the kinks sit where a coefficient crosses zero.
+
+The same solver, :func:`smo`, takes per-coordinate bounds lo <= beta <= hi.
+The downstream SVM dual is its eps = 0 case with responses y and the boxes
+[0, C] for y = +1 and [-C, 0] for y = -1, so that beta = y * alpha.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,11 +98,8 @@ def dual_objective(gram, beta_hat, beta_check, responses, eps: float) -> float:
     return float(-0.5 * d @ (K @ d) + d @ y - eps * (bh + bc).sum())
 
 
-def _signed_objective(K: np.ndarray, beta: np.ndarray, y: np.ndarray, eps: float) -> float:
-    return float(-0.5 * beta @ (K @ beta) + beta @ y - eps * np.abs(beta).sum())
-
-
-def _kkt_state(beta: np.ndarray, F: np.ndarray, C: float, eps: float):
+def _kkt_state(beta: np.ndarray, F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               eps: float):
     """Ascent slopes for growing/shrinking each coefficient, and feasibility masks.
 
     ``g_up[k]`` is the objective slope for increasing beta_k (the l1 subgradient
@@ -106,9 +108,7 @@ def _kkt_state(beta: np.ndarray, F: np.ndarray, C: float, eps: float):
     """
     g_up = np.where(beta >= 0, F - eps, F + eps)
     g_dn = np.where(beta <= 0, F + eps, F - eps)
-    up_ok = beta < C
-    dn_ok = beta > -C
-    return g_up, g_dn, up_ok, dn_ok
+    return g_up, g_dn, beta < hi, beta > lo
 
 
 def _line_search(beta_i, beta_j, slope0, eta, t_box, eps):
@@ -139,101 +139,109 @@ def _line_search(beta_i, beta_j, slope0, eta, t_box, eps):
     return t_box
 
 
-def fit_svr(gram: HyperGram, responses, config: SvrConfig, trace_path=None) -> SvrModel:
-    """Run SMO with maximal-violating-pair selection until the KKT gap closes.
+def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int,
+        trace_path=None):
+    """Maximize -1/2 b'Kb + b'y - eps |b|_1 over lo <= b <= hi, sum(b) = 0.
 
-    Raises ConvergenceFailure (carrying the worst violation) if the iteration
-    budget runs out first.  ``trace_path``, when given, receives one CSV row
-    per update: iteration, dual objective, worst KKT violation.
+    SMO with maximal-violating-pair selection until the KKT gap closes; the
+    bounds are per coordinate, so the SVR box [-C, C] and the signed SVM boxes
+    [0, C] / [-C, 0] are both instances.  Returns (beta, bias).  Raises
+    ConvergenceFailure (carrying the worst violation) if the iteration budget
+    runs out first.  ``trace_path``, when given, receives one CSV row per
+    update: iteration, dual objective, worst KKT violation.
     """
-    y = np.asarray(responses, dtype=float).ravel()
-    if y.size != gram.n:
-        raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
-    K = gram.entries
-    n = gram.n
-    C, eps = config.C, config.epsilon
+    n = y.size
     diag = np.diag(K).copy()
 
     beta = np.zeros(n)
-    trace_file = trace_writer = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        trace_writer = csv.writer(trace_file)
-        trace_writer.writerow(["iteration", "dual_objective", "kkt_violation"])
-
-    try:
+    trace_file = open(trace_path, "w", newline="") if trace_path else nullcontext()
+    with trace_file:
+        trace = csv.writer(trace_file) if trace_path else None
+        if trace is not None:
+            trace.writerow(["iteration", "dual_objective", "kkt_violation"])
         iteration = 0
         violation = np.inf
-        for _ in range(config.max_passes):
+        for _ in range(max_passes):
             F = y - K @ beta  # full refresh guards against drift in the cache
-            while iteration < config.max_iter:
-                g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, C, eps)
+            while iteration < max_iter:
+                g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, lo, hi, eps)
                 if not (up_ok.any() and dn_ok.any()):
                     violation = 0.0
                     break
-                i = int(np.flatnonzero(up_ok)[np.argmax(g_up[up_ok])])
-                j = int(np.flatnonzero(dn_ok)[np.argmin(g_dn[dn_ok])])
+                # first maximal violator of each movable set
+                i = int(np.where(up_ok, g_up, -np.inf).argmax())
+                j = int(np.where(dn_ok, g_dn, np.inf).argmin())
                 violation = float(g_up[i] - g_dn[j])
-                if violation <= config.kkt_tol:
+                if violation <= kkt_tol:
                     break
 
+                hi_i, lo_j = hi[i], lo[j]
                 eta = diag[i] + diag[j] - 2.0 * K[i, j]
                 eta = max(eta, 1e-12 * max(diag[i] + diag[j], 1.0))
-                t_box = min(C - beta[i], beta[j] + C)
+                t_box = min(hi_i - beta[i], beta[j] - lo_j)
                 t = _line_search(beta[i], beta[j], violation, eta, t_box, eps)
                 if t <= 0:
                     break  # blocked at machine precision; refresh and retry
                 hit_box = t == t_box
-                cap_i = t == C - beta[i]
-                cap_j = t == beta[j] + C
+                cap_i = t == hi_i - beta[i]
+                cap_j = t == beta[j] - lo_j
                 beta[i] += t
                 beta[j] -= t
                 if hit_box:
                     if cap_i:
-                        beta[i] = C
+                        beta[i] = hi_i
                     if cap_j:
-                        beta[j] = -C
+                        beta[j] = lo_j
                 F -= t * (K[:, i] - K[:, j])
                 iteration += 1
-                if trace_writer is not None:
-                    trace_writer.writerow([
-                        iteration,
-                        repr(_signed_objective(K, beta, y, eps)),
-                        repr(max(violation, 0.0)),
-                    ])
-            if violation <= config.kkt_tol or iteration >= config.max_iter:
+                if trace is not None:
+                    objective = dual_objective(
+                        K, np.maximum(beta, 0.0), np.maximum(-beta, 0.0), y, eps
+                    )
+                    trace.writerow(
+                        [iteration, repr(objective), repr(max(violation, 0.0))]
+                    )
+            if violation <= kkt_tol or iteration >= max_iter:
                 break
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
     # final verdict from an exactly recomputed gradient
     F = y - K @ beta
-    g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, C, eps)
+    g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, lo, hi, eps)
     if up_ok.any() and dn_ok.any():
         final_violation = float(g_up[up_ok].max() - g_dn[dn_ok].min())
     else:
         final_violation = 0.0
-    if final_violation > config.kkt_tol:
+    if final_violation > kkt_tol:
         raise ConvergenceFailure(
-            f"KKT violation {final_violation:.3e} above {config.kkt_tol:g} "
+            f"KKT violation {final_violation:.3e} above {kkt_tol:g} "
             f"after {iteration} updates",
             violation=final_violation,
         )
+    return beta, _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok)
 
-    bias = _recover_bias(beta, F, C, eps, g_up, g_dn, up_ok, dn_ok)
+
+def fit_svr(gram: HyperGram, responses, config: SvrConfig, trace_path=None) -> SvrModel:
+    """Solve the SVR dual over the box [-C, C] with :func:`smo`."""
+    y = np.asarray(responses, dtype=float).ravel()
+    if y.size != gram.n:
+        raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
+    C, eps = config.C, config.epsilon
+    beta, bias = smo(
+        gram.entries, y, np.full(gram.n, -C), np.full(gram.n, C), eps,
+        config.kkt_tol, config.max_passes, config.max_iter, trace_path,
+    )
     support = np.flatnonzero(beta != 0.0)
     obj = dual_objective(gram, np.maximum(beta, 0.0), np.maximum(-beta, 0.0), y, eps)
     coeffs = CoefficientField(beta, gram.pair_list, _infer_m(gram))
     return SvrModel(coeffs, bias, support, obj, config)
 
 
-def _recover_bias(beta, F, C, eps, g_up, g_dn, up_ok, dn_ok) -> float:
-    interior = (beta != 0.0) & (np.abs(beta) < C)
+def _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok) -> float:
+    interior = (beta != 0.0) & (lo < beta) & (beta < hi)
     if interior.any():
         return float(np.mean(F[interior] - eps * np.sign(beta[interior])))
-    lo = g_up[up_ok].max() if up_ok.any() else -np.inf
-    hi = g_dn[dn_ok].min() if dn_ok.any() else np.inf
-    if np.isfinite(lo) and np.isfinite(hi):
-        return float(0.5 * (lo + hi))
-    return float(lo if np.isfinite(lo) else (hi if np.isfinite(hi) else 0.0))
+    b_lo = g_up[up_ok].max() if up_ok.any() else -np.inf
+    b_hi = g_dn[dn_ok].min() if dn_ok.any() else np.inf
+    if np.isfinite(b_lo) and np.isfinite(b_hi):
+        return float(0.5 * (b_lo + b_hi))
+    return float(b_lo if np.isfinite(b_lo) else (b_hi if np.isfinite(b_hi) else 0.0))

@@ -1,7 +1,9 @@
 """Command line surface: ingestion, config precedence, exit codes, artifacts."""
 
+import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,13 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hklearn
 from hklearn.cli import (
     DEFAULTS,
+    build_parser,
     ingest_dataset,
     ingest_kernel_matrix,
     main,
     standardize_columns,
 )
+from hklearn.data import fixture_path
 from hklearn.errors import FormatError, InvalidInput
 
 
@@ -266,6 +271,34 @@ def test_tuned_fit_writes_cv_score_table(tmp_path):
     assert sel["reg"] in (1e-3, 1e-1)
 
 
+def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    real = pipeline.base_config
+    calls = []
+
+    def recording(method, hyperparams):
+        calls.append(dict(hyperparams))
+        return real(method, hyperparams)
+
+    monkeypatch.setattr(pipeline, "base_config", recording)
+    config = _write(
+        tmp_path / "cfg.json",
+        json.dumps({"sigma2": 2.0, "sigma_h2_grid": [0.5], "reg_grid": [1.0]}),
+    )
+    code = main(
+        ["fit", str(fixture_path("two_moons.csv")), "--method", "svr",
+         "--epsilon", "0.01", "--config", config,
+         "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert len(calls) == 11  # 5 grid folds, 5 c_svm folds, the final fit
+    for hp in calls:
+        assert hp.get("epsilon") == 0.01
+        assert hp["sigma2"] == 2.0
+        assert hp["sigma_h2"] == 0.5 * 2.0
+
+
 def test_flags_override_config_which_overrides_defaults(tmp_path):
     data, _, _ = _write_blobs(tmp_path / "data.csv")
     config = _write(
@@ -429,6 +462,19 @@ def test_decompose_demo_reports_bound_diagnostics(tmp_path, method):
     assert diag["observed_gap"] >= 0.0
 
 
+def test_clusters_alone_report_every_point_as_a_landmark(tmp_path):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    out = tmp_path / "out"
+    code = main(
+        ["extend", data, "--target", "rbf", "--clusters", "2",
+         "--output-dir", str(out)]
+    )
+    assert code == 0
+    diag = json.loads((out / "report.json").read_text())["scaling_diagnostics"]
+    assert diag["u"] == 8
+    assert diag["v"] == 2
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -509,6 +555,25 @@ def test_readme_config_keys_match_defaults():
     assert sorted(keys) == sorted(DEFAULTS)
 
 
+# RunManifest's inputs: every other flag sets a config key of DEFAULTS
+MANIFEST_INPUTS = {
+    "command", "dataset", "config", "kernel_matrix", "model", "format",
+    "no_labels", "output_dir",
+}
+
+
+def test_every_flag_sets_a_config_key_or_a_manifest_input():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [parser, *sub.choices.values()]:
+        for action in p._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.dest in DEFAULTS or action.dest in MANIFEST_INPUTS, (
+                p.prog, action.option_strings, action.dest
+            )
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -523,10 +588,14 @@ def test_unknown_flag_is_a_usage_error(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process imported it from
+    src = str(Path(hklearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hklearn", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "extend" in proc.stdout
