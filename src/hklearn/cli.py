@@ -41,7 +41,8 @@ from .errors import (
 )
 from .hyper import HyperKernelParams
 from .learned import (
-    LearnedKernel,
+    DefinitenessReport,
+    definiteness,
     eval_all_pairs,
     learned_gram,
     load_learned,
@@ -123,9 +124,12 @@ class RunManifest:
 
 def _parse_float(token: str, path, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"{path}:{lineno}: non-numeric {what} {token!r}") from None
+    if not np.isfinite(value):
+        raise FormatError(f"{path}:{lineno}: non-finite {what} {token!r}")
+    return value
 
 
 def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bool = True):
@@ -322,8 +326,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     )
 
 
-def _definiteness(lk: LearnedKernel, pts) -> dict:
-    _, report = learned_gram(lk, pts)
+def _definiteness(report: DefinitenessReport) -> dict:
     return {
         "min_eig": report.min_eigenvalue,
         "max_eig": report.max_eigenvalue,
@@ -331,9 +334,8 @@ def _definiteness(lk: LearnedKernel, pts) -> dict:
     }
 
 
-def _ovr_models(lk: LearnedKernel, train_pts, labels, settings: dict):
-    """One binary SVM per class over the learned Gram (one-vs-rest)."""
-    G = eval_all_pairs(lk, train_pts)
+def _ovr_models(G, labels, settings: dict):
+    """One binary SVM per class over the learned Gram G (one-vs-rest)."""
     classes = np.unique(labels)
     if classes.size < 2:
         raise InvalidInput("classification needs at least two classes")
@@ -356,8 +358,8 @@ def _ovr_predict(classes, models, rows):
     return classes[np.argmax(scores, axis=1)]
 
 
-def _accuracy(lk, classes, models, pts, train_pts, labels) -> float:
-    rows = eval_all_pairs(lk, pts, train_pts)
+def _accuracy(classes, models, rows, labels) -> float:
+    """Accuracy from the learned-kernel rows of points against the training points."""
     return float(np.mean(_ovr_predict(classes, models, rows) == labels))
 
 
@@ -495,15 +497,18 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     lk, diag = _fit(settings, hp, X[lab], K[np.ix_(lab, lab)], outdir, scaling)
     save_learned(lk, outdir / "model.json")
 
-    classes, models = _ovr_models(lk, X[lab], labels[lab], settings)
+    G = eval_all_pairs(lk, X)
+    classes, models = _ovr_models(G[np.ix_(lab, lab)], labels[lab], settings)
     holdout = np.concatenate([unlab, test])
     report = {
         "config": _plain(settings),
         "selected_hyperparams": selected or hp,
-        "rmse_heldout_pairs": heldout_pair_rmse(lk, X, K, holdout),
-        "accuracy_unlabeled": _accuracy(lk, classes, models, X[unlab], X[lab], labels[unlab]),
-        "accuracy_test": _accuracy(lk, classes, models, X[test], X[lab], labels[test]),
-        "definiteness": _definiteness(lk, X[test]),
+        "rmse_heldout_pairs": heldout_pair_rmse(G, K, holdout),
+        "accuracy_unlabeled": _accuracy(
+            classes, models, G[np.ix_(unlab, lab)], labels[unlab]
+        ),
+        "accuracy_test": _accuracy(classes, models, G[np.ix_(test, lab)], labels[test]),
+        "definiteness": _definiteness(definiteness(G[np.ix_(test, test)])),
         "split_sizes": [int(lab.size), int(unlab.size), int(test.size)],
     }
     if diag is not None:
@@ -519,12 +524,13 @@ def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     lk, diag = _fit(settings, hp, X, K, outdir, scaling)
     save_learned(lk, outdir / "model.json")
 
+    G, definite = learned_gram(lk, X)
     report = {
         "config": _plain(settings),
         "selected_hyperparams": hp,
-        "rmse_train_pairs": rmse(eval_all_pairs(lk, X, X), K),
+        "rmse_train_pairs": rmse(G, K),
         "rmse_heldout_pairs": None,
-        "definiteness": _definiteness(lk, X),
+        "definiteness": _definiteness(definite),
     }
     if diag is not None:
         report["scaling_diagnostics"] = _diag_dict(diag, scaling)
@@ -541,18 +547,19 @@ def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
             f"dataset dimension {X.shape[1]} does not match the model's "
             f"{lk.hyper_params.dim}"
         )
+    G, definite = learned_gram(lk, X)
     report = {
         "config": _plain(settings),
-        "definiteness": _definiteness(lk, X),
+        "definiteness": _definiteness(definite),
     }
     if manifest.kernel_matrix is not None:
         K = ingest_kernel_matrix(manifest.kernel_matrix)
         if K.shape[0] != X.shape[0]:
             raise InvalidInput("kernel matrix size does not match the dataset")
-        report["rmse_pairs"] = rmse(eval_all_pairs(lk, X, X), K)
+        report["rmse_pairs"] = rmse(G, K)
     if labels is not None:
-        classes, models = _ovr_models(lk, X, labels, settings)
-        report["accuracy_training"] = _accuracy(lk, classes, models, X, X, labels)
+        classes, models = _ovr_models(G, labels, settings)
+        report["accuracy_training"] = _accuracy(classes, models, G, labels)
     return report
 
 
@@ -594,7 +601,7 @@ def _cmd_decompose(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     return {
         "config": _plain(settings),
         "scaling_diagnostics": _diag_dict(diag, scaling),
-        "definiteness": _definiteness(lk, X),
+        "definiteness": _definiteness(learned_gram(lk, X)[1]),
     }
 
 

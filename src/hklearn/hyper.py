@@ -11,6 +11,13 @@ where ``g[k]`` is the within-pair factor of pair k and ``H`` is the Gram of a
 scaled Gaussian over the pair midpoints.  Assembly exploits this: it is
 vectorized, exactly symmetric, and positive semi-definite up to roundoff
 (a Schur product of a rank-one PSD matrix with a Gaussian Gram).
+
+The identity ||(x + x')/2 - c||^2 = ||x - c||^2/2 + ||x' - c||^2/2 - ||x - x'||^2/4
+splits the midpoint factor into one factor per query point: between a pair
+with within-pair factor g and midpoint c and a query pair (x, x') the
+hyper-kernel is g * cross_factor(x, x') * point_factors(x, c) *
+point_factors(x', c).  The learned kernel evaluates all pairs of two point
+sets through this form with one matrix product.
 """
 
 from __future__ import annotations
@@ -146,6 +153,41 @@ def midpoint_gram(params: HyperKernelParams, M1: np.ndarray, M2: np.ndarray):
     return pref_h * np.exp(
         -np.sum((M1[:, None, :] - M2[None, :, :]) ** 2, axis=2) / (2.0 * sh)
     )
+
+
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every row of A and every row of B.
+
+    Summed one coordinate at a time, so no temporary holds
+    len(A) * len(B) * dim floats.
+    """
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        D += np.subtract.outer(A[:, j], B[:, j]) ** 2
+    return D
+
+
+def point_factors(params: HyperKernelParams, X: np.ndarray, mids: np.ndarray):
+    """The point factor exp(-||x - c||^2 / (4 (sigma2 + sigma_h2))).
+
+    One row per row x of X, one column per midpoint c of ``mids``.
+    """
+    sh = params.sigma2 + params.sigma_h2
+    return np.exp(sq_dists(X, mids) / (-4.0 * sh))
+
+
+def cross_factor(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
+    """The query-pair factor p * exp(-kappa ||a - b||^2) for every a in A, b in B.
+
+    p is the product of the within-pair and midpoint prefactors and
+    kappa = 1 / (2 sigma2) - 1 / (8 (sigma2 + sigma_h2)), which is positive,
+    so the factor never exceeds p.
+    """
+    s2 = params.sigma2
+    sh = s2 + params.sigma_h2
+    p = (4.0 * math.pi**2 * s2 * sh) ** (-params.dim / 2.0)
+    kappa = 1.0 / (2.0 * s2) - 1.0 / (8.0 * sh)
+    return p * np.exp(sq_dists(A, B) * -kappa)
 
 
 def assemble_hyper_gram(

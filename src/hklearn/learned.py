@@ -1,8 +1,11 @@
 """The learned kernel: a coefficient expansion over training point pairs.
 
-k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b, evaluated through the
-same factorized form the hyper-Gram assembly uses, so batched evaluation is a
-single small matrix product per query block.
+k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b.  :func:`eval_pairs`
+evaluates row-aligned query pairs through the factorized form of the
+hyper-Gram assembly; it is the reference for :func:`eval_all_pairs`, which
+evaluates every pair of two point sets through the pair-separable form (see
+:mod:`hklearn.hyper`) as one matrix product Phi_A diag(w) Phi_B' over
+(len(A) + len(B)) * n exponentials instead of len(A) * len(B) * n.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import FormatError, InvalidInput
-from .hyper import HyperKernelParams, midpoint_gram, pair_factors
+from .hyper import (
+    HyperKernelParams,
+    cross_factor,
+    midpoint_gram,
+    pair_factors,
+    point_factors,
+)
 from .krr import CoefficientField
 
 SCHEMA_VERSION = 1
@@ -94,37 +103,58 @@ def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
     """Evaluate k* on every pair of A x B, as a (len(A), len(B)) matrix.
 
     Omitting ``B`` means ``B = A``: the upper triangle is evaluated once and
-    mirrored, so that matrix is exactly symmetric.
+    mirrored, so that matrix is exactly symmetric.  Rows of A and B are taken
+    in blocks of ``_QUERY_CHUNK``, so temporaries stay at block size.
     """
+    params = lk.hyper_params
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    na = A.shape[0]
-    if B is None:
-        iu, ju = np.triu_indices(na)
-        vals = eval_pairs(lk, A[iu], A[ju])
-        G = np.empty((na, na))
-        G[iu, ju] = vals
-        G[ju, iu] = vals
-        return G
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    nb = B.shape[0]
-    ii, jj = np.divmod(np.arange(na * nb), nb)
-    return eval_pairs(lk, A[ii], B[jj]).reshape(na, nb)
+    sym = B is None
+    B = A if sym else np.atleast_2d(np.asarray(B, dtype=float))
+    if A.shape[1] != params.dim or B.shape[1] != params.dim:
+        raise InvalidInput(f"query arrays must both be (q, {params.dim})")
+    P = lk.points[lk.coefficients.pair_list]
+    g, mids = pair_factors(params, P[:, 0], P[:, 1])
+    w = lk.coefficients.values * g
+    na, nb = A.shape[0], B.shape[0]
+    G = np.empty((na, nb))
+    for a in range(0, na, _QUERY_CHUNK):
+        a2 = min(a + _QUERY_CHUNK, na)
+        phi_a = point_factors(params, A[a:a2], mids)
+        wphi_a = phi_a * w
+        for c in range(a if sym else 0, nb, _QUERY_CHUNK):
+            c2 = min(c + _QUERY_CHUNK, nb)
+            phi_b = phi_a if sym and c == a else point_factors(params, B[c:c2], mids)
+            block = cross_factor(params, A[a:a2], B[c:c2]) * (wphi_a @ phi_b.T)
+            if sym and c == a:
+                block = np.triu(block) + np.triu(block, 1).T
+            G[a:a2, c:c2] = block
+            if sym:
+                G[c:c2, a:a2] = block.T
+    G += lk.bias
+    return G
+
+
+def definiteness(G) -> DefinitenessReport:
+    """Spectrum ends of a symmetric Gram matrix.
+
+    The report flags indefiniteness when the smallest eigenvalue dips below
+    -1e-8 times the largest.
+    """
+    if G.size == 0:
+        raise InvalidInput("a definiteness report needs at least one point")
+    evals = eigvalsh(G)
+    lo, hi = float(evals[0]), float(evals[-1])
+    return DefinitenessReport(lo, hi, lo < -1e-8 * hi)
 
 
 def learned_gram(lk: LearnedKernel, X):
     """Evaluate k* on all pairs from X; returns (matrix, DefinitenessReport).
 
     The matrix is exactly symmetric (see :func:`eval_all_pairs`); the report
-    flags indefiniteness when the smallest eigenvalue dips below -1e-8 times
-    the largest.
+    is :func:`definiteness` of it.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.size == 0:
-        raise InvalidInput("learned_gram needs at least one point")
     G = eval_all_pairs(lk, X)
-    evals = eigvalsh(G)
-    lo, hi = float(evals[0]), float(evals[-1])
-    return G, DefinitenessReport(lo, hi, lo < -1e-8 * hi)
+    return G, definiteness(G)
 
 
 def save_learned(lk: LearnedKernel, path) -> None:

@@ -179,18 +179,16 @@ def base_config(method: str, hyperparams: dict):
     raise InvalidInput(f"unknown method {method!r}, expected 'krr' or 'svr'")
 
 
-def heldout_pair_rmse(lk: LearnedKernel, X, Y, holdout) -> float:
+def heldout_pair_rmse(G, Y, holdout) -> float:
     """RMSE of k* against Y over the pairs with an endpoint in ``holdout``.
 
-    The pairs are taken in row-major order over the m points of X.
+    ``G`` is ``eval_all_pairs(lk, X)`` over the m points Y is given on; the
+    pairs are taken in row-major order.
     """
-    m = X.shape[0]
-    in_val = np.zeros(m, dtype=bool)
+    in_val = np.zeros(Y.shape[0], dtype=bool)
     in_val[holdout] = True
     mask = (in_val[:, None] | in_val[None, :]).ravel()
-    pairs = full_pair_list(m)[mask]
-    pred = eval_pairs(lk, X[pairs[:, 0]], X[pairs[:, 1]])
-    return rmse(pred, Y.ravel()[mask])
+    return rmse(G.ravel()[mask], Y.ravel()[mask])
 
 
 def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None,
@@ -278,12 +276,11 @@ def _score_fold(X, Y, method, hp, val_idx, labels, c_svm):
     m = X.shape[0]
     train = np.setdiff1d(np.arange(m), val_idx)
     lk = fit_extend(X[train], Y[np.ix_(train, train)], method, hp)
+    G = eval_all_pairs(lk, X)
     if labels is None:
-        return heldout_pair_rmse(lk, X, Y, val_idx)
-    G = eval_all_pairs(lk, X[train])
-    model = svm_train(G, labels[train], c_svm, "clip")
-    rows = eval_all_pairs(lk, X[val_idx], X[train])
-    pred = svm_predict(model, rows)
+        return heldout_pair_rmse(G, Y, val_idx)
+    model = svm_train(G[np.ix_(train, train)], labels[train], c_svm, "clip")
+    pred = svm_predict(model, G[np.ix_(val_idx, train)])
     return float(np.mean(pred == labels[val_idx]))
 
 

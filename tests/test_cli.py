@@ -84,6 +84,39 @@ def test_non_numeric_cell_rejected_with_location(tmp_path):
         ingest_dataset(p, "csv")
 
 
+@pytest.mark.parametrize(
+    "command, bad_file",
+    [("extend", "kernel"), ("eval", "kernel"), ("eval", "data"), ("extend", "data")],
+    ids=["extend-kernel-nan", "eval-kernel-nan", "eval-data-inf", "extend-data-inf"],
+)
+def test_non_finite_cell_exits_2_naming_file_and_line(
+    tmp_path, capsys, command, bad_file
+):
+    data, _, labels = _write_blobs(tmp_path / "data.csv", m=8)
+    argv = [command]
+    if bad_file == "kernel":
+        ideal = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+        rows = [",".join(repr(v) for v in row) for row in ideal.tolist()]
+        rows[1] = "nan," + rows[1].split(",", 1)[1]
+        bad, line = _write(tmp_path / "k.csv", "\n".join(rows) + "\n"), 2
+        argv += [data, "--kernel-matrix", bad]
+    else:
+        rows = Path(data).read_text().splitlines()
+        rows[2] = "inf," + rows[2].split(",", 1)[1]
+        bad, line = _write(tmp_path / "bad.csv", "\n".join(rows) + "\n"), 3
+        argv += [bad]
+    if command == "eval":
+        fitted = tmp_path / "fitted"
+        assert main(["extend", data, "--output-dir", str(fitted)]) == 0
+        argv += ["--model", str(fitted / "model.json")]
+    capsys.readouterr()
+    code = main(argv + ["--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:{line}: non-finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_empty_dataset_rejected(tmp_path):
     p = _write(tmp_path / "d.csv", "\n\n")
     with pytest.raises(FormatError, match="empty"):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hklearn import (
     FormatError,
     GaussianRBF,
     HyperKernelParams,
+    InvalidInput,
     LearnedKernel,
     TL1,
     assemble_hyper_gram,
     data_sigma2,
+    eval_all_pairs,
     eval_learned,
     eval_pairs,
     fit_extend,
@@ -144,3 +148,87 @@ def test_load_rejects_invalid_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(FormatError):
         load_learned(bad)
+
+
+def _oracle_all_pairs(lk, A, B):
+    """eval_pairs on the flattened row-major pairs of A x B."""
+    ii, jj = np.divmod(np.arange(len(A) * len(B)), len(B))
+    return eval_pairs(lk, A[ii], B[jj]).reshape(len(A), len(B))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
+def test_all_pairs_matches_row_aligned_oracle(d):
+    # base scale, sigma_h2 multiplier, query spread, |beta| range, data offset
+    grid = itertools.product([0.05, 1.0, 10.0], [0.25, 4.0], [1.0, 5.0, 30.0],
+                             [1.0, 1e6], [0.0, 100.0])
+    for case, (scale, mult, spread, bmax, offset) in enumerate(grid):
+        rng = np.random.default_rng([d, case])
+        m = 6
+        X = rng.standard_normal((m, d)) + offset
+        s2 = scale * d
+        params = HyperKernelParams(s2, mult * s2, d)
+        beta = rng.uniform(-bmax, bmax, m * m)
+        bias = rng.standard_normal()
+        pairs = full_pair_list(m)
+        lk = LearnedKernel(X, CoefficientField(beta, pairs, m), bias, params)
+        # the same expansion with |beta| and |b| bounds every term's size
+        lk_abs = LearnedKernel(
+            X, CoefficientField(np.abs(beta), pairs, m), abs(bias), params
+        )
+        jitter = spread * np.sqrt(s2) / 3.0
+        A = X[rng.integers(0, m, 7)] + jitter * rng.standard_normal((7, d))
+        B = X[rng.integers(0, m, 5)] + jitter * rng.standard_normal((5, d))
+        for B_arg in (None, B):
+            Q = A if B_arg is None else B_arg
+            G = eval_all_pairs(lk, A, B_arg)
+            err = np.abs(G - _oracle_all_pairs(lk, A, Q))
+            assert np.all(err <= 1e-12 * _oracle_all_pairs(lk_abs, A, Q)), case
+            if B_arg is None:
+                assert np.array_equal(G, G.T)
+
+
+def test_all_pairs_symmetric_case_spans_several_blocks(rng):
+    lk, _, _ = _fitted(rng)
+    A = rng.standard_normal((1100, 2))  # three query blocks of 512 rows
+    G = eval_all_pairs(lk, A)
+    assert np.array_equal(G, G.T)
+    rows = rng.integers(0, 1100, 40)
+    np.testing.assert_allclose(
+        G[np.ix_(rows, rows)], _oracle_all_pairs(lk, A[rows], A[rows]),
+        rtol=1e-12, atol=1e-15,
+    )
+
+
+def test_all_pairs_zero_coefficients_give_the_bias_exactly(rng):
+    X = rng.standard_normal((4, 3))
+    field = CoefficientField(np.zeros(16), full_pair_list(4), 4)
+    lk = LearnedKernel(X, field, -1.3, HyperKernelParams(0.5, 2.0, 3))
+    A = 20.0 * rng.standard_normal((6, 3))
+    assert np.all(eval_all_pairs(lk, A) == -1.3)
+    assert np.all(eval_all_pairs(lk, A, X) == -1.3)
+
+
+def test_all_pairs_rejects_dimension_mismatch(rng):
+    lk, _, _ = _fitted(rng)
+    with pytest.raises(InvalidInput):
+        eval_all_pairs(lk, rng.standard_normal((3, 3)))
+    with pytest.raises(InvalidInput):
+        eval_all_pairs(lk, rng.standard_normal((3, 2)), rng.standard_normal((4, 1)))
+
+
+def test_learned_gram_memory_stays_near_its_output():
+    # the all-pairs evaluator's temporaries are block-sized, so the peak is
+    # the output plus the eigenvalue solver's copy of it
+    rng = np.random.default_rng(3)
+    m, d = 12, 4
+    X = rng.standard_normal((m, d))
+    field = CoefficientField(rng.standard_normal(m * m), full_pair_list(m), m)
+    lk = LearnedKernel(X, field, 0.1, HyperKernelParams(4.0, 4.0, d))
+    Q = rng.standard_normal((1500, d))
+    tracemalloc.start()
+    try:
+        G, _ = learned_gram(lk, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * G.nbytes
