@@ -117,10 +117,6 @@ class RunManifest:
                 raise InvalidInput(f"input file not found: {p}")
         self.output_dir = Path(self.output_dir)
 
-    @property
-    def seed(self) -> int:
-        return int(self.settings.get("seed", DEFAULTS["seed"]))
-
 
 def _parse_float(token: str, path, lineno: int, what: str) -> float:
     try:
@@ -252,6 +248,11 @@ def _load_settings(manifest: RunManifest) -> dict:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         settings.update(loaded)
     settings.update(manifest.settings)  # flags override the file
+    for key, value in settings.items():
+        # json reads NaN and Infinity, and float flags parse "nan" and "inf"
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not np.isfinite(v) for v in values):
+            raise InvalidInput(f"setting {key} must be finite, got {value!r}")
     if settings["method"] not in ("krr", "svr"):
         raise InvalidInput(f"method must be krr or svr, got {settings['method']!r}")
     if settings["spectrum_fix"] not in ("none", "clip"):
@@ -322,7 +323,6 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         sigma_h2_grid=tuple(settings["sigma_h2_grid"]),
         reg_grid=tuple(settings["reg_grid"]),
         seed=int(settings["seed"]),
-        trials=int(settings["trials"]),
     )
 
 
@@ -392,8 +392,6 @@ def _diag_dict(diag, scaling: ScalingConfig) -> dict:
     }
     if diag.observed_gap is not None:
         doc["observed_gap"] = diag.observed_gap
-    if diag.sigma_min_raw is not None:
-        doc["sigma_min_raw"] = diag.sigma_min_raw
     return doc
 
 

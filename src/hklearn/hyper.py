@@ -2,22 +2,15 @@
 
 A hyper-kernel is a positive-definite function of two *pairs* of points.  The
 one implemented here is a product of three scaled Gaussian factors: one per
-pair, plus one between the two pair midpoints.  Because of that product form
-the full matrix over n enumerated pairs factorizes as
-
-    K[k, l] = g[k] * g[l] * H[k, l]
-
-where ``g[k]`` is the within-pair factor of pair k and ``H`` is the Gram of a
-scaled Gaussian over the pair midpoints.  Assembly exploits this: it is
-vectorized, exactly symmetric, and positive semi-definite up to roundoff
-(a Schur product of a rank-one PSD matrix with a Gaussian Gram).
+pair, plus one between the two pair midpoints.
 
 The identity ||(x + x')/2 - c||^2 = ||x - c||^2/2 + ||x' - c||^2/2 - ||x - x'||^2/4
-splits the midpoint factor into one factor per query point: between a pair
-with within-pair factor g and midpoint c and a query pair (x, x') the
-hyper-kernel is g * cross_factor(x, x') * point_factors(x, c) *
-point_factors(x', c).  The learned kernel evaluates all pairs of two point
-sets through this form with one matrix product.
+splits the midpoint factor into one factor per point: between a pair with
+within-pair factor g and midpoint c and a query pair (x, x') the
+hyper-kernel is g * cross_factor(||x - x'||^2) * point_factors(x, c) *
+point_factors(x', c).  Both the Gram assembly and the learned kernel
+evaluate through this form, so each query point costs one exponential per
+expansion pair; :func:`eval_hyper_kernel` is the scalar reference.
 """
 
 from __future__ import annotations
@@ -29,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidInput, ResourceLimit
 
-# Row-block size for midpoint distance matrices; bounds peak memory at
-# _CHUNK * n * dim floats during assembly.
+# Row-block size of the assembly; its temporaries hold a few _CHUNK * n
+# floats.
 _CHUNK = 256
 
 DEFAULT_MAX_ENTRIES = 100_000_000
@@ -145,16 +138,6 @@ def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
     return g, (A + B) / 2.0
 
 
-def midpoint_gram(params: HyperKernelParams, M1: np.ndarray, M2: np.ndarray):
-    """The midpoint factor between every row of M1 and every row of M2."""
-    sh = params.sigma2 + params.sigma_h2
-    pref_h = (2.0 * math.pi * sh) ** (-params.dim / 2.0)
-    # one expression: numpy then reuses the temporaries in place
-    return pref_h * np.exp(
-        -np.sum((M1[:, None, :] - M2[None, :, :]) ** 2, axis=2) / (2.0 * sh)
-    )
-
-
 def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every row of A and every row of B.
 
@@ -176,10 +159,11 @@ def point_factors(params: HyperKernelParams, X: np.ndarray, mids: np.ndarray):
     return np.exp(sq_dists(X, mids) / (-4.0 * sh))
 
 
-def cross_factor(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
-    """The query-pair factor p * exp(-kappa ||a - b||^2) for every a in A, b in B.
+def cross_factor(params: HyperKernelParams, sq):
+    """The query-pair factor p * exp(-kappa * sq) of squared distances sq.
 
-    p is the product of the within-pair and midpoint prefactors and
+    ``sq`` holds ||x - x'||^2 between the two points of query pairs, in any
+    shape.  p is the product of the within-pair and midpoint prefactors and
     kappa = 1 / (2 sigma2) - 1 / (8 (sigma2 + sigma_h2)), which is positive,
     so the factor never exceeds p.
     """
@@ -187,7 +171,7 @@ def cross_factor(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
     sh = s2 + params.sigma_h2
     p = (4.0 * math.pi**2 * s2 * sh) ** (-params.dim / 2.0)
     kappa = 1.0 / (2.0 * s2) - 1.0 / (8.0 * sh)
-    return p * np.exp(sq_dists(A, B) * -kappa)
+    return p * np.exp(sq * -kappa)
 
 
 def assemble_hyper_gram(
@@ -197,6 +181,11 @@ def assemble_hyper_gram(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> HyperGram:
     """Assemble the hyper-Gram matrix over the given (or all) ordered pairs.
+
+    Entry (r, s) is cross_factor of pair r times g[s] times the point factors
+    of both points of pair r at midpoint s.  Each row block is filled from
+    the diagonal on and mirrored, so the matrix is exactly symmetric; it is
+    positive semi-definite up to roundoff.
 
     Parameters
     ----------
@@ -233,11 +222,19 @@ def assemble_hyper_gram(
             "restrict pairs or use the scaling module"
         )
 
-    g, M = pair_factors(params, X[pairs[:, 0]], X[pairs[:, 1]])
+    A, B = X[pairs[:, 0]], X[pairs[:, 1]]
+    g, M = pair_factors(params, A, B)
+    phi = point_factors(params, X, M)
+    cross = cross_factor(params, np.sum((A - B) ** 2, axis=1))
     K = np.empty((n, n), dtype=float)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        K[a:b] = midpoint_gram(params, M[a:b], M)
-    # outer(g, g) is bitwise symmetric; multiplying elementwise keeps K so
-    K *= np.multiply.outer(g, g)
+        # rows a:b from column a on; columns before a mirror earlier blocks
+        block = phi[pairs[a:b, 0], a:] * phi[pairs[a:b, 1], a:]
+        block *= cross[a:b, None]
+        block *= g[a:]
+        diag = block[:, : b - a]
+        block[:, : b - a] = np.triu(diag) + np.triu(diag, 1).T
+        K[a:b, a:] = block
+        K[a:, a:b] = block.T
     return HyperGram(K, pairs)

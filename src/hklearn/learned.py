@@ -1,11 +1,10 @@
 """The learned kernel: a coefficient expansion over training point pairs.
 
-k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b.  :func:`eval_pairs`
-evaluates row-aligned query pairs through the factorized form of the
-hyper-Gram assembly; it is the reference for :func:`eval_all_pairs`, which
-evaluates every pair of two point sets through the pair-separable form (see
-:mod:`hklearn.hyper`) as one matrix product Phi_A diag(w) Phi_B' over
-(len(A) + len(B)) * n exponentials instead of len(A) * len(B) * n.
+k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b.  Both evaluators go
+through the pair-separable form of the hyper-kernel (see
+:mod:`hklearn.hyper`): :func:`eval_pairs` takes row-aligned query pairs,
+:func:`eval_all_pairs` every pair of two point sets as one matrix product
+Phi_A diag(w) Phi_B' over (len(A) + len(B)) * n exponentials.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from .errors import FormatError, InvalidInput
 from .hyper import (
     HyperKernelParams,
     cross_factor,
-    midpoint_gram,
     pair_factors,
     point_factors,
+    sq_dists,
 )
 from .krr import CoefficientField
 
@@ -80,8 +79,9 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     out = np.empty(A.shape[0])
     for a in range(0, A.shape[0], _QUERY_CHUNK):
         b = min(a + _QUERY_CHUNK, A.shape[0])
-        gq, mq = pair_factors(params, A[a:b], B[a:b])
-        out[a:b] = gq * (midpoint_gram(params, mq, mids) @ w)
+        phi = point_factors(params, A[a:b], mids) * point_factors(params, B[a:b], mids)
+        cross = cross_factor(params, np.sum((A[a:b] - B[a:b]) ** 2, axis=1))
+        out[a:b] = cross * (phi @ w)
     return out + lk.bias
 
 
@@ -124,7 +124,8 @@ def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
         for c in range(a if sym else 0, nb, _QUERY_CHUNK):
             c2 = min(c + _QUERY_CHUNK, nb)
             phi_b = phi_a if sym and c == a else point_factors(params, B[c:c2], mids)
-            block = cross_factor(params, A[a:a2], B[c:c2]) * (wphi_a @ phi_b.T)
+            cross = cross_factor(params, sq_dists(A[a:a2], B[c:c2]))
+            block = cross * (wphi_a @ phi_b.T)
             if sym and c == a:
                 block = np.triu(block) + np.triu(block, 1).T
             G[a:a2, c:c2] = block
@@ -186,14 +187,20 @@ def load_learned(path) -> LearnedKernel:
             raise FormatError(
                 f"unsupported model schema {doc['schema_version']!r}"
             )
-        hp = HyperKernelParams(**doc["hyper_params"])
         points = np.asarray(doc["points"], dtype=float)
         coeffs = doc["coefficients"]
         pairs = np.array([[c["i"], c["j"]] for c in coeffs], dtype=np.intp)
         values = np.array([c["value"] for c in coeffs], dtype=float)
         bias = float(doc["bias"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"model file missing field: {exc}") from exc
+        hp_doc = doc["hyper_params"]
+        scales = np.array([hp_doc["sigma2"], hp_doc["sigma_h2"]], dtype=float)
+        # json reads NaN and Infinity
+        for name, value in (("points", points), ("bias", bias), ("hyper_params", scales)):
+            if not np.all(np.isfinite(value)):
+                raise FormatError(f"model file has non-finite {name}")
+        hp = HyperKernelParams(**hp_doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"model file missing or malformed field: {exc}") from exc
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     field = CoefficientField(values, pairs, points.shape[0])

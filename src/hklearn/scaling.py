@@ -72,16 +72,14 @@ class DecompositionDiagnostics:
     """Cross-cluster mass, spectrum floor, and the resulting gap bound.
 
     ``bound`` is None for ridge subproblems (no box constant to square) and
-    infinite when sigma_min <= 0.  ``sigma_min_raw`` is reported alongside
-    whenever the gram carried jitter.  ``observed_gap`` is filled only when
-    the full solve was affordable.
+    infinite when sigma_min <= 0.  ``observed_gap`` is filled only when the
+    full solve was affordable.
     """
 
     q_pi: float
     sigma_min: float
     bound: float | None
     observed_gap: float | None = None
-    sigma_min_raw: float | None = None
 
 
 def kmeans_partition(X, v: int, seed: int, max_iter: int = 100) -> PartitionPlan:
@@ -188,8 +186,7 @@ def decomposition_bound(
         bound = None
     else:
         bound = C * C * q_pi / (2.0 * sigma_min) if sigma_min > 0 else float("inf")
-    raw = sigma_min - gram.jitter_applied if gram.jitter_applied > 0 else None
-    return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap, raw)
+    return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap)
 
 
 def solve_pair_system(gram: HyperGram, responses, base, trace_path=None):

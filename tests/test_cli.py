@@ -550,6 +550,49 @@ def test_eval_without_model_exits_2(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["points", "bias", "hyper_params"])
+def test_non_finite_model_file_exits_2(tmp_path, capsys, field, value):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    if field == "points":
+        doc["points"][3][1] = value
+    elif field == "bias":
+        doc["bias"] = value
+    else:
+        doc["hyper_params"]["sigma2"] = value
+    model = _write(tmp_path / "model.json", json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", data, "--model", model, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"non-finite {field}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["extend", "DATA", "--lambda", "nan"], None, "lambda"),
+        (["extend", "DATA", "--sigma-h2", "inf"], None, "sigma_h2"),
+        (["rate-study", "--noise-sigma", "nan"], None, "noise_sigma"),
+        (["extend", "DATA", "--method", "svr"], '{"epsilon": NaN}', "epsilon"),
+        (["fit", "DATA"], '{"reg_grid": [1.0, -Infinity]}', "reg_grid"),
+    ],
+    ids=["lambda-flag", "sigma_h2-flag", "noise_sigma-flag", "epsilon-config",
+         "reg_grid-config"],
+)
+def test_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    argv = [data if a == "DATA" else a for a in argv]
+    if config is not None:
+        argv += ["--config", _write(tmp_path / "cfg.json", config)]
+    code = main(argv + ["--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"setting {key} must be finite" in err and err.count("\n") == 1
+
+
 def test_kernel_matrix_size_mismatch_exits_2(tmp_path, capsys):
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=6)
     kpath = _write(tmp_path / "k.csv", "1.0,0.0\n0.0,1.0\n")

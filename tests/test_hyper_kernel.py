@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from hklearn import (
     assemble_hyper_gram,
     eval_hyper_kernel,
     full_pair_list,
+    nystrom_restrict,
     scaled_gaussian,
 )
+from midpoint_reference import hyper_gram_reference
 
 
 def test_scaled_gaussian_unit_prefactor():
@@ -151,3 +154,34 @@ def test_hyper_gram_validation(rng):
     with pytest.raises(InvalidInput):
         HyperGram(np.array([[1.0, 2.0], [0.0, 1.0]]), full_pair_list(1), 0.0)
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
+def test_assembly_matches_midpoint_reference(d):
+    # base scale, sigma_h2 multiplier, data offset
+    grid = itertools.product([0.05, 1.0, 10.0], [0.25, 4.0], [0.0, 100.0])
+    for case, (scale, mult, offset) in enumerate(grid):
+        rng = np.random.default_rng([d, case])
+        m = 6
+        X = rng.standard_normal((m, d)) + offset
+        s2 = scale * d
+        params = HyperKernelParams(s2, mult * s2, d)
+        _, restricted = nystrom_restrict(m, 2, case)
+        for pairs in (full_pair_list(m), restricted):
+            K = assemble_hyper_gram(params, X, pairs).entries
+            ref = hyper_gram_reference(params, X, pairs)
+            assert np.all(np.abs(K - ref) <= 1e-12 * ref), case
+
+
+@pytest.mark.parametrize("m, pairs", [
+    pytest.param(17, full_pair_list(17), id="full"),  # 289 pairs
+    pytest.param(24, nystrom_restrict(24, 8, 3)[1], id="nystrom"),  # 320 pairs
+    pytest.param(20, np.random.default_rng(17).integers(0, 20, (600, 2)), id="subset"),
+])
+def test_assembly_exactly_symmetric_across_row_blocks(m, pairs):
+    assert len(pairs) > 256  # at least two row blocks of the assembly
+    X = np.random.default_rng(m).standard_normal((m, 3))
+    params = HyperKernelParams(0.7, 1.9, 3)
+    K = assemble_hyper_gram(params, X, pairs).entries
+    assert np.array_equal(K, K.T)
+    ref = hyper_gram_reference(params, X, pairs)
+    assert np.all(np.abs(K - ref) <= 1e-12 * ref)

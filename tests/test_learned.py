@@ -27,6 +27,7 @@ from hklearn import (
     load_learned,
     save_learned,
 )
+from midpoint_reference import eval_pairs_reference
 
 
 def _fitted(rng, m=4, d=2):
@@ -151,13 +152,24 @@ def test_load_rejects_invalid_json(tmp_path):
 
 
 def _oracle_all_pairs(lk, A, B):
-    """eval_pairs on the flattened row-major pairs of A x B."""
+    """The midpoint-form reference on the flattened row-major pairs of A x B."""
     ii, jj = np.divmod(np.arange(len(A) * len(B)), len(B))
-    return eval_pairs(lk, A[ii], B[jj]).reshape(len(A), len(B))
+    return eval_pairs_reference(lk, A[ii], B[jj]).reshape(len(A), len(B))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
-def test_all_pairs_matches_row_aligned_oracle(d):
+_SUBNORMAL = np.finfo(float).tiny
+
+
+def _oracle_cases(d):
+    """Seeded expansions and query sets over scales, spreads and offsets.
+
+    Yields (case, lk, lk_abs, A, B); ``lk_abs`` is the same expansion with
+    |beta|, which bounds every term's size.  The expansions carry no bias:
+    at d = 50 the kernel terms are near 1e-60, so a bias would swamp the
+    tolerance.  Terms far from every midpoint are subnormal and carry no
+    relative precision, so the tests allow an absolute error of
+    ``_SUBNORMAL`` on top.
+    """
     # base scale, sigma_h2 multiplier, query spread, |beta| range, data offset
     grid = itertools.product([0.05, 1.0, 10.0], [0.25, 4.0], [1.0, 5.0, 30.0],
                              [1.0, 1e6], [0.0, 100.0])
@@ -168,23 +180,37 @@ def test_all_pairs_matches_row_aligned_oracle(d):
         s2 = scale * d
         params = HyperKernelParams(s2, mult * s2, d)
         beta = rng.uniform(-bmax, bmax, m * m)
-        bias = rng.standard_normal()
         pairs = full_pair_list(m)
-        lk = LearnedKernel(X, CoefficientField(beta, pairs, m), bias, params)
-        # the same expansion with |beta| and |b| bounds every term's size
-        lk_abs = LearnedKernel(
-            X, CoefficientField(np.abs(beta), pairs, m), abs(bias), params
-        )
+        lk = LearnedKernel(X, CoefficientField(beta, pairs, m), 0.0, params)
+        lk_abs = LearnedKernel(X, CoefficientField(np.abs(beta), pairs, m), 0.0, params)
         jitter = spread * np.sqrt(s2) / 3.0
         A = X[rng.integers(0, m, 7)] + jitter * rng.standard_normal((7, d))
         B = X[rng.integers(0, m, 5)] + jitter * rng.standard_normal((5, d))
+        yield case, lk, lk_abs, A, B
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
+def test_all_pairs_matches_row_aligned_oracle(d):
+    for case, lk, lk_abs, A, B in _oracle_cases(d):
         for B_arg in (None, B):
             Q = A if B_arg is None else B_arg
             G = eval_all_pairs(lk, A, B_arg)
             err = np.abs(G - _oracle_all_pairs(lk, A, Q))
-            assert np.all(err <= 1e-12 * _oracle_all_pairs(lk_abs, A, Q)), case
+            bound = 1e-12 * _oracle_all_pairs(lk_abs, A, Q) + _SUBNORMAL
+            assert np.all(err <= bound), case
             if B_arg is None:
                 assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
+def test_eval_pairs_matches_midpoint_reference(d):
+    for case, lk, lk_abs, A, B in _oracle_cases(d):
+        # every pair of A x B, each query point on both sides
+        ii, jj = np.divmod(np.arange(len(A) * len(B)), len(B))
+        for P, Q in ((A[ii], B[jj]), (B[jj], A[ii])):
+            err = np.abs(eval_pairs(lk, P, Q) - eval_pairs_reference(lk, P, Q))
+            bound = 1e-12 * eval_pairs_reference(lk_abs, P, Q) + _SUBNORMAL
+            assert np.all(err <= bound), case
 
 
 def test_all_pairs_symmetric_case_spans_several_blocks(rng):

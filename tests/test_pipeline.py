@@ -315,6 +315,23 @@ def test_rate_study_noiseless_planted_is_tiny():
     assert len(report.m_values) == 2
 
 
+def test_planted_trial_fits_on_the_gram_of_its_target(monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    real = pipeline.assemble_hyper_gram
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "assemble_hyper_gram", counting)
+    rng = np.random.default_rng(4)
+    err = pipeline._study_trial(rng, 8, 0.0, "krr", "planted", 1e-10)
+    assert len(calls) == 1
+    assert err <= 1e-4
+
+
 def test_rate_study_failure_carries_partial_results(monkeypatch):
     import hklearn.pipeline as pipeline
 

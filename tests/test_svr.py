@@ -101,6 +101,19 @@ def test_negative_coefficients_occur_on_tl1_target():
     assert model.beta.values.min() < 0.0
 
 
+def test_trace_ends_at_the_returned_dual_objective(tmp_path, rng):
+    gram = _gram(rng, 4)
+    y = rng.standard_normal(16)
+    path = tmp_path / "trace.csv"
+    model = fit_svr(gram, y, SvrConfig(C=1.0, epsilon=0.05, kkt_tol=1e-8),
+                    trace_path=path)
+    with open(path, newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last["dual_objective"]) == pytest.approx(
+        model.dual_objective, rel=1e-10
+    )
+
+
 def test_trace_is_monotone_ascent(tmp_path, rng):
     gram = _gram(rng, 3)
     y = rng.standard_normal(9)
