@@ -11,7 +11,6 @@ from .base_kernels import (
     GaussianRBF,
     Ideal,
     LogKernel,
-    Precomputed,
     TL1,
     eval_kernel,
     gram_matrix,
@@ -37,12 +36,11 @@ from .hyper import (
     full_pair_list,
     scaled_gaussian,
 )
-from .krr import CoefficientField, KrrConfig, fit_krr, krr_objective
+from .krr import CoefficientField, KrrConfig, fit_krr
 from .learned import (
     DefinitenessReport,
     LearnedKernel,
     eval_all_pairs,
-    eval_learned,
     eval_pairs,
     learned_gram,
     load_learned,
@@ -75,7 +73,6 @@ from .svr import (
     SvrConfig,
     SvrModel,
     dual_objective,
-    epsilon_insensitive_loss,
     fit_svr,
 )
 

@@ -64,24 +64,7 @@ class Ideal:
             raise InvalidInput("labels must be nonempty")
 
 
-@dataclass(frozen=True, eq=False)
-class Precomputed:
-    """A fixed square symmetric matrix; has no functional form."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidInput(f"matrix must be square, got shape {mat.shape}")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if np.abs(mat - mat.T).max() > 1e-12 * scale:
-            raise InvalidInput("matrix must be symmetric to 1e-12 relative tolerance")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-KernelSpec = GaussianRBF | TL1 | LogKernel | Ideal | Precomputed
+KernelSpec = GaussianRBF | TL1 | LogKernel | Ideal
 
 
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
@@ -90,12 +73,12 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     Parameters
     ----------
     spec : KernelSpec
-        One of GaussianRBF, TL1, LogKernel.  Ideal and Precomputed have no
-        functional form and raise ``UnsupportedEvaluation``.
+        One of GaussianRBF, TL1, LogKernel.  Ideal has no functional form
+        and raises ``UnsupportedEvaluation``.
     x, x2 : array-like
         Feature vectors of equal dimension.
     """
-    if isinstance(spec, (Ideal, Precomputed)):
+    if isinstance(spec, Ideal):
         raise UnsupportedEvaluation(
             f"{type(spec).__name__} is defined only on indexed training points"
         )
@@ -121,10 +104,8 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     The strict upper triangle is computed once and mirrored, so the output is
     exactly symmetric.  For ``Ideal`` the entries are +1 / -1 by label
     agreement (``y yᵀ`` for binary ±1 labels); ``X`` is only used for its
-    length there.  ``Precomputed`` returns the stored matrix.
+    length there.
     """
-    if isinstance(spec, Precomputed):
-        return np.array(spec.matrix, dtype=float)
     if isinstance(spec, Ideal):
         y = np.asarray(spec.labels)
         if len(y) == 0:

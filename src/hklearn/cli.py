@@ -95,6 +95,8 @@ DEFAULTS = {
     "rate_target": "rbf",
     "trace": False,
 }
+# settings that count or seed something
+INT_KEYS = ("seed", "cv_folds", "trials", "clusters", "landmarks", "m_values")
 
 
 @dataclass
@@ -137,7 +139,10 @@ def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bo
     """
     path = Path(path)
     if fmt == "csv":
-        X, labels = _read_csv_dataset(path, labeled)
+        data = _read_csv_numbers(path, "dataset")
+        if labeled and data.shape[1] < 2:
+            raise FormatError(f"{path}: labeled csv needs at least 2 columns")
+        X, labels = (data[:, :-1], data[:, -1]) if labeled else (data, None)
     elif fmt in ("libsvm", "libsvm-sparse"):
         X, labels = _read_libsvm_dataset(path)
         if not labeled:
@@ -156,29 +161,27 @@ def standardize_columns(X: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _read_csv_dataset(path: Path, labeled: bool):
+def _read_csv_numbers(path: Path, name: str) -> np.ndarray:
+    """A csv file of numbers as a 2-d array, skipping blank rows.
+
+    Every row must have the width of the first; ``name`` describes the file
+    in the message for one with no rows.
+    """
     rows = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            rows.append(
-                (lineno, [_parse_float(c, path, lineno, "cell") for c in row])
-            )
+            values = [_parse_float(c, path, lineno, "cell") for c in row]
+            if rows and len(values) != len(rows[0]):
+                raise FormatError(
+                    f"{path}:{lineno}: expected {len(rows[0])} columns, "
+                    f"found {len(values)}"
+                )
+            rows.append(values)
     if not rows:
-        raise FormatError(f"{path}: empty dataset")
-    width = len(rows[0][1])
-    for lineno, values in rows:
-        if len(values) != width:
-            raise FormatError(
-                f"{path}:{lineno}: expected {width} columns, found {len(values)}"
-            )
-    data = np.array([v for _, v in rows])
-    if labeled:
-        if width < 2:
-            raise FormatError(f"{path}: labeled csv needs at least 2 columns")
-        return data[:, :-1], data[:, -1]
-    return data, None
+        raise FormatError(f"{path}: empty {name}")
+    return np.array(rows)
 
 
 def _read_libsvm_dataset(path: Path):
@@ -216,18 +219,7 @@ def _read_libsvm_dataset(path: Path):
 def ingest_kernel_matrix(path) -> np.ndarray:
     """Read an m x m kernel csv, symmetrizing as (K + K') / 2."""
     path = Path(path)
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append([_parse_float(c, path, lineno, "entry") for c in row])
-    if not rows:
-        raise FormatError(f"{path}: empty kernel matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FormatError(f"{path}: kernel matrix rows have unequal lengths")
-    K = np.array(rows)
+    K = _read_csv_numbers(path, "kernel matrix")
     if K.shape[0] != K.shape[1]:
         raise FormatError(f"{path}: kernel matrix must be square, got {K.shape}")
     gap = float(np.abs(K - K.T).max())
@@ -249,6 +241,8 @@ def _load_settings(manifest: RunManifest) -> dict:
         settings.update(loaded)
     settings.update(manifest.settings)  # flags override the file
     for key, value in settings.items():
+        if not _has_default_type(key, value):
+            raise InvalidInput(f"setting {key} has the wrong type, got {value!r}")
         # json reads NaN and Infinity, and float flags parse "nan" and "inf"
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not np.isfinite(v) for v in values):
@@ -268,6 +262,26 @@ def _load_settings(manifest: RunManifest) -> dict:
             "--method svr and no --clusters or --landmarks"
         )
     return settings
+
+
+def _has_default_type(key: str, value) -> bool:
+    """Whether a setting has the JSON type of its default.
+
+    A list holds numbers, and a number is an int or a float; the settings in
+    ``INT_KEYS`` take ints only.  A default of None stands for a number
+    derived from the data.
+    """
+    default = DEFAULTS[key]
+    kinds = int if key in INT_KEYS else (int, float)
+
+    def number(v):
+        return isinstance(v, kinds) and not isinstance(v, bool)
+
+    if isinstance(default, list):
+        return isinstance(value, list) and all(number(v) for v in value)
+    if isinstance(default, (bool, str)):
+        return isinstance(value, type(default))
+    return number(value) or (default is None and value is None)
 
 
 def _target_matrix(settings: dict, X: np.ndarray, labels) -> np.ndarray:

@@ -10,7 +10,7 @@ class InvalidInput(HklearnError):
 
 
 class UnsupportedEvaluation(HklearnError):
-    """The requested evaluation has no functional form (ideal / precomputed kernels)."""
+    """The requested evaluation has no functional form (the ideal kernel)."""
 
 
 class NumericalFailure(HklearnError):
@@ -40,7 +40,7 @@ class PipelineFailure(HklearnError):
     """Every candidate in a search failed to fit."""
 
 
-class SlopeUndefined(HklearnError):
+class SlopeUndefined(InvalidInput):
     """A log-log slope was requested with fewer than two sample sizes."""
 
 

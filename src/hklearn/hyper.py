@@ -26,7 +26,9 @@ from .errors import InvalidInput, ResourceLimit
 # floats.
 _CHUNK = 256
 
-DEFAULT_MAX_ENTRIES = 100_000_000
+# Cap on the n^2 entries of an assembled hyper-Gram; larger pair systems go
+# through the scaling module.
+MAX_ENTRIES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,7 @@ def cross_factor(params: HyperKernelParams, sq):
     return p * np.exp(sq * -kappa)
 
 
-def assemble_hyper_gram(
-    params: HyperKernelParams,
-    X,
-    pairs=None,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> HyperGram:
+def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
     """Assemble the hyper-Gram matrix over the given (or all) ordered pairs.
 
     Entry (r, s) is cross_factor of pair r times g[s] times the point factors
@@ -194,10 +191,7 @@ def assemble_hyper_gram(
         Sample points.
     pairs : array-like of 0-based (i, j) rows, optional
         Explicit pair subset.  Omitted: all m^2 ordered pairs in row-major
-        order.
-    max_entries : int
-        Cap on n^2; beyond it assembly refuses with ``ResourceLimit`` and the
-        caller should go through the scaling module.
+        order.  A list with n^2 above ``MAX_ENTRIES`` raises ``ResourceLimit``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -216,9 +210,9 @@ def assemble_hyper_gram(
         if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
             raise InvalidInput("pair indices out of range")
     n = pairs.shape[0]
-    if n * n > max_entries:
+    if n * n > MAX_ENTRIES:
         raise ResourceLimit(
-            f"hyper-Gram would hold {n * n} entries (cap {max_entries}); "
+            f"hyper-Gram would hold {n * n} entries (cap {MAX_ENTRIES}); "
             "restrict pairs or use the scaling module"
         )
 

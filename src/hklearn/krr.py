@@ -18,6 +18,7 @@ from .errors import InvalidInput, NumericalFailure
 from .hyper import HyperGram
 
 DIRECT_RESIDUAL_TOL = 1e-8
+CG_MAX_ITER = 20_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class KrrConfig:
     lam: float
     solver: str = "auto"
     cg_tol: float = 1e-10
-    cg_max_iter: int = 20_000
     direct_limit: int = 2000
     jitter_retries: int = 3
 
@@ -54,9 +54,7 @@ class CoefficientField:
     """Expansion coefficients aligned with a hyper-Gram pair enumeration.
 
     ``values[k]`` attaches to the ordered point pair ``pair_list[k]``; ``m``
-    is the number of underlying sample points.  ``to_matrix`` scatters the
-    coefficients into the dense m x m layout (zeros for pairs outside the
-    enumeration of a restricted fit).
+    is the number of underlying sample points.
     """
 
     values: np.ndarray
@@ -81,18 +79,6 @@ class CoefficientField:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def to_matrix(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        out[self.pair_list[:, 0], self.pair_list[:, 1]] = self.values
-        return out
-
-
-def krr_objective(gram: HyperGram, beta: np.ndarray, responses: np.ndarray, lam: float) -> float:
-    """``||K beta - y||^2 + lam * beta' K beta`` for a candidate coefficient vector."""
-    K = gram.entries
-    r = K @ beta - responses
-    return float(r @ r + lam * beta @ (K @ beta))
 
 
 def solve_spd_with_jitter(
@@ -171,7 +157,7 @@ def fit_krr(gram: HyperGram, responses, config: KrrConfig) -> CoefficientField:
             shape=K.shape, matvec=lambda v: K @ v + lam * v, dtype=float
         )
         beta, _info = cg(op, y, rtol=min(config.cg_tol, 1e-12), atol=0.0,
-                         maxiter=config.cg_max_iter)
+                         maxiter=CG_MAX_ITER)
         residual = float(np.linalg.norm(K @ beta + lam * beta - y))
         if residual > config.cg_tol * max(1.0, float(np.linalg.norm(y))):
             raise NumericalFailure(

@@ -60,10 +60,6 @@ class LearnedKernel:
             raise InvalidInput("coefficient pair indices exceed the stored points")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def pair_list(self) -> np.ndarray:
-        return self.coefficients.pair_list
-
 
 def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     """Evaluate k*(A[r], B[r]) for row-aligned query arrays."""
@@ -83,20 +79,6 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
         cross = cross_factor(params, np.sum((A[a:b] - B[a:b]) ** 2, axis=1))
         out[a:b] = cross * (phi @ w)
     return out + lk.bias
-
-
-def eval_learned(lk: LearnedKernel, x, x2) -> float:
-    """k*(x, x2); symmetric in its arguments."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.size != lk.hyper_params.dim or x2.size != lk.hyper_params.dim:
-        raise InvalidInput(
-            f"inputs must have dimension {lk.hyper_params.dim}, "
-            f"got {x.size} and {x2.size}"
-        )
-    if lk.coefficients.n == 0:
-        return float(lk.bias)
-    return float(eval_pairs(lk, x[None, :], x2[None, :])[0])
 
 
 def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:

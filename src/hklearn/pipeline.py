@@ -10,7 +10,7 @@ target matrix over labeled pairs, then classify with an SVM over the learned
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -30,6 +30,9 @@ from .scaling import solve_pair_system
 from .svr import SvrConfig, smo
 
 DEFAULT_REG_GRID = tuple(10.0 ** k for k in range(-5, 6))
+# Ridge weights of the learning-rate study, for noiseless and noisy responses
+STUDY_REG_NOISELESS = 1e-10
+STUDY_REG_NOISY = 1e-2
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,9 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     """Grid-search sigma_h2 and the regularization constant by 5-fold CV.
 
     ``y`` is the target kernel matrix over the labeled points.  With class
-    ``labels`` given, folds are scored by downstream SVM accuracy (and a
-    nested pass tunes C_svm afterwards); otherwise by RMSE on the fold's
-    held-out pairs.  ``hyperparams`` is the run's dict (see
+    ``labels`` given, folds are scored by downstream SVM accuracy, and a
+    second pass scores every C_svm on the fold fits of the selected point;
+    otherwise folds are scored by RMSE on their held-out pairs.  ``hyperparams`` is the run's dict (see
     :func:`base_config`); every fold fits with it and varies only
     ``sigma_h2``, as a multiplier of its ``sigma2``, and ``reg``.  Omitted,
     it holds only ``sigma2 = data_sigma2(X_labeled)``.  Returns (selected
@@ -224,8 +227,10 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             scores = []
             try:
                 for val in folds:
+                    G = _fold_gram(X, Y, method, hp, val)
                     scores.append(
-                        _score_fold(X, Y, method, hp, val, lbl, c_svm=1.0)
+                        heldout_pair_rmse(G, Y, val) if lbl is None
+                        else _fold_accuracy(G, val, lbl, c_svm=1.0)
                     )
                 table.append((mult, reg, float(np.mean(scores))))
             except HklearnError:
@@ -252,13 +257,16 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     }
 
     if classify:
+        # every fold fitted at the selected point in the grid pass, so these
+        # fits succeed; only the SVMs depend on c_svm
         hp = dict(hyperparams, sigma_h2=best_mult * s2, reg=best_reg)
+        grams = [_fold_gram(X, Y, method, hp, val) for val in folds]
         by_c = []
         for c_svm in config.reg_grid:
             try:
                 accs = [
-                    _score_fold(X, Y, method, hp, val, lbl, c_svm=c_svm)
-                    for val in folds
+                    _fold_accuracy(G, val, lbl, c_svm)
+                    for G, val in zip(grams, folds)
                 ]
                 by_c.append((c_svm, float(np.mean(accs))))
             except HklearnError:
@@ -269,13 +277,16 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     return selected, table
 
 
-def _score_fold(X, Y, method, hp, val_idx, labels, c_svm):
-    m = X.shape[0]
-    train = np.setdiff1d(np.arange(m), val_idx)
+def _fold_gram(X, Y, method, hp, val_idx):
+    """k* on all of X, fitted on the points outside ``val_idx``."""
+    train = np.setdiff1d(np.arange(X.shape[0]), val_idx)
     lk = fit_extend(X[train], Y[np.ix_(train, train)], method, hp)
-    G = eval_all_pairs(lk, X)
-    if labels is None:
-        return heldout_pair_rmse(G, Y, val_idx)
+    return eval_all_pairs(lk, X)
+
+
+def _fold_accuracy(G, val_idx, labels, c_svm):
+    """Accuracy on ``val_idx`` of an SVM trained on the other points of G."""
+    train = np.setdiff1d(np.arange(G.shape[0]), val_idx)
     model = svm_train(G[np.ix_(train, train)], labels[train], c_svm, "clip")
     pred = svm_predict(model, G[np.ix_(val_idx, train)])
     return float(np.mean(pred == labels[val_idx]))
@@ -336,14 +347,15 @@ def svm_predict(model: SvmModel, kernel_row_values):
 
 
 def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
-                        config: ExperimentConfig, target: str = "rbf",
-                        reg: float | None = None) -> RateStudyReport:
+                        config: ExperimentConfig,
+                        target: str = "rbf") -> RateStudyReport:
     """Median out-of-sample error versus training size, with log-log slope.
 
     Per (m, trial): draw m points, build responses from the target kernel
     ("rbf", or "planted" for a function inside the expansion span) plus
     centered Gaussian noise, fit, and measure RMSE against the noiseless
-    target on fresh pairs.
+    target on fresh pairs.  The fit's regularization constant is
+    ``STUDY_REG_NOISELESS`` without noise and ``STUDY_REG_NOISY`` with it.
     """
     ms = [int(v) for v in m_values]
     if len(ms) < 2:
@@ -356,8 +368,7 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
         raise InvalidInput("noise_sigma must be nonnegative")
     if target not in ("rbf", "planted"):
         raise InvalidInput(f"unknown target {target!r}")
-    if reg is None:
-        reg = 1e-10 if noise_sigma == 0 else 1e-2
+    reg = STUDY_REG_NOISELESS if noise_sigma == 0 else STUDY_REG_NOISY
 
     seeds = np.random.SeedSequence(config.seed).spawn(len(ms) * trials)
     medians = []

@@ -25,6 +25,7 @@ RESIDUAL_GROUP = 0  # pair_partition id for cross-cluster pairs
 # Above this many restricted pairs fit_decomposed skips the full solve behind
 # the observed gap.
 FULL_SOLVE_LIMIT = 2048
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,12 @@ class ScalingConfig:
     v: int
     u: int
     seed: int
-    kmeans_max_iter: int = 100
 
     def __post_init__(self):
         if self.v < 1:
             raise InvalidInput(f"cluster count must be >= 1, got {self.v}")
         if self.u < 1:
             raise InvalidInput(f"landmark count must be >= 1, got {self.u}")
-        if self.kmeans_max_iter < 1:
-            raise InvalidInput("kmeans_max_iter must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +60,6 @@ class PartitionPlan:
         object.__setattr__(self, "assignment", assign)
         object.__setattr__(self, "centroids", cents)
 
-    @property
-    def v(self) -> int:
-        return self.centroids.shape[0]
-
 
 @dataclass(frozen=True)
 class DecompositionDiagnostics:
@@ -82,11 +76,12 @@ class DecompositionDiagnostics:
     observed_gap: float | None = None
 
 
-def kmeans_partition(X, v: int, seed: int, max_iter: int = 100) -> PartitionPlan:
+def kmeans_partition(X, v: int, seed: int) -> PartitionPlan:
     """Lloyd's algorithm with distance-weighted seeding; deterministic per seed.
 
-    Empty clusters are repaired by peeling the farthest point off the largest
-    cluster, so the plan never has fewer than v occupied clusters.
+    At most ``KMEANS_MAX_ITER`` rounds run.  Empty clusters are repaired by
+    peeling the farthest point off the largest cluster, so the plan never has
+    fewer than v occupied clusters.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -107,7 +102,7 @@ def kmeans_partition(X, v: int, seed: int, max_iter: int = 100) -> PartitionPlan
         np.minimum(min_d2, np.sum((X - centers[c]) ** 2, axis=1), out=min_d2)
 
     assign = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = _repair_empty(np.argmin(d2, axis=1), X, v)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -227,7 +222,7 @@ def fit_decomposed(
     if scaling.u > m:
         raise InvalidInput(f"landmark count {scaling.u} exceeds m={m}")
 
-    plan = kmeans_partition(X, scaling.v, scaling.seed, scaling.kmeans_max_iter)
+    plan = kmeans_partition(X, scaling.v, scaling.seed)
     landmarks, pairs = nystrom_restrict(m, scaling.u, scaling.seed)
     clusters = pair_partition(plan, pairs)
 

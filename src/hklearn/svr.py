@@ -65,34 +65,25 @@ class SvrModel:
     bias: float
     support_pairs: np.ndarray
     dual_objective: float
-    config: SvrConfig = field(repr=False, default=None)
+    config: SvrConfig = field(repr=False)
 
     def __post_init__(self):
         b = self.beta.values
-        if self.config is not None:
-            C = self.config.C
-            if b.size and (b.min() < -C or b.max() > C):
-                raise InvalidInput("coefficients outside the [-C, C] box")
-            if abs(float(b.sum())) > EQUALITY_SLACK * C * max(b.size, 1):
-                raise InvalidInput("equality constraint violated")
+        C = self.config.C
+        if b.size and (b.min() < -C or b.max() > C):
+            raise InvalidInput("coefficients outside the [-C, C] box")
+        if abs(float(b.sum())) > EQUALITY_SLACK * C * max(b.size, 1):
+            raise InvalidInput("equality constraint violated")
 
 
-def epsilon_insensitive_loss(y: float, t: float, eps: float) -> float:
-    """0 inside the tube of width eps around t, linear outside."""
-    if eps < 0:
-        raise InvalidInput("eps must be nonnegative")
-    gap = abs(y - t)
-    return 0.0 if gap < eps else gap - eps
-
-
-def dual_objective(gram, beta_hat, beta_check, responses, eps: float) -> float:
+def dual_objective(gram: HyperGram, beta_hat, beta_check, responses,
+                   eps: float) -> float:
     """Evaluate the dual objective at a (not necessarily feasible) point."""
     bh = np.asarray(beta_hat, dtype=float).ravel()
     bc = np.asarray(beta_check, dtype=float).ravel()
     y = np.asarray(responses, dtype=float).ravel()
-    K = gram.entries if isinstance(gram, HyperGram) else np.asarray(gram, dtype=float)
-    n = K.shape[0]
-    if not (bh.size == bc.size == y.size == n):
+    K = gram.entries
+    if not (bh.size == bc.size == y.size == gram.n):
         raise InvalidInput("dual objective operands disagree in length")
     d = bh - bc
     return float(-0.5 * d @ (K @ d) + d @ y - eps * (bh + bc).sum())

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +8,6 @@ from hklearn import (
     Ideal,
     InvalidInput,
     LogKernel,
-    Precomputed,
     TL1,
     eval_kernel,
     gram_matrix,
@@ -53,22 +50,6 @@ def test_ideal_multiclass_entries():
     G = gram_matrix(Ideal([0, 1, 2, 0]), np.zeros((4, 1)))
     assert G[0, 3] == 1.0 and G[0, 0] == 1.0
     assert G[0, 1] == -1.0 and G[1, 2] == -1.0
-
-
-def test_precomputed_returns_matrix():
-    M = np.array([[2.0, 0.5], [0.5, 1.0]])
-    G = gram_matrix(Precomputed(M), np.zeros((2, 1)))
-    np.testing.assert_array_equal(G, M)
-
-
-def test_precomputed_rejects_asymmetry():
-    with pytest.raises(InvalidInput):
-        Precomputed(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-
-def test_precomputed_rejects_nonsquare():
-    with pytest.raises(InvalidInput):
-        Precomputed(np.zeros((2, 3)))
 
 
 def test_scale_parameters_must_be_positive():

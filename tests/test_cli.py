@@ -234,7 +234,7 @@ def test_kernel_matrix_must_be_square(tmp_path):
 
 def test_kernel_matrix_ragged_rows_rejected(tmp_path):
     p = _write(tmp_path / "k.csv", "1.0,0.3\n0.3\n")
-    with pytest.raises(FormatError, match="unequal"):
+    with pytest.raises(FormatError, match=r"k\.csv:2: expected 2 columns, found 1$"):
         ingest_kernel_matrix(p)
 
 
@@ -535,6 +535,32 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("cv_folds", "five"), ("seed", 0.5), ("split", 5), ("jitter", 0)],
+)
+def test_config_value_of_wrong_type_exits_2_naming_the_key(
+    tmp_path, capsys, key, value
+):
+    data, _, _ = _write_blobs(tmp_path / "data.csv")
+    config = _write(tmp_path / "cfg.json", json.dumps({key: value}))
+    code = main(["fit", data, "--config", config,
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"setting {key} " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rate_study_with_one_sample_size_exits_2(tmp_path, capsys):
+    code = main(["rate-study", "--m-values", "8",
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "two sample sizes" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_fit_without_dataset_exits_2(tmp_path, capsys):

@@ -135,9 +135,10 @@ def test_gram_permutation_equivariance(rng):
 
 
 def test_memory_cap_enforced(rng):
-    X = rng.standard_normal((10, 2))
+    # 101^2 = 10,201 pairs, so 104,060,401 entries: refused before allocation
+    X = rng.standard_normal((101, 2))
     with pytest.raises(ResourceLimit):
-        assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X, max_entries=100)
+        assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X)
 
 
 def test_with_jitter_shifts_diagonal(rng):

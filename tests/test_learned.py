@@ -16,7 +16,6 @@ from hklearn import (
     assemble_hyper_gram,
     data_sigma2,
     eval_all_pairs,
-    eval_learned,
     eval_pairs,
     fit_extend,
     fit_krr,
@@ -45,16 +44,15 @@ def test_zero_coefficients_give_constant_bias(rng):
     params = HyperKernelParams(1.0, 1.0, 2)
     field = CoefficientField(np.zeros(9), full_pair_list(3), 3)
     lk = LearnedKernel(X, field, 0.7, params)
-    assert eval_learned(lk, [5.0, -2.0], [0.1, 0.3]) == 0.7
+    np.testing.assert_array_equal(eval_pairs(lk, [5.0, -2.0], [0.1, 0.3]), [0.7])
 
 
 def test_evaluation_symmetric(rng):
     lk, _, _ = _fitted(rng)
-    for _ in range(20):
-        a, b = rng.standard_normal(2), rng.standard_normal(2)
-        assert eval_learned(lk, a, b) == pytest.approx(
-            eval_learned(lk, b, a), rel=1e-12, abs=1e-15
-        )
+    A, B = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
+    np.testing.assert_allclose(
+        eval_pairs(lk, A, B), eval_pairs(lk, B, A), rtol=1e-12, atol=1e-15
+    )
 
 
 def test_training_pairs_reproduce_solver_values(rng):

@@ -1,0 +1,51 @@
+"""Every public name of hklearn has a caller outside the unit tests.
+
+A name exported by ``hklearn/__init__.py`` counts as used when the package
+itself or the benchmark (``hkbench/``) refers to it beyond its definition and
+export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
+that only tests call live under ``tests/``, not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hklearn"
+
+
+def _imported_names(path, module_prefix=""):
+    """Names bound by ``from ... import`` statements of a file."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith(module_prefix)
+        for alias in node.names
+    }
+
+
+def _references(paths):
+    """Names, attributes and string constants used in the given files.
+
+    Definitions and imports bind a name without using it, so they add nothing.
+    """
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    exports = _imported_names(PACKAGE / "__init__.py")
+    assert {"fit_krr", "eval_pairs", "HyperGram", "InvalidInput"} <= exports
+    modules = [p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py"]
+    used = _references(modules + sorted((ROOT / "hkbench").glob("*.py")))
+    used |= _imported_names(ROOT / "tests" / "test_acceptance.py", "hklearn")
+    unused = sorted(exports - used)
+    assert not unused, f"exported but called only from unit tests: {unused}"
