@@ -31,6 +31,7 @@ from .errors import (
 from .hyper import (
     HyperGram,
     HyperKernelParams,
+    PairSystem,
     assemble_hyper_gram,
     eval_hyper_kernel,
     full_pair_list,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -396,6 +397,16 @@ def _plain(obj):
     return obj
 
 
+def _fit_facts(report: dict, lk, diag, scaling) -> dict:
+    """Add the decomposition diagnostics, or the solver facts of a single fit."""
+    if diag is not None:
+        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
+    else:
+        coeffs = lk.coefficients
+        report["solver"] = {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations}
+    return report
+
+
 def _diag_dict(diag, scaling: ScalingConfig) -> dict:
     doc = {
         "v": scaling.v,
@@ -523,9 +534,7 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         "definiteness": _definiteness(definiteness(G[np.ix_(test, test)])),
         "split_sizes": [int(lab.size), int(unlab.size), int(test.size)],
     }
-    if diag is not None:
-        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
-    return report
+    return _fit_facts(report, lk, diag, scaling)
 
 
 def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
@@ -544,9 +553,7 @@ def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         "rmse_heldout_pairs": None,
         "definiteness": _definiteness(definite),
     }
-    if diag is not None:
-        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
-    return report
+    return _fit_facts(report, lk, diag, scaling)
 
 
 def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
@@ -625,7 +632,10 @@ def _write_score_table(path: Path, table) -> None:
             writer.writerow([repr(mult), repr(reg), repr(score)])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    milliseconds, a large share of a small command run in-process."""
     parser = argparse.ArgumentParser(
         prog="hklearn",
         description="Learn kernels as functions of point pairs and extend "

@@ -11,12 +11,19 @@ hyper-kernel is g * cross_factor(||x - x'||^2) * point_factors(x, c) *
 point_factors(x', c).  Both the Gram assembly and the learned kernel
 evaluate through this form, so each query point costs one exponential per
 expansion pair; :func:`eval_hyper_kernel` is the scalar reference.
+
+The same form gives the product of the hyper-Gram with a vector without the
+matrix: with Phi the point factors of the sample points at the n pair
+midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
+:class:`PairSystem` applies it; :func:`assemble_hyper_gram` forms the dense
+matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +33,8 @@ from .errors import InvalidInput, ResourceLimit
 # floats.
 _CHUNK = 256
 
-# Cap on the n^2 entries of an assembled hyper-Gram; larger pair systems go
-# through the scaling module.
+# Cap on the n^2 entries of an assembled hyper-Gram, and on the m * n point
+# factors of a PairSystem's products.
 MAX_ENTRIES = 100_000_000
 
 
@@ -118,9 +125,25 @@ class HyperGram:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "pair_list", pairs)
 
+    @classmethod
+    def _symmetric(cls, entries: np.ndarray, pairs: np.ndarray) -> "HyperGram":
+        """Wrap an n x n float matrix that is exactly symmetric by construction.
+
+        Skips the validation of ``__post_init__``: its symmetry check reads the
+        transpose with a stride of n and costs more than the assembly itself.
+        """
+        gram = object.__new__(cls)
+        object.__setattr__(gram, "entries", entries)
+        object.__setattr__(gram, "pair_list", pairs)
+        object.__setattr__(gram, "jitter_applied", 0.0)
+        return gram
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    def matvec(self, v) -> np.ndarray:
+        return self.entries @ v
 
     def with_jitter(self, amount: float) -> "HyperGram":
         """A copy with ``amount`` added to the diagonal (recorded cumulatively)."""
@@ -176,6 +199,29 @@ def cross_factor(params: HyperKernelParams, sq):
     return p * np.exp(sq * -kappa)
 
 
+def _points_and_pairs(params: HyperKernelParams, X, pairs):
+    """Validated sample points (m, dim) and 0-based pair rows (n, 2).
+
+    ``pairs`` None stands for all m^2 ordered pairs in row-major order.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    m = X.shape[0]
+    if m < 1:
+        raise InvalidInput("empty input")
+    if X.shape[1] != params.dim:
+        raise InvalidInput(f"points have dimension {X.shape[1]}, params.dim={params.dim}")
+    if pairs is None:
+        return X, full_pair_list(m)
+    pairs = np.asarray(pairs, dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidInput(f"pairs must be (n, 2), got {pairs.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
+        raise InvalidInput("pair indices out of range")
+    return X, pairs
+
+
 def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
     """Assemble the hyper-Gram matrix over the given (or all) ordered pairs.
 
@@ -193,22 +239,7 @@ def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
         Explicit pair subset.  Omitted: all m^2 ordered pairs in row-major
         order.  A list with n^2 above ``MAX_ENTRIES`` raises ``ResourceLimit``.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    m = X.shape[0]
-    if m < 1:
-        raise InvalidInput("empty input")
-    if X.shape[1] != params.dim:
-        raise InvalidInput(f"points have dimension {X.shape[1]}, params.dim={params.dim}")
-    if pairs is None:
-        pairs = full_pair_list(m)
-    else:
-        pairs = np.asarray(pairs, dtype=np.intp)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidInput(f"pairs must be (n, 2), got {pairs.shape}")
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
-            raise InvalidInput("pair indices out of range")
+    X, pairs = _points_and_pairs(params, X, pairs)
     n = pairs.shape[0]
     if n * n > MAX_ENTRIES:
         raise ResourceLimit(
@@ -231,4 +262,66 @@ def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
         block[:, : b - a] = np.triu(diag) + np.triu(diag, 1).T
         K[a:b, a:] = block
         K[a:, a:b] = block.T
-    return HyperGram(K, pairs)
+    return HyperGram._symmetric(K, pairs)
+
+
+class PairSystem:
+    """The hyper-Gram over a pair list as an operator, without the matrix.
+
+    ``matvec`` applies K through the pair-separable form: one GEMM of
+    Phi diag(g * v) Phi' over the u points the list uses, and a gather of its
+    u x u result.  Phi holds u * n floats; above ``MAX_ENTRIES`` of them the
+    first product raises ``ResourceLimit``.  ``entries`` is the dense matrix,
+    assembled by :func:`assemble_hyper_gram` on first access (direct solves
+    and the SVR factor or index it); ``diag`` costs O(n).
+    """
+
+    def __init__(self, params: HyperKernelParams, X, pairs=None):
+        self.params = params
+        self.points, self.pair_list = _points_and_pairs(params, X, pairs)
+
+    @property
+    def n(self) -> int:
+        return self.pair_list.shape[0]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return assemble_hyper_gram(self.params, self.points, self.pair_list).entries
+
+    @cached_property
+    def _factors(self):
+        """g, cross, Phi over the used points, and each pair's flat index in u x u."""
+        used, local = np.unique(self.pair_list, return_inverse=True)
+        u, n = used.size, self.n
+        if u * n > MAX_ENTRIES:
+            raise ResourceLimit(
+                f"point factors would hold {u * n} entries (cap {MAX_ENTRIES}); "
+                "restrict pairs or use the scaling module"
+            )
+        local = local.reshape(n, 2)
+        X = self.points[used]
+        A, B = X[local[:, 0]], X[local[:, 1]]
+        g, mids = pair_factors(self.params, A, B)
+        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))
+        return g, cross, point_factors(self.params, X, mids), local[:, 0] * u + local[:, 1]
+
+    def matvec(self, v) -> np.ndarray:
+        g, cross, phi, flat = self._factors
+        W = (phi * (g * np.ravel(v))) @ phi.T
+        return cross * W.ravel()[flat]
+
+    def diag(self) -> np.ndarray:
+        """The diagonal of K in O(n).
+
+        A pair's midpoint lies at squared distance sq / 4 from both of its
+        points, so K_rr = cross_factor(sq) * g * exp(-sq / (8 (sigma2 + sigma_h2))).
+        """
+        A, B = self.points[self.pair_list[:, 0]], self.points[self.pair_list[:, 1]]
+        g, _ = pair_factors(self.params, A, B)
+        sq = np.sum((A - B) ** 2, axis=1)
+        sh = self.params.sigma2 + self.params.sigma_h2
+        return cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh))
+
+    def base_jitter(self) -> float:
+        """First rung of the jitter ladder: 1e-10 * trace / n."""
+        return 1e-10 * float(np.sum(self.diag())) / max(self.n, 1)

@@ -15,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidInput, NumericalFailure
-from .hyper import HyperGram
+from .hyper import HyperGram, PairSystem
 
 DIRECT_RESIDUAL_TOL = 1e-8
 CG_MAX_ITER = 20_000
@@ -54,13 +54,18 @@ class CoefficientField:
     """Expansion coefficients aligned with a hyper-Gram pair enumeration.
 
     ``values[k]`` attaches to the ordered point pair ``pair_list[k]``; ``m``
-    is the number of underlying sample points.
+    is the number of underlying sample points.  A fit records how it was
+    solved: ``solver`` is ``direct``, ``cg`` or ``smo`` (None when the field
+    was assembled from several solves or loaded), and ``cg_iterations``
+    counts the conjugate-gradient iterations of a ``cg`` solve.
     """
 
     values: np.ndarray
     pair_list: np.ndarray
     m: int
     jitter_applied: float = 0.0
+    solver: str | None = None
+    cg_iterations: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -125,42 +130,48 @@ def solve_spd_with_jitter(
     raise NumericalFailure("factorization failed and jitter is disabled")
 
 
-def _infer_m(gram: HyperGram) -> int:
+def _infer_m(gram) -> int:
     return int(gram.pair_list.max()) + 1 if gram.pair_list.size else 0
 
 
-def fit_krr(gram: HyperGram, responses, config: KrrConfig) -> CoefficientField:
+def fit_krr(gram: HyperGram | PairSystem, responses, config: KrrConfig) -> CoefficientField:
     """Fit ridge coefficients for the given hyper-Gram and response vector.
 
     The returned coefficients satisfy
     ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
-    is raised.
+    is raised.  Direct solves factor ``gram.entries``; conjugate gradient only
+    multiplies by K through ``gram.matvec``, so on a :class:`PairSystem` it
+    never forms the n x n matrix, and its residual is measured on the same
+    operator.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
-    K = gram.entries
     lam = config.lam
+    m = _infer_m(gram)
 
     solver = config.solver
     if solver == "auto":
         solver = "direct" if gram.n <= config.direct_limit else "cg"
 
-    jitter = 0.0
     if solver == "direct":
         beta, jitter = solve_spd_with_jitter(
-            K, lam, y, gram.base_jitter(), retries=config.jitter_retries
+            gram.entries, lam, y, gram.base_jitter(), retries=config.jitter_retries
         )
-    else:
-        op = LinearOperator(
-            shape=K.shape, matvec=lambda v: K @ v + lam * v, dtype=float
+        return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
+                                solver="direct")
+
+    op = LinearOperator(
+        shape=(gram.n, gram.n), matvec=lambda v: gram.matvec(v) + lam * v, dtype=float
+    )
+    steps = []  # the callback runs once per iteration
+    beta, _info = cg(op, y, rtol=min(config.cg_tol, 1e-12), atol=0.0,
+                     maxiter=CG_MAX_ITER, callback=lambda _: steps.append(1))
+    residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
+    if residual > config.cg_tol * max(1.0, float(np.linalg.norm(y))):
+        raise NumericalFailure(
+            f"solve residual {residual:.3e} exceeds tolerance {config.cg_tol:g}"
         )
-        beta, _info = cg(op, y, rtol=min(config.cg_tol, 1e-12), atol=0.0,
-                         maxiter=CG_MAX_ITER)
-        residual = float(np.linalg.norm(K @ beta + lam * beta - y))
-        if residual > config.cg_tol * max(1.0, float(np.linalg.norm(y))):
-            raise NumericalFailure(
-                f"solve residual {residual:.3e} exceeds tolerance {config.cg_tol:g}"
-            )
-    return CoefficientField(beta, gram.pair_list, _infer_m(gram), jitter_applied=jitter)
+    return CoefficientField(beta, gram.pair_list, m, solver="cg",
+                            cg_iterations=len(steps))

@@ -23,7 +23,7 @@ from .errors import (
     SlopeUndefined,
     StratificationWarning,
 )
-from .hyper import HyperKernelParams, assemble_hyper_gram, full_pair_list
+from .hyper import HyperKernelParams, PairSystem
 from .krr import CoefficientField, KrrConfig
 from .learned import LearnedKernel, eval_all_pairs, eval_pairs
 from .scaling import solve_pair_system
@@ -154,8 +154,8 @@ def fit_extend(X, given_kernel, method: str, hyperparams: dict,
         float(hyperparams["sigma2"]), float(hyperparams["sigma_h2"]), X.shape[1]
     )
     base = base_config(method, hyperparams)
-    gram = assemble_hyper_gram(params, X, full_pair_list(m))
-    coeffs, bias = solve_pair_system(gram, Y.ravel(), base, trace_path=trace_path)
+    system = PairSystem(params, X)
+    coeffs, bias = solve_pair_system(system, Y.ravel(), base, trace_path=trace_path)
     return LearnedKernel(X, coeffs, bias, params)
 
 
@@ -362,6 +362,8 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
         raise SlopeUndefined("at least two sample sizes are needed for a slope")
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise InvalidInput("m_values must be strictly increasing")
+    if ms[0] < 2:
+        raise InvalidInput(f"sample sizes must be at least 2, got {ms[0]}")
     if trials < 3:
         raise InvalidInput("trials must be at least 3")
     if noise_sigma < 0:
@@ -397,27 +399,26 @@ def _study_trial(rng, m, noise_sigma, method, target, reg) -> float:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     s2 = data_sigma2(X)
     params = HyperKernelParams(s2, s2, 2)
-    pairs = full_pair_list(m)
-    # the fit's Gram; a planted target is built from it too
-    gram = assemble_hyper_gram(params, X, pairs)
+    # the fit's pair system; a planted target is built from it too
+    system = PairSystem(params, X)
 
     target_lk = None
     if target == "rbf":
         responses = gram_matrix(GaussianRBF(0.25), X).ravel()
     else:
-        planted = gram.entries @ rng.standard_normal(m * m)
-        responses = gram.entries @ planted
+        planted = system.matvec(rng.standard_normal(m * m))
+        responses = system.matvec(planted)
         scale = responses.std()
         planted /= scale
         responses /= scale
         target_lk = LearnedKernel(
-            X, CoefficientField(planted, pairs, m), 0.0, params
+            X, CoefficientField(planted, system.pair_list, m), 0.0, params
         )
     if noise_sigma > 0:
         responses = responses + noise_sigma * rng.standard_normal(m * m)
 
     base = base_config(method, {"reg": reg})
-    coeffs, bias = solve_pair_system(gram, responses, base)
+    coeffs, bias = solve_pair_system(system, responses, base)
     lk = LearnedKernel(X, coeffs, bias, params)
 
     A = rng.uniform(0.0, 1.0, size=(200, 2))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import HklearnError, InvalidInput
-from .hyper import HyperGram, HyperKernelParams, assemble_hyper_gram, full_pair_list
+from .hyper import HyperGram, HyperKernelParams, PairSystem, full_pair_list
 from .krr import CoefficientField, KrrConfig, fit_krr
 from .learned import LearnedKernel
 from .svr import SvrConfig, fit_svr
@@ -160,7 +160,8 @@ def nystrom_restrict(m: int, u: int, seed: int):
 
 
 def decomposition_bound(
-    gram: HyperGram, pair_clusters, C: float | None, observed_gap: float | None = None
+    gram: HyperGram | PairSystem, pair_clusters, C: float | None,
+    observed_gap: float | None = None,
 ) -> DecompositionDiagnostics:
     """Deviation diagnostics: q_pi, sigma_min, and the bound C^2 q_pi / (2 sigma_min).
 
@@ -184,10 +185,13 @@ def decomposition_bound(
     return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap)
 
 
-def solve_pair_system(gram: HyperGram, responses, base, trace_path=None):
+def solve_pair_system(gram: HyperGram | PairSystem, responses, base, trace_path=None):
     """Fit one pair system with a KRR or SVR base; returns (CoefficientField, bias).
 
-    ``trace_path`` records the SVR convergence trace; ridge fits write none.
+    A :class:`PairSystem` is solved without its dense matrix when the ridge
+    solve takes conjugate gradient; direct ridge solves and the SVR use
+    ``gram.entries``.  ``trace_path`` records the SVR convergence trace;
+    ridge fits write none.
     """
     if isinstance(base, KrrConfig):
         return fit_krr(gram, responses, base), 0.0
@@ -233,10 +237,10 @@ def fit_decomposed(
         if sel.size == 0:
             continue
         sub_pairs = pairs[sel]
-        sub_gram = assemble_hyper_gram(params, X, sub_pairs)
+        sub_system = PairSystem(params, X, sub_pairs)
         sub_y = Y[sub_pairs[:, 0], sub_pairs[:, 1]]
         try:
-            coeffs_c, bias_c = solve_pair_system(sub_gram, sub_y, base)
+            coeffs_c, bias_c = solve_pair_system(sub_system, sub_y, base)
         except HklearnError as exc:
             exc.args = (f"cluster {c}: {exc}",) + exc.args[1:]
             raise
@@ -248,10 +252,10 @@ def fit_decomposed(
     coeffs = CoefficientField(values, pairs, m)
     lk = LearnedKernel(X, coeffs, bias, params)
 
-    full_gram = assemble_hyper_gram(params, X, pairs)
+    full_system = PairSystem(params, X, pairs)
     gap = None
     if pairs.shape[0] <= FULL_SOLVE_LIMIT:
-        full, _ = solve_pair_system(full_gram, Y[pairs[:, 0], pairs[:, 1]], base)
+        full, _ = solve_pair_system(full_system, Y[pairs[:, 0], pairs[:, 1]], base)
         gap = float(np.linalg.norm(full.values - values))
     C = base.C if isinstance(base, SvrConfig) else None
-    return lk, decomposition_bound(full_gram, clusters, C, gap)
+    return lk, decomposition_bound(full_system, clusters, C, gap)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput
-from .hyper import HyperGram
+from .hyper import HyperGram, PairSystem
 from .krr import CoefficientField, _infer_m
 
 EQUALITY_SLACK = 1e-8  # scaled by C*n in the model invariant
@@ -210,8 +210,9 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
     return beta, _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok)
 
 
-def fit_svr(gram: HyperGram, responses, config: SvrConfig, trace_path=None) -> SvrModel:
-    """Solve the SVR dual over the box [-C, C] with :func:`smo`."""
+def fit_svr(gram: HyperGram | PairSystem, responses, config: SvrConfig,
+            trace_path=None) -> SvrModel:
+    """Solve the SVR dual over the box [-C, C] with :func:`smo` on ``gram.entries``."""
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
@@ -222,7 +223,7 @@ def fit_svr(gram: HyperGram, responses, config: SvrConfig, trace_path=None) -> S
     )
     support = np.flatnonzero(beta != 0.0)
     obj = dual_objective(gram, np.maximum(beta, 0.0), np.maximum(-beta, 0.0), y, eps)
-    coeffs = CoefficientField(beta, gram.pair_list, _infer_m(gram))
+    coeffs = CoefficientField(beta, gram.pair_list, _infer_m(gram), solver="smo")
     return SvrModel(coeffs, bias, support, obj, config)
 
 

@@ -563,6 +563,71 @@ def test_rate_study_with_one_sample_size_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_rate_study_with_sample_size_below_two_exits_2(tmp_path, capsys):
+    code = main(["rate-study", "--m-values", "1", "2",
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at least 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _uniform_csv(path, m, seed):
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, (m, 2))
+    np.savetxt(path, X, delimiter=",", fmt="%.17g")
+    return str(path), X
+
+
+def test_extend_above_direct_limit_never_assembles(tmp_path, monkeypatch):
+    import hklearn.hyper as hyper
+
+    calls = []
+    real = hyper.assemble_hyper_gram
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyper, "assemble_hyper_gram", counting)
+    data, _ = _uniform_csv(tmp_path / "x.csv", 46, 0)  # 2,116 pairs
+    out = tmp_path / "out"
+    assert main(["extend", data, "--no-labels", "--no-standardize",
+                 "--target", "tl1", "--output-dir", str(out)]) == 0
+    assert calls == []
+    solver = json.loads((out / "report.json").read_text())["solver"]
+    assert solver["path"] == "cg"
+    assert isinstance(solver["cg_iterations"], int) and solver["cg_iterations"] > 0
+
+
+def test_extend_past_the_dense_cap_meets_the_cg_residual(tmp_path):
+    from hklearn import HyperKernelParams, KrrConfig, PairSystem, load_learned
+    from hklearn.base_kernels import TL1, gram_matrix
+
+    # 10,201 pairs: the dense hyper-Gram would exceed the 1e8-entry cap
+    data, X = _uniform_csv(tmp_path / "x.csv", 101, 1)
+    out = tmp_path / "out"
+    assert main(["extend", data, "--no-labels", "--no-standardize",
+                 "--target", "tl1", "--output-dir", str(out)]) == 0
+    lk = load_learned(out / "model.json")
+    p = lk.hyper_params
+    system = PairSystem(HyperKernelParams(p.sigma2, p.sigma_h2, p.dim), lk.points)
+    beta = lk.coefficients.values
+    y = gram_matrix(TL1(0.7 * 2), X).ravel()
+    lam = DEFAULTS["lambda"]
+    residual = np.linalg.norm(system.matvec(beta) + lam * beta - y)
+    assert residual <= KrrConfig(lam).cg_tol * max(1.0, np.linalg.norm(y))
+
+
+def test_fit_and_extend_report_their_solver(tmp_path):
+    data, _, _ = _write_blobs(tmp_path / "d.csv")
+    for cmd in (["extend"], ["fit", "--no-tune"], ["extend", "--method", "svr"]):
+        out = tmp_path / "_".join(cmd)
+        assert main([*cmd[:1], data, *cmd[1:], "--output-dir", str(out)]) == 0
+        solver = json.loads((out / "report.json").read_text())["solver"]
+        path = "smo" if "svr" in cmd else "direct"
+        assert solver == {"path": path, "cg_iterations": None}
+
+
 def test_fit_without_dataset_exits_2(tmp_path, capsys):
     code = main(["fit", "--output-dir", str(tmp_path / "out")])
     assert code == 2

@@ -8,6 +8,7 @@ from hklearn import (
     HyperGram,
     HyperKernelParams,
     InvalidInput,
+    PairSystem,
     ResourceLimit,
     assemble_hyper_gram,
     eval_hyper_kernel,
@@ -186,3 +187,55 @@ def test_assembly_exactly_symmetric_across_row_blocks(m, pairs):
     assert np.array_equal(K, K.T)
     ref = hyper_gram_reference(params, X, pairs)
     assert np.all(np.abs(K - ref) <= 1e-12 * ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
+def test_pair_system_matches_assembly(d):
+    # base scale, sigma_h2 multiplier, data offset
+    grid = itertools.product([0.05, 1.0, 10.0], [0.25, 4.0], [0.0, 100.0])
+    for case, (scale, mult, offset) in enumerate(grid):
+        rng = np.random.default_rng([d, case])
+        m = 6
+        X = rng.standard_normal((m, d)) + offset
+        s2 = scale * d
+        params = HyperKernelParams(s2, mult * s2, d)
+        _, restricted = nystrom_restrict(m, 2, case)
+        for pairs in (full_pair_list(m), restricted):
+            system = PairSystem(params, X, pairs)
+            gram = assemble_hyper_gram(params, X, pairs)
+            K = gram.entries
+            for v in (rng.standard_normal(len(pairs)), np.ones(len(pairs))):
+                err = np.abs(system.matvec(v) - K @ v)
+                assert np.all(err <= 1e-12 * (K @ np.abs(v))), case
+            d_ref = np.diag(K)
+            assert np.all(np.abs(system.diag() - d_ref) <= 1e-12 * d_ref), case
+            assert system.base_jitter() == pytest.approx(gram.base_jitter(), rel=1e-12)
+            assert np.array_equal(system.entries, K)
+
+
+def test_pair_system_validates_like_assembly():
+    params = HyperKernelParams(1.0, 1.0, 2)
+    X = np.zeros((3, 2))
+    with pytest.raises(InvalidInput):
+        PairSystem(params, X, [[0, 3]])
+    with pytest.raises(InvalidInput):
+        PairSystem(params, np.zeros((3, 1)))
+
+
+def test_pair_system_caps_its_point_factors():
+    # 465 points use 465 * 465^2 = 100,544,625 factor entries, above the 1e8 cap
+    X = np.random.default_rng(0).standard_normal((465, 2))
+    system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X)
+    with pytest.raises(ResourceLimit):
+        system.matvec(np.zeros(system.n))
+
+
+def test_pair_system_factors_cover_only_the_points_it_uses():
+    # pairs among 3 of 300 points: the factors hold 3 rows, not 300
+    X = np.random.default_rng(1).standard_normal((300, 2))
+    pairs = np.array([[5, 5], [5, 9], [9, 5], [9, 9], [5, 200]])
+    system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X, pairs)
+    v = np.arange(1.0, 6.0)
+    K = assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X, pairs).entries
+    np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
+    assert system._factors[2].shape == (3, 5)

@@ -8,6 +8,7 @@ from hklearn import (
     InvalidInput,
     KrrConfig,
     NumericalFailure,
+    PairSystem,
     assemble_hyper_gram,
     fit_krr,
     full_pair_list,
@@ -68,6 +69,35 @@ def test_cg_agrees_with_direct(rng):
     np.testing.assert_allclose(
         cg.values, direct.values, rtol=1e-6, atol=1e-6 * np.abs(direct.values).max()
     )
+
+
+@pytest.mark.parametrize("lam", [1e-1, 1e-3, 1e-4])
+def test_cg_on_the_operator_matches_cg_on_the_dense_gram(rng, lam):
+    X = rng.uniform(0.0, 1.0, (24, 2))
+    params = HyperKernelParams(0.2, 0.2, 2)
+    system = PairSystem(params, X)
+    gram = assemble_hyper_gram(params, X)
+    y = rng.standard_normal(system.n)
+    config = KrrConfig(lam, solver="cg")
+    free = fit_krr(system, y, config)
+    dense = fit_krr(gram, y, config)
+    scale = np.abs(dense.values).max()
+    assert np.abs(free.values - dense.values).max() <= 1e-9 * scale
+    residual = gram.entries @ free.values + lam * free.values - y
+    assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
+    assert (free.solver, dense.solver) == ("cg", "cg")
+    assert isinstance(free.cg_iterations, int) and free.cg_iterations > 0
+    assert "entries" not in vars(system)  # the dense matrix was never formed
+
+
+def test_direct_solve_on_the_operator_matches_the_dense_gram(rng):
+    X = rng.standard_normal((7, 2))
+    params = HyperKernelParams(1.0, 1.0, 2)
+    y = rng.standard_normal(49)
+    free = fit_krr(PairSystem(params, X), y, KrrConfig(1e-3))
+    dense = fit_krr(assemble_hyper_gram(params, X), y, KrrConfig(1e-3))
+    assert np.array_equal(free.values, dense.values)
+    assert (free.solver, free.cg_iterations) == ("direct", None)
 
 
 def test_auto_solver_switches_on_size(rng):

@@ -305,6 +305,8 @@ def test_rate_study_input_validation():
         learning_rate_study([8, 16], 3, -0.1, "krr", cfg)
     with pytest.raises(InvalidInput):
         learning_rate_study([8, 16], 3, 0.1, "krr", cfg, target="spline")
+    with pytest.raises(InvalidInput):
+        learning_rate_study([1, 2], 3, 0.1, "krr", cfg)
 
 
 def test_rate_study_noiseless_planted_is_tiny():
@@ -316,19 +318,27 @@ def test_rate_study_noiseless_planted_is_tiny():
 
 
 def test_planted_trial_fits_on_the_gram_of_its_target(monkeypatch):
+    import hklearn.hyper as hyper
     import hklearn.pipeline as pipeline
 
-    real = pipeline.assemble_hyper_gram
-    calls = []
+    real_system, real_assemble = pipeline.PairSystem, hyper.assemble_hyper_gram
+    systems, assemblies = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_system(*args, **kwargs):
+        systems.append(args)
+        return real_system(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "assemble_hyper_gram", counting)
+    def counting_assemble(*args, **kwargs):
+        assemblies.append(args)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "PairSystem", counting_system)
+    monkeypatch.setattr(hyper, "assemble_hyper_gram", counting_assemble)
     rng = np.random.default_rng(4)
     err = pipeline._study_trial(rng, 8, 0.0, "krr", "planted", 1e-10)
-    assert len(calls) == 1
+    # one operator builds the target and is solved; its 64 pairs solve directly
+    assert len(systems) == 1
+    assert len(assemblies) == 1
     assert err <= 1e-4
 
 
