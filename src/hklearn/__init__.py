@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedEvaluation,
 )
 from .hyper import (
-    HyperGram,
     HyperKernelParams,
     PairSystem,
     assemble_hyper_gram,

@@ -13,10 +13,11 @@ evaluate through this form, so each query point costs one exponential per
 expansion pair; :func:`eval_hyper_kernel` is the scalar reference.
 
 The same form gives the product of the hyper-Gram with a vector without the
-matrix: with Phi the point factors of the sample points at the n pair
-midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
-:class:`PairSystem` applies it; :func:`assemble_hyper_gram` forms the dense
-matrix.
+matrix: with Phi the point factors of the u sample points a pair list uses
+at its n pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
+:class:`PairSystem` is the one type of a pair system: it holds g, cross and
+Phi, applies K through them, and :func:`assemble_hyper_gram` fills its dense
+matrix from the same factors.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import InvalidInput, ResourceLimit
 # floats.
 _CHUNK = 256
 
-# Cap on the n^2 entries of an assembled hyper-Gram, and on the m * n point
-# factors of a PairSystem's products.
+# Cap on the n^2 entries of an assembled hyper-Gram, and on the u * n point
+# factors of a PairSystem.
 MAX_ENTRIES = 100_000_000
 
 
@@ -97,64 +98,6 @@ def full_pair_list(m: int) -> np.ndarray:
     return np.column_stack([ii.ravel(), jj.ravel()])
 
 
-@dataclass(frozen=True)
-class HyperGram:
-    """Assembled hyper-kernel matrix over an ordered pair list.
-
-    ``entries`` is n x n, exactly symmetric; ``pair_list`` holds the 0-based
-    (i, j) point indices each row/column represents; ``jitter_applied`` is the
-    total diagonal shift added on top of the raw kernel values.
-    """
-
-    entries: np.ndarray
-    pair_list: np.ndarray
-    jitter_applied: float = 0.0
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        pairs = np.asarray(self.pair_list, dtype=np.intp)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidInput(f"entries must be square, got {entries.shape}")
-        if pairs.ndim != 2 or pairs.shape != (entries.shape[0], 2):
-            raise InvalidInput(
-                f"pair_list shape {pairs.shape} does not match {entries.shape[0]} rows"
-            )
-        scale = max(1.0, float(np.abs(entries).max())) if entries.size else 1.0
-        if entries.size and float(np.abs(entries - entries.T).max()) > 1e-12 * scale:
-            raise InvalidInput("entries must be symmetric to 1e-12 relative tolerance")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "pair_list", pairs)
-
-    @classmethod
-    def _symmetric(cls, entries: np.ndarray, pairs: np.ndarray) -> "HyperGram":
-        """Wrap an n x n float matrix that is exactly symmetric by construction.
-
-        Skips the validation of ``__post_init__``: its symmetry check reads the
-        transpose with a stride of n and costs more than the assembly itself.
-        """
-        gram = object.__new__(cls)
-        object.__setattr__(gram, "entries", entries)
-        object.__setattr__(gram, "pair_list", pairs)
-        object.__setattr__(gram, "jitter_applied", 0.0)
-        return gram
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def matvec(self, v) -> np.ndarray:
-        return self.entries @ v
-
-    def with_jitter(self, amount: float) -> "HyperGram":
-        """A copy with ``amount`` added to the diagonal (recorded cumulatively)."""
-        shifted = self.entries + amount * np.eye(self.n)
-        return HyperGram(shifted, self.pair_list, self.jitter_applied + amount)
-
-    def base_jitter(self) -> float:
-        """First rung of the jitter ladder: 1e-10 * trace / n."""
-        return 1e-10 * float(np.trace(self.entries)) / max(self.n, 1)
-
-
 def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
     """Within-pair Gaussian factors g and midpoints for the pairs (A[k], B[k])."""
     sq = np.sum((A - B) ** 2, axis=1)
@@ -199,36 +142,14 @@ def cross_factor(params: HyperKernelParams, sq):
     return p * np.exp(sq * -kappa)
 
 
-def _points_and_pairs(params: HyperKernelParams, X, pairs):
-    """Validated sample points (m, dim) and 0-based pair rows (n, 2).
+def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> PairSystem:
+    """The pair system over the given (or all) ordered pairs, its dense Gram filled.
 
-    ``pairs`` None stands for all m^2 ordered pairs in row-major order.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    m = X.shape[0]
-    if m < 1:
-        raise InvalidInput("empty input")
-    if X.shape[1] != params.dim:
-        raise InvalidInput(f"points have dimension {X.shape[1]}, params.dim={params.dim}")
-    if pairs is None:
-        return X, full_pair_list(m)
-    pairs = np.asarray(pairs, dtype=np.intp)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InvalidInput(f"pairs must be (n, 2), got {pairs.shape}")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
-        raise InvalidInput("pair indices out of range")
-    return X, pairs
-
-
-def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
-    """Assemble the hyper-Gram matrix over the given (or all) ordered pairs.
-
-    Entry (r, s) is cross_factor of pair r times g[s] times the point factors
-    of both points of pair r at midpoint s.  Each row block is filled from
-    the diagonal on and mirrored, so the matrix is exactly symmetric; it is
-    positive semi-definite up to roundoff.
+    Entry (r, s) of ``entries`` is cross_factor of pair r times g[s] times the
+    point factors of both points of pair r at midpoint s, read from the
+    system's own factors.  Each row block is filled from the diagonal on and
+    mirrored, so the matrix is exactly symmetric; it is positive semi-definite
+    up to roundoff.
 
     Parameters
     ----------
@@ -239,46 +160,62 @@ def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> HyperGram:
         Explicit pair subset.  Omitted: all m^2 ordered pairs in row-major
         order.  A list with n^2 above ``MAX_ENTRIES`` raises ``ResourceLimit``.
     """
-    X, pairs = _points_and_pairs(params, X, pairs)
-    n = pairs.shape[0]
+    system = PairSystem(params, X, pairs)
+    n = system.n
     if n * n > MAX_ENTRIES:
         raise ResourceLimit(
             f"hyper-Gram would hold {n * n} entries (cap {MAX_ENTRIES}); "
             "restrict pairs or use the scaling module"
         )
-
-    A, B = X[pairs[:, 0]], X[pairs[:, 1]]
-    g, M = pair_factors(params, A, B)
-    phi = point_factors(params, X, M)
-    cross = cross_factor(params, np.sum((A - B) ** 2, axis=1))
+    g, cross, phi, flat = system._factors
+    rows, cols = np.divmod(flat, phi.shape[0])
     K = np.empty((n, n), dtype=float)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
         # rows a:b from column a on; columns before a mirror earlier blocks
-        block = phi[pairs[a:b, 0], a:] * phi[pairs[a:b, 1], a:]
+        block = phi[rows[a:b], a:] * phi[cols[a:b], a:]
         block *= cross[a:b, None]
         block *= g[a:]
         diag = block[:, : b - a]
         block[:, : b - a] = np.triu(diag) + np.triu(diag, 1).T
         K[a:b, a:] = block
         K[a:, a:b] = block.T
-    return HyperGram._symmetric(K, pairs)
+    system.entries = K
+    return system
 
 
 class PairSystem:
-    """The hyper-Gram over a pair list as an operator, without the matrix.
+    """The hyper-Gram K over a pair list, as an operator and as a dense matrix.
 
-    ``matvec`` applies K through the pair-separable form: one GEMM of
-    Phi diag(g * v) Phi' over the u points the list uses, and a gather of its
-    u x u result.  Phi holds u * n floats; above ``MAX_ENTRIES`` of them the
-    first product raises ``ResourceLimit``.  ``entries`` is the dense matrix,
-    assembled by :func:`assemble_hyper_gram` on first access (direct solves
-    and the SVR factor or index it); ``diag`` costs O(n).
+    Both read one set of pair-separable factors over the u points the list
+    uses.  ``matvec`` applies K without the matrix: one GEMM of
+    Phi diag(g * v) Phi' and a gather of its u x u result.  Phi holds u * n
+    floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
+    ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
+    first access (direct solves and the SVR factor or index it); ``diag``
+    costs O(n).
+
+    ``pairs`` None stands for all m^2 ordered pairs in row-major order.
     """
 
     def __init__(self, params: HyperKernelParams, X, pairs=None):
-        self.params = params
-        self.points, self.pair_list = _points_and_pairs(params, X, pairs)
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        m = X.shape[0]
+        if m < 1:
+            raise InvalidInput("empty input")
+        if X.shape[1] != params.dim:
+            raise InvalidInput(f"points have dimension {X.shape[1]}, params.dim={params.dim}")
+        if pairs is None:
+            pairs = full_pair_list(m)
+        else:
+            pairs = np.asarray(pairs, dtype=np.intp)
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise InvalidInput(f"pairs must be (n, 2), got {pairs.shape}")
+            if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
+                raise InvalidInput("pair indices out of range")
+        self.params, self.points, self.pair_list = params, X, pairs
 
     @property
     def n(self) -> int:

@@ -15,10 +15,13 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidInput, NumericalFailure
-from .hyper import HyperGram, PairSystem
+from .hyper import PairSystem
 
 DIRECT_RESIDUAL_TOL = 1e-8
 CG_MAX_ITER = 20_000
+# CG stops on its recursively updated residual, which can drift from the true
+# one; it restarts from its iterate at most this many times.
+CG_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -130,26 +133,23 @@ def solve_spd_with_jitter(
     raise NumericalFailure("factorization failed and jitter is disabled")
 
 
-def _infer_m(gram) -> int:
-    return int(gram.pair_list.max()) + 1 if gram.pair_list.size else 0
-
-
-def fit_krr(gram: HyperGram | PairSystem, responses, config: KrrConfig) -> CoefficientField:
+def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     """Fit ridge coefficients for the given hyper-Gram and response vector.
 
     The returned coefficients satisfy
     ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
     is raised.  Direct solves factor ``gram.entries``; conjugate gradient only
-    multiplies by K through ``gram.matvec``, so on a :class:`PairSystem` it
-    never forms the n x n matrix, and its residual is measured on the same
-    operator.
+    multiplies by K through ``gram.matvec``, so it never forms the n x n
+    matrix.  Its residual is measured on the same operator, and CG restarts
+    from its iterate (up to ``CG_RESTARTS`` times) while that residual misses
+    ``cg_tol``.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
     lam = config.lam
-    m = _infer_m(gram)
+    m = gram.points.shape[0]
 
     solver = config.solver
     if solver == "auto":
@@ -166,10 +166,15 @@ def fit_krr(gram: HyperGram | PairSystem, responses, config: KrrConfig) -> Coeff
         shape=(gram.n, gram.n), matvec=lambda v: gram.matvec(v) + lam * v, dtype=float
     )
     steps = []  # the callback runs once per iteration
-    beta, _info = cg(op, y, rtol=min(config.cg_tol, 1e-12), atol=0.0,
-                     maxiter=CG_MAX_ITER, callback=lambda _: steps.append(1))
-    residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
-    if residual > config.cg_tol * max(1.0, float(np.linalg.norm(y))):
+    tol = config.cg_tol * max(1.0, float(np.linalg.norm(y)))
+    beta = None
+    for _ in range(CG_RESTARTS + 1):
+        beta, _info = cg(op, y, x0=beta, rtol=min(config.cg_tol, 1e-12), atol=0.0,
+                         maxiter=CG_MAX_ITER, callback=lambda _: steps.append(1))
+        residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
+        if residual <= tol:
+            break
+    else:
         raise NumericalFailure(
             f"solve residual {residual:.3e} exceeds tolerance {config.cg_tol:g}"
         )

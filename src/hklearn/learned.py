@@ -169,10 +169,17 @@ def load_learned(path) -> LearnedKernel:
             raise FormatError(
                 f"unsupported model schema {doc['schema_version']!r}"
             )
-        points = np.asarray(doc["points"], dtype=float)
+        points = np.asarray(doc["points"])
         coeffs = doc["coefficients"]
-        pairs = np.array([[c["i"], c["j"]] for c in coeffs], dtype=np.intp)
-        values = np.array([c["value"] for c in coeffs], dtype=float)
+        pairs = np.array([[c["i"], c["j"]] for c in coeffs]).reshape(-1, 2)
+        values = np.array([c["value"] for c in coeffs])
+        # a float index or a numeric string would be cast silently below
+        if (pairs.size and pairs.dtype.kind != "i") or any(
+            a.dtype.kind not in "if" for a in (points, values, np.asarray(doc["bias"]))
+        ):
+            raise TypeError("a point, coefficient or bias is not a JSON number "
+                            "or an index is not an integer")
+        points = points.astype(float, copy=False)
         bias = float(doc["bias"])
         hp_doc = doc["hyper_params"]
         scales = np.array([hp_doc["sigma2"], hp_doc["sigma_h2"]], dtype=float)
@@ -183,7 +190,5 @@ def load_learned(path) -> LearnedKernel:
         hp = HyperKernelParams(**hp_doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model file missing or malformed field: {exc}") from exc
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
     field = CoefficientField(values, pairs, points.shape[0])
     return LearnedKernel(points, field, bias, hp)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import HklearnError, InvalidInput
-from .hyper import HyperGram, HyperKernelParams, PairSystem, full_pair_list
+from .hyper import HyperKernelParams, PairSystem, full_pair_list
 from .krr import CoefficientField, KrrConfig, fit_krr
 from .learned import LearnedKernel
 from .svr import SvrConfig, fit_svr
@@ -160,24 +160,26 @@ def nystrom_restrict(m: int, u: int, seed: int):
 
 
 def decomposition_bound(
-    gram: HyperGram | PairSystem, pair_clusters, C: float | None,
-    observed_gap: float | None = None,
+    K, pair_clusters, C: float | None, observed_gap: float | None = None,
 ) -> DecompositionDiagnostics:
     """Deviation diagnostics: q_pi, sigma_min, and the bound C^2 q_pi / (2 sigma_min).
 
-    ``C`` is the box constant of an SVR base; with ``C=None`` (a ridge base)
-    the bound is None and only q_pi and sigma_min are computed.
+    ``K`` is the dense n x n hyper-Gram over the pair list that
+    ``pair_clusters`` labels.  ``C`` is the box constant of an SVR base; with
+    ``C=None`` (a ridge base) the bound is None and only q_pi and sigma_min
+    are computed.
     """
+    K = np.asarray(K, dtype=float)
     clusters = np.asarray(pair_clusters, dtype=np.intp)
-    if clusters.size != gram.n:
+    if clusters.size != K.shape[0]:
         raise InvalidInput(
-            f"pair_clusters length {clusters.size} != gram dimension {gram.n}"
+            f"pair_clusters length {clusters.size} != gram dimension {K.shape[0]}"
         )
     if C is not None and not C > 0:
         raise InvalidInput("C must be positive")
     cross = clusters[:, None] != clusters[None, :]
-    q_pi = float(np.abs(gram.entries[cross]).sum())
-    sigma_min = float(eigvalsh(gram.entries)[0])
+    q_pi = float(np.abs(K[cross]).sum())
+    sigma_min = float(eigvalsh(K)[0])
     if C is None:
         bound = None
     else:
@@ -185,13 +187,12 @@ def decomposition_bound(
     return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap)
 
 
-def solve_pair_system(gram: HyperGram | PairSystem, responses, base, trace_path=None):
+def solve_pair_system(gram: PairSystem, responses, base, trace_path=None):
     """Fit one pair system with a KRR or SVR base; returns (CoefficientField, bias).
 
-    A :class:`PairSystem` is solved without its dense matrix when the ridge
-    solve takes conjugate gradient; direct ridge solves and the SVR use
-    ``gram.entries``.  ``trace_path`` records the SVR convergence trace;
-    ridge fits write none.
+    The system is solved without its dense matrix when the ridge solve takes
+    conjugate gradient; direct ridge solves and the SVR use ``gram.entries``.
+    ``trace_path`` records the SVR convergence trace; ridge fits write none.
     """
     if isinstance(base, KrrConfig):
         return fit_krr(gram, responses, base), 0.0
@@ -258,4 +259,4 @@ def fit_decomposed(
         full, _ = solve_pair_system(full_system, Y[pairs[:, 0], pairs[:, 1]], base)
         gap = float(np.linalg.norm(full.values - values))
     C = base.C if isinstance(base, SvrConfig) else None
-    return lk, decomposition_bound(full_system, clusters, C, gap)
+    return lk, decomposition_bound(full_system.entries, clusters, C, gap)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput
-from .hyper import HyperGram, PairSystem
-from .krr import CoefficientField, _infer_m
+from .hyper import PairSystem
+from .krr import CoefficientField
 
 EQUALITY_SLACK = 1e-8  # scaled by C*n in the model invariant
 
@@ -76,7 +76,7 @@ class SvrModel:
             raise InvalidInput("equality constraint violated")
 
 
-def dual_objective(gram: HyperGram, beta_hat, beta_check, responses,
+def dual_objective(gram: PairSystem, beta_hat, beta_check, responses,
                    eps: float) -> float:
     """Evaluate the dual objective at a (not necessarily feasible) point."""
     bh = np.asarray(beta_hat, dtype=float).ravel()
@@ -210,7 +210,7 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
     return beta, _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok)
 
 
-def fit_svr(gram: HyperGram | PairSystem, responses, config: SvrConfig,
+def fit_svr(gram: PairSystem, responses, config: SvrConfig,
             trace_path=None) -> SvrModel:
     """Solve the SVR dual over the box [-C, C] with :func:`smo` on ``gram.entries``."""
     y = np.asarray(responses, dtype=float).ravel()
@@ -223,7 +223,7 @@ def fit_svr(gram: HyperGram | PairSystem, responses, config: SvrConfig,
     )
     support = np.flatnonzero(beta != 0.0)
     obj = dual_objective(gram, np.maximum(beta, 0.0), np.maximum(-beta, 0.0), y, eps)
-    coeffs = CoefficientField(beta, gram.pair_list, _infer_m(gram), solver="smo")
+    coeffs = CoefficientField(beta, gram.pair_list, gram.points.shape[0], solver="smo")
     return SvrModel(coeffs, bias, support, obj, config)
 
 

@@ -661,6 +661,27 @@ def test_non_finite_model_file_exits_2(tmp_path, capsys, field, value):
     assert f"non-finite {field}" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("i", 1.5), ("i", "1"), ("value", "0.5"), ("bias", "0.1"), ("points", "0.5"),
+], ids=["float-index", "string-index", "string-value", "string-bias", "string-point"])
+def test_model_file_field_of_wrong_json_type_exits_2(tmp_path, capsys, field, value):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    if field == "bias":
+        doc["bias"] = value
+    elif field == "points":
+        doc["points"][3][1] = value
+    else:
+        doc["coefficients"][5][field] = value
+    model = _write(tmp_path / "model.json", json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", data, "--model", model, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "model file missing or malformed field" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, config, key",
     [

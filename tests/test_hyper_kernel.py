@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hklearn import (
-    HyperGram,
     HyperKernelParams,
     InvalidInput,
     PairSystem,
@@ -142,21 +141,6 @@ def test_memory_cap_enforced(rng):
         assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X)
 
 
-def test_with_jitter_shifts_diagonal(rng):
-    X = rng.standard_normal((3, 2))
-    gram = assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X)
-    shifted = gram.with_jitter(0.5)
-    assert shifted.jitter_applied == 0.5
-    np.testing.assert_allclose(
-        shifted.entries, gram.entries + 0.5 * np.eye(gram.n), rtol=0, atol=0
-    )
-
-
-def test_hyper_gram_validation(rng):
-    with pytest.raises(InvalidInput):
-        HyperGram(np.array([[1.0, 2.0], [0.0, 1.0]]), full_pair_list(1), 0.0)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 50])
 def test_assembly_matches_midpoint_reference(d):
     # base scale, sigma_h2 multiplier, data offset
@@ -201,16 +185,18 @@ def test_pair_system_matches_assembly(d):
         params = HyperKernelParams(s2, mult * s2, d)
         _, restricted = nystrom_restrict(m, 2, case)
         for pairs in (full_pair_list(m), restricted):
+            # the operator and the assembly share their factors, so both are
+            # checked against the midpoint form rather than each other
             system = PairSystem(params, X, pairs)
-            gram = assemble_hyper_gram(params, X, pairs)
-            K = gram.entries
+            ref = hyper_gram_reference(params, X, pairs)
             for v in (rng.standard_normal(len(pairs)), np.ones(len(pairs))):
-                err = np.abs(system.matvec(v) - K @ v)
-                assert np.all(err <= 1e-12 * (K @ np.abs(v))), case
-            d_ref = np.diag(K)
+                err = np.abs(system.matvec(v) - ref @ v)
+                assert np.all(err <= 1e-12 * (ref @ np.abs(v))), case
+            d_ref = np.diag(ref)
             assert np.all(np.abs(system.diag() - d_ref) <= 1e-12 * d_ref), case
-            assert system.base_jitter() == pytest.approx(gram.base_jitter(), rel=1e-12)
-            assert np.array_equal(system.entries, K)
+            base_ref = 1e-10 * np.trace(ref) / len(pairs)
+            assert system.base_jitter() == pytest.approx(base_ref, rel=1e-12)
+            assert np.all(np.abs(system.entries - ref) <= 1e-12 * ref), case
 
 
 def test_pair_system_validates_like_assembly():
@@ -236,6 +222,6 @@ def test_pair_system_factors_cover_only_the_points_it_uses():
     pairs = np.array([[5, 5], [5, 9], [9, 5], [9, 9], [5, 200]])
     system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     v = np.arange(1.0, 6.0)
-    K = assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X, pairs).entries
+    K = hyper_gram_reference(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
     assert system._factors[2].shape == (3, 5)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import cg
 
 from hklearn import (
     CoefficientField,
-    HyperGram,
     HyperKernelParams,
     InvalidInput,
     KrrConfig,
@@ -13,6 +13,7 @@ from hklearn import (
     fit_krr,
     full_pair_list,
 )
+from hklearn.krr import CG_MAX_ITER, solve_spd_with_jitter
 
 
 def krr_objective(gram, beta, responses, lam):
@@ -29,10 +30,10 @@ def _random_gram(rng, m, d=2):
 
 
 def test_identity_gram_closed_form(rng):
-    gram = HyperGram(np.eye(4), full_pair_list(2), 0.0)
     y = rng.standard_normal(4)
-    beta = fit_krr(gram, y, KrrConfig(1.0))
-    np.testing.assert_allclose(beta.values.ravel(), y / 2.0, rtol=1e-12)
+    beta, jitter = solve_spd_with_jitter(np.eye(4), 1.0, y, 1e-10)
+    np.testing.assert_allclose(beta, y / 2.0, rtol=1e-12)
+    assert jitter == 0.0
 
 
 def test_scalar_closed_form():
@@ -65,9 +66,9 @@ def test_cg_agrees_with_direct(rng):
     gram = _random_gram(rng, 8)
     y = rng.standard_normal(64)
     direct = fit_krr(gram, y, KrrConfig(1e-2, solver="direct"))
-    cg = fit_krr(gram, y, KrrConfig(1e-2, solver="cg", cg_tol=1e-12))
+    iterative = fit_krr(gram, y, KrrConfig(1e-2, solver="cg", cg_tol=1e-12))
     np.testing.assert_allclose(
-        cg.values, direct.values, rtol=1e-6, atol=1e-6 * np.abs(direct.values).max()
+        iterative.values, direct.values, rtol=1e-6, atol=1e-6 * np.abs(direct.values).max()
     )
 
 
@@ -76,18 +77,35 @@ def test_cg_on_the_operator_matches_cg_on_the_dense_gram(rng, lam):
     X = rng.uniform(0.0, 1.0, (24, 2))
     params = HyperKernelParams(0.2, 0.2, 2)
     system = PairSystem(params, X)
-    gram = assemble_hyper_gram(params, X)
+    K = assemble_hyper_gram(params, X).entries
     y = rng.standard_normal(system.n)
     config = KrrConfig(lam, solver="cg")
     free = fit_krr(system, y, config)
-    dense = fit_krr(gram, y, config)
-    scale = np.abs(dense.values).max()
-    assert np.abs(free.values - dense.values).max() <= 1e-9 * scale
-    residual = gram.entries @ free.values + lam * free.values - y
+    # the dense side multiplies by the assembled matrix, not by the operator
+    dense, info = cg(K + lam * np.eye(system.n), y, rtol=1e-12, atol=0.0,
+                     maxiter=CG_MAX_ITER)
+    assert info == 0
+    scale = np.abs(dense).max()
+    assert np.abs(free.values - dense).max() <= 1e-9 * scale
+    residual = K @ free.values + lam * free.values - y
     assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
-    assert (free.solver, dense.solver) == ("cg", "cg")
+    assert free.solver == "cg"
     assert isinstance(free.cg_iterations, int) and free.cg_iterations > 0
     assert "entries" not in vars(system)  # the dense matrix was never formed
+
+
+def test_cg_restarts_when_its_recursive_residual_drifts():
+    # one CG run stops on its recursive residual while the true one is
+    # 5.7e-9 relative, above cg_tol; a restart from its iterate meets cg_tol
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (24, 2))
+    y = rng.standard_normal(576)
+    system = PairSystem(HyperKernelParams(0.2, 0.2, 2), X)
+    config = KrrConfig(1e-5, solver="cg")
+    field = fit_krr(system, y, config)
+    residual = system.matvec(field.values) + config.lam * field.values - y
+    assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
+    assert field.solver == "cg" and field.cg_iterations > 0
 
 
 def test_direct_solve_on_the_operator_matches_the_dense_gram(rng):

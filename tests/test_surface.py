@@ -1,9 +1,11 @@
-"""Every public name of hklearn has a caller outside the unit tests.
+"""The package surface: public names have real callers, private names stay private.
 
 A name exported by ``hklearn/__init__.py`` counts as used when the package
 itself or the benchmark (``hkbench/``) refers to it beyond its definition and
 export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
-that only tests call live under ``tests/``, not in the package.
+that only tests call live under ``tests/``, not in the package.  A
+``_``-prefixed name belongs to its module: no other module of the package
+imports it.
 """
 
 import ast
@@ -43,9 +45,25 @@ def _references(paths):
 
 def test_every_export_has_a_caller_outside_the_unit_tests():
     exports = _imported_names(PACKAGE / "__init__.py")
-    assert {"fit_krr", "eval_pairs", "HyperGram", "InvalidInput"} <= exports
+    assert {"fit_krr", "eval_pairs", "PairSystem", "InvalidInput"} <= exports
     modules = [p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py"]
     used = _references(modules + sorted((ROOT / "hkbench").glob("*.py")))
     used |= _imported_names(ROOT / "tests" / "test_acceptance.py", "hklearn")
     unused = sorted(exports - used)
     assert not unused, f"exported but called only from unit tests: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    leaks = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("hklearn"):
+                continue  # a third-party module
+            leaks += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert not leaks, f"private names imported across modules: {leaks}"
