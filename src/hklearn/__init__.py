@@ -54,6 +54,7 @@ from .pipeline import (
     data_sigma2,
     fit_extend,
     learning_rate_study,
+    ovr_accuracies,
     rmse,
     split_dataset,
     svm_predict,

@@ -57,10 +57,9 @@ from .pipeline import (
     fit_extend,
     heldout_pair_rmse,
     learning_rate_study,
+    ovr_accuracies,
     rmse,
     split_dataset,
-    svm_predict,
-    svm_train,
 )
 from .scaling import ScalingConfig, fit_decomposed
 
@@ -349,35 +348,6 @@ def _definiteness(report: DefinitenessReport) -> dict:
     }
 
 
-def _ovr_models(G, labels, settings: dict):
-    """One binary SVM per class over the learned Gram G (one-vs-rest)."""
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise InvalidInput("classification needs at least two classes")
-    c_svm = float(settings["c_svm"])
-    fix = settings["spectrum_fix"]
-    positives = classes[1:] if classes.size == 2 else classes
-    return classes, [
-        svm_train(G, np.where(labels == c, 1.0, -1.0), c_svm, fix)
-        for c in positives
-    ]
-
-
-def _ovr_predict(classes, models, rows):
-    if classes.size == 2:
-        pred = svm_predict(models[0], rows)
-        return np.where(np.atleast_1d(pred) == 1, classes[1], classes[0])
-    scores = np.column_stack(
-        [rows @ (m.alphas * m.labels) + m.bias for m in models]
-    )
-    return classes[np.argmax(scores, axis=1)]
-
-
-def _accuracy(classes, models, rows, labels) -> float:
-    """Accuracy from the learned-kernel rows of points against the training points."""
-    return float(np.mean(_ovr_predict(classes, models, rows) == labels))
-
-
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n")
 
@@ -509,7 +479,8 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     if settings["tune"]:
         selected, table = cross_validate(
             X[lab], K[np.ix_(lab, lab)], settings["method"], config,
-            labels=labels[lab], hyperparams=hp,
+            labels=labels[lab], hyperparams=hp, c_svm=float(settings["c_svm"]),
+            spectrum_fix=settings["spectrum_fix"],
         )
         hp.update(sigma_h2=selected["sigma_h2"], reg=selected["reg"])
         if "c_svm" in selected:
@@ -521,16 +492,16 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     save_learned(lk, outdir / "model.json")
 
     G = eval_all_pairs(lk, X)
-    classes, models = _ovr_models(G[np.ix_(lab, lab)], labels[lab], settings)
+    acc_unlab, acc_test = ovr_accuracies(
+        G, labels, lab, (unlab, test), float(settings["c_svm"]), settings["spectrum_fix"]
+    )
     holdout = np.concatenate([unlab, test])
     report = {
         "config": _plain(settings),
         "selected_hyperparams": selected or hp,
         "rmse_heldout_pairs": heldout_pair_rmse(G, K, holdout),
-        "accuracy_unlabeled": _accuracy(
-            classes, models, G[np.ix_(unlab, lab)], labels[unlab]
-        ),
-        "accuracy_test": _accuracy(classes, models, G[np.ix_(test, lab)], labels[test]),
+        "accuracy_unlabeled": acc_unlab,
+        "accuracy_test": acc_test,
         "definiteness": _definiteness(definiteness(G[np.ix_(test, test)])),
         "split_sizes": [int(lab.size), int(unlab.size), int(test.size)],
     }
@@ -577,8 +548,10 @@ def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
             raise InvalidInput("kernel matrix size does not match the dataset")
         report["rmse_pairs"] = rmse(G, K)
     if labels is not None:
-        classes, models = _ovr_models(G, labels, settings)
-        report["accuracy_training"] = _accuracy(classes, models, G, labels)
+        every = np.arange(labels.size)
+        report["accuracy_training"] = ovr_accuracies(
+            G, labels, every, [every], float(settings["c_svm"]), settings["spectrum_fix"]
+        )[0]
     return report
 
 

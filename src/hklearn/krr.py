@@ -166,17 +166,17 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
         shape=(gram.n, gram.n), matvec=lambda v: gram.matvec(v) + lam * v, dtype=float
     )
     steps = []  # the callback runs once per iteration
-    tol = config.cg_tol * max(1.0, float(np.linalg.norm(y)))
+    scale = max(1.0, float(np.linalg.norm(y)))
     beta = None
     for _ in range(CG_RESTARTS + 1):
         beta, _info = cg(op, y, x0=beta, rtol=min(config.cg_tol, 1e-12), atol=0.0,
                          maxiter=CG_MAX_ITER, callback=lambda _: steps.append(1))
         residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
-        if residual <= tol:
+        if residual <= config.cg_tol * scale:
             break
     else:
         raise NumericalFailure(
-            f"solve residual {residual:.3e} exceeds tolerance {config.cg_tol:g}"
+            f"solve residual {residual / scale:.3e} exceeds tolerance {config.cg_tol:g}"
         )
     return CoefficientField(beta, gram.pair_list, m, solver="cg",
                             cg_iterations=len(steps))

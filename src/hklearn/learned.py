@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -171,12 +172,14 @@ def load_learned(path) -> LearnedKernel:
             )
         points = np.asarray(doc["points"])
         coeffs = doc["coefficients"]
-        pairs = np.array([[c["i"], c["j"]] for c in coeffs]).reshape(-1, 2)
-        values = np.array([c["value"] for c in coeffs])
-        # a float index or a numeric string would be cast silently below
+        columns = [[c[k] for c in coeffs] for k in ("i", "j", "value")]
+        pairs = np.column_stack(columns[:2])
+        values = np.array(columns[2])
+        # a float index or a numeric string would be cast silently below, and
+        # numpy reads a JSON true among numbers as 1
         if (pairs.size and pairs.dtype.kind != "i") or any(
             a.dtype.kind not in "if" for a in (points, values, np.asarray(doc["bias"]))
-        ):
+        ) or bool in set(map(type, chain(*columns, *doc["points"]))):
             raise TypeError("a point, coefficient or bias is not a JSON number "
                             "or an index is not an integer")
         points = points.astype(float, copy=False)

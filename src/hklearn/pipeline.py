@@ -192,13 +192,15 @@ def heldout_pair_rmse(G, Y, holdout) -> float:
 
 
 def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None,
-                   hyperparams=None):
+                   hyperparams=None, *, c_svm: float = 1.0, spectrum_fix: str = "clip"):
     """Grid-search sigma_h2 and the regularization constant by 5-fold CV.
 
     ``y`` is the target kernel matrix over the labeled points.  With class
-    ``labels`` given, folds are scored by downstream SVM accuracy, and a
-    second pass scores every C_svm on the fold fits of the selected point;
-    otherwise folds are scored by RMSE on their held-out pairs.  ``hyperparams`` is the run's dict (see
+    ``labels`` given, folds are scored by the accuracy of
+    :func:`ovr_accuracies` with ``spectrum_fix``: the grid pass uses
+    ``c_svm``, and a second pass scores every C_svm of ``reg_grid`` on the
+    fold fits of the selected point.  Otherwise folds are scored by RMSE on
+    their held-out pairs.  ``hyperparams`` is the run's dict (see
     :func:`base_config`); every fold fits with it and varies only
     ``sigma_h2``, as a multiplier of its ``sigma2``, and ``reg``.  Omitted,
     it holds only ``sigma2 = data_sigma2(X_labeled)``.  Returns (selected
@@ -216,22 +218,25 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         hyperparams = {"sigma2": data_sigma2(X)}
     s2 = float(hyperparams["sigma2"])
     rng = np.random.default_rng(config.seed)
-    folds = np.array_split(rng.permutation(m), config.cv_folds)
-    classify = labels is not None
-    lbl = np.asarray(labels) if classify else None
+    folds = [
+        (np.setdiff1d(np.arange(m), val), val)
+        for val in np.array_split(rng.permutation(m), config.cv_folds)
+    ]
+
+    def fold_score(G, train, val, c):
+        if labels is None:
+            return heldout_pair_rmse(G, Y, val)
+        return ovr_accuracies(G, labels, train, [val], c, spectrum_fix)[0]
 
     table = []
     for mult in config.sigma_h2_grid:
         for reg in config.reg_grid:
             hp = dict(hyperparams, sigma_h2=mult * s2, reg=reg)
-            scores = []
             try:
-                for val in folds:
-                    G = _fold_gram(X, Y, method, hp, val)
-                    scores.append(
-                        heldout_pair_rmse(G, Y, val) if lbl is None
-                        else _fold_accuracy(G, val, lbl, c_svm=1.0)
-                    )
+                scores = [
+                    fold_score(_fold_gram(X, Y, method, hp, train), train, val, c_svm)
+                    for train, val in folds
+                ]
                 table.append((mult, reg, float(np.mean(scores))))
             except HklearnError:
                 table.append((mult, reg, float("nan")))
@@ -242,7 +247,7 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
 
     def rank(row):
         mult, reg, score = row
-        score_key = -score if classify else score
+        score_key = score if labels is None else -score
         reg_key = reg if method == "svr" else -reg  # prefer stronger smoothing
         return (score_key, reg_key, mult)
 
@@ -256,19 +261,16 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         "score": best_score,
     }
 
-    if classify:
+    if labels is not None:
         # every fold fitted at the selected point in the grid pass, so these
         # fits succeed; only the SVMs depend on c_svm
         hp = dict(hyperparams, sigma_h2=best_mult * s2, reg=best_reg)
-        grams = [_fold_gram(X, Y, method, hp, val) for val in folds]
+        grams = [_fold_gram(X, Y, method, hp, train) for train, _ in folds]
         by_c = []
-        for c_svm in config.reg_grid:
+        for c in config.reg_grid:
             try:
-                accs = [
-                    _fold_accuracy(G, val, lbl, c_svm)
-                    for G, val in zip(grams, folds)
-                ]
-                by_c.append((c_svm, float(np.mean(accs))))
+                accs = [fold_score(G, *fold, c) for G, fold in zip(grams, folds)]
+                by_c.append((c, float(np.mean(accs))))
             except HklearnError:
                 continue
         if by_c:
@@ -277,19 +279,37 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     return selected, table
 
 
-def _fold_gram(X, Y, method, hp, val_idx):
-    """k* on all of X, fitted on the points outside ``val_idx``."""
-    train = np.setdiff1d(np.arange(X.shape[0]), val_idx)
+def _fold_gram(X, Y, method, hp, train):
+    """k* on all of X, fitted on the points ``train``."""
     lk = fit_extend(X[train], Y[np.ix_(train, train)], method, hp)
     return eval_all_pairs(lk, X)
 
 
-def _fold_accuracy(G, val_idx, labels, c_svm):
-    """Accuracy on ``val_idx`` of an SVM trained on the other points of G."""
-    train = np.setdiff1d(np.arange(G.shape[0]), val_idx)
-    model = svm_train(G[np.ix_(train, train)], labels[train], c_svm, "clip")
-    pred = svm_predict(model, G[np.ix_(val_idx, train)])
-    return float(np.mean(pred == labels[val_idx]))
+def ovr_accuracies(G, labels, train, groups, c_svm: float, spectrum_fix: str) -> list:
+    """Accuracy on each index group of one-vs-rest SVMs trained once on ``train``.
+
+    Indices address the points of the learned Gram ``G`` and of ``labels``,
+    which may be any numbers.  Two classes take one :func:`svm_train` (the
+    larger label is +1); more take one per class, and a point takes the class
+    of the largest decision value.
+    """
+    labels = np.asarray(labels)
+    y, classes = labels[train], np.unique(labels[train])
+    if classes.size < 2:
+        raise InvalidInput("classification needs at least two classes")
+    train_gram = G[np.ix_(train, train)]
+    models = [svm_train(train_gram, np.where(y == c, 1.0, -1.0), c_svm, spectrum_fix)
+              for c in (classes[1:] if classes.size == 2 else classes)]
+    accuracies = []
+    for idx in groups:
+        rows = G[np.ix_(idx, train)]
+        if classes.size == 2:
+            pred = np.where(svm_predict(models[0], rows) == 1, classes[1], classes[0])
+        else:
+            scores = np.column_stack([_decision_values(m, rows) for m in models])
+            pred = classes[np.argmax(scores, axis=1)]
+        accuracies.append(float(np.mean(pred == labels[idx])))
+    return accuracies
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,15 +355,15 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
 
 
 def svm_predict(model: SvmModel, kernel_row_values):
-    """Label(s) from raw kernel evaluations against the training points."""
-    rows = np.asarray(kernel_row_values, dtype=float)
-    single = rows.ndim == 1
-    rows = np.atleast_2d(rows)
+    """+1/-1 labels from rows of raw kernel values against the training points."""
+    rows = np.atleast_2d(np.asarray(kernel_row_values, dtype=float))
     if rows.shape[1] != model.labels.size:
         raise InvalidInput("kernel row length does not match the training set")
-    scores = rows @ (model.alphas * model.labels) + model.bias
-    out = np.where(scores >= 0, 1, -1)
-    return int(out[0]) if single else out
+    return np.where(_decision_values(model, rows) >= 0, 1, -1)
+
+
+def _decision_values(model: SvmModel, rows):
+    return rows @ (model.alphas * model.labels) + model.bias
 
 
 def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,

@@ -332,6 +332,73 @@ def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
         assert hp["sigma_h2"] == 0.5 * 2.0
 
 
+def test_tuned_fit_on_zero_one_labels_matches_the_plus_minus_one_run(tmp_path):
+    data = np.loadtxt(fixture_path("two_moons.csv"), delimiter=",")
+    zero_one = data.copy()
+    zero_one[:, -1] = (data[:, -1] > 0).astype(float)
+    config = _write(
+        tmp_path / "cfg.json",
+        json.dumps({"sigma_h2_grid": [0.5, 1.0], "reg_grid": [1e-3, 1e-1]}),
+    )
+    runs = {}
+    for name, rows in (("pm1", data), ("01", zero_one)):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        out = tmp_path / name
+        assert main(["fit", str(path), "--config", config, "--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["timestamp"]
+        runs[name] = (report, (out / "cv_scores.csv").read_text())
+    # the classes keep their order, so only the label values differ
+    assert runs["01"] == runs["pm1"]
+
+
+def test_tuned_fit_classifies_three_libsvm_classes(tmp_path):
+    rng = np.random.default_rng(3)
+    centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+    lines = []
+    for label, center in zip((1, 2, 3), centers):
+        for x in rng.normal(center, 0.5, size=(15, 2)):
+            lines.append(f"{label} 1:{float(x[0])!r} 2:{float(x[1])!r}")
+    data = _write(tmp_path / "three.txt", "\n".join(lines) + "\n")
+    config = _write(
+        tmp_path / "cfg.json",
+        json.dumps({"sigma_h2_grid": [0.5, 1.0], "reg_grid": [1e-3, 1e-1]}),
+    )
+    out = tmp_path / "out"
+    code = main(["fit", data, "--format", "libsvm", "--config", config,
+                 "--output-dir", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["selected_hyperparams"]["score"] > 0.9
+    assert report["accuracy_test"] > 0.5  # chance is 1/3
+
+
+def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    real = pipeline.svm_train
+    calls = []
+
+    def recording(gram, labels, C_svm, spectrum_fix="clip", **kwargs):
+        calls.append((C_svm, spectrum_fix))
+        return real(gram, labels, C_svm, spectrum_fix, **kwargs)
+
+    monkeypatch.setattr(pipeline, "svm_train", recording)
+    config = _write(
+        tmp_path / "cfg.json",
+        json.dumps({"c_svm": 2.5, "sigma_h2_grid": [1.0], "reg_grid": [1.0]}),
+    )
+    code = main(
+        ["fit", str(fixture_path("two_moons.csv")), "--spectrum-fix", "none",
+         "--config", config, "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    # 5 grid folds at the run's c_svm, 5 c_svm folds at the reg_grid value,
+    # then the final classifier at the selected c_svm
+    assert calls == [(2.5, "none")] * 5 + [(1.0, "none")] * 6
+
+
 def test_flags_override_config_which_overrides_defaults(tmp_path):
     data, _, _ = _write_blobs(tmp_path / "data.csv")
     config = _write(
@@ -663,7 +730,9 @@ def test_non_finite_model_file_exits_2(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("i", 1.5), ("i", "1"), ("value", "0.5"), ("bias", "0.1"), ("points", "0.5"),
-], ids=["float-index", "string-index", "string-value", "string-bias", "string-point"])
+    ("i", True), ("j", False), ("value", True), ("points", True),
+], ids=["float-index", "string-index", "string-value", "string-bias", "string-point",
+        "true-index", "false-index", "true-value", "true-point"])
 def test_model_file_field_of_wrong_json_type_exits_2(tmp_path, capsys, field, value):
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
     assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0

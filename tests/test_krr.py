@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import cg
@@ -106,6 +108,19 @@ def test_cg_restarts_when_its_recursive_residual_drifts():
     residual = system.matvec(field.values) + config.lam * field.values - y
     assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
     assert field.solver == "cg" and field.cg_iterations > 0
+
+
+def test_cg_failure_prints_the_relative_residual(rng):
+    X = rng.standard_normal((4, 2))
+    y = 1e12 * rng.standard_normal(16)
+    config = KrrConfig(1e-2, solver="cg", cg_tol=1e-17)
+    with pytest.raises(NumericalFailure) as excinfo:
+        fit_krr(PairSystem(HyperKernelParams(1.0, 1.0, 2), X), y, config)
+    printed = float(re.search(r"solve residual (\S+) exceeds", str(excinfo.value))[1])
+    # roundoff alone leaves an absolute residual near 1e-16 * ||y|| ~ 1e-4, so
+    # a printed value this small is ||r|| / max(1, ||y||)
+    assert 0.0 < printed <= 1e-10
+    assert "tolerance 1e-17" in str(excinfo.value)
 
 
 def test_direct_solve_on_the_operator_matches_the_dense_gram(rng):

@@ -5,10 +5,13 @@ itself or the benchmark (``hkbench/``) refers to it beyond its definition and
 export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
 that only tests call live under ``tests/``, not in the package.  A
 ``_``-prefixed name belongs to its module: no other module of the package
-imports it.
+imports it.  The functions the benchmark's span wrappers replace by name, and
+the arguments their counters read, exist in the package.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +70,26 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_")
             ]
     assert not leaks, f"private names imported across modules: {leaks}"
+
+
+def test_benchmark_layers_resolve_with_the_arguments_their_counters_bind():
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((ROOT / "hkbench" / "spans.py").read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS"
+    )
+    missing = [
+        f"{module}.{name}" for module, name in layers
+        if not callable(getattr(importlib.import_module(f"hklearn.{module}"), name, None))
+    ]
+    assert not missing, f"benchmark layers missing from hklearn: {missing}"
+    # the argument names the span counters read through Signature.bind
+    bound = {
+        ("krr", "fit_krr"): {"gram", "responses", "config"},
+        ("svr", "fit_svr"): {"gram"},
+        ("learned", "eval_pairs"): {"lk", "A"},
+    }
+    assert set(bound) <= set(layers)
+    for (module, name), arguments in bound.items():
+        fn = getattr(importlib.import_module(f"hklearn.{module}"), name)
+        assert arguments <= set(inspect.signature(fn).parameters), f"{module}.{name}"
