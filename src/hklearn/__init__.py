@@ -12,7 +12,6 @@ from .base_kernels import (
     Ideal,
     LogKernel,
     TL1,
-    eval_kernel,
     gram_matrix,
 )
 from .data import fixture_path
@@ -26,7 +25,6 @@ from .errors import (
     ResourceLimit,
     SlopeUndefined,
     StratificationWarning,
-    UnsupportedEvaluation,
 )
 from .hyper import (
     HyperKernelParams,

@@ -7,12 +7,14 @@ have negative eigenvalues.  The ideal kernel is the label outer product
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, UnsupportedEvaluation
+from .errors import InvalidInput
+
+# Row-block size of gram_matrix, in floats of pairwise differences
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,44 +69,15 @@ class Ideal:
 KernelSpec = GaussianRBF | TL1 | LogKernel | Ideal
 
 
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """Evaluate a functional kernel at a single pair of points.
-
-    Parameters
-    ----------
-    spec : KernelSpec
-        One of GaussianRBF, TL1, LogKernel.  Ideal has no functional form
-        and raises ``UnsupportedEvaluation``.
-    x, x2 : array-like
-        Feature vectors of equal dimension.
-    """
-    if isinstance(spec, Ideal):
-        raise UnsupportedEvaluation(
-            f"{type(spec).__name__} is defined only on indexed training points"
-        )
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape:
-        raise InvalidInput(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    if isinstance(spec, GaussianRBF):
-        d2 = float(np.sum((x - x2) ** 2))
-        return math.exp(-d2 / (2.0 * spec.sigma2))
-    if isinstance(spec, TL1):
-        d1 = float(np.sum(np.abs(x - x2)))
-        return max(spec.tau - d1, 0.0)
-    if isinstance(spec, LogKernel):
-        d = math.sqrt(float(np.sum((x - x2) ** 2)))
-        return -math.log(1.0 + d / spec.sigma)
-    raise InvalidInput(f"unknown kernel spec {spec!r}")
-
-
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric Gram matrix with entry (i, j) = k(x_i, x_j).
 
-    The strict upper triangle is computed once and mirrored, so the output is
-    exactly symmetric.  For ``Ideal`` the entries are +1 / -1 by label
-    agreement (``y yᵀ`` for binary ±1 labels); ``X`` is only used for its
-    length there.
+    Computed on whole arrays from the pairwise differences x_i - x_j, each
+    summed over its coordinates by one ``np.sum``.  x_j - x_i is the
+    exact negative of x_i - x_j, so each entry and its mirror come from the
+    same arithmetic and the output is exactly symmetric.  For ``Ideal`` the
+    entries are +1 / -1 by label agreement (``y yᵀ`` for binary ±1 labels);
+    ``X`` is only used for its length there.
     """
     if isinstance(spec, Ideal):
         y = np.asarray(spec.labels)
@@ -115,14 +88,22 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    m = X.shape[0]
-    if m < 1:
+    if X.shape[0] < 1:
         raise InvalidInput("empty input")
-    K = np.empty((m, m), dtype=float)
-    for i in range(m):
-        K[i, i] = eval_kernel(spec, X[i], X[i])
-        for j in range(i + 1, m):
-            v = eval_kernel(spec, X[i], X[j])
-            K[i, j] = v
-            K[j, i] = v
-    return K
+    if isinstance(spec, TL1):
+        return np.maximum(spec.tau - _pair_sums(X, np.abs), 0.0)
+    if isinstance(spec, GaussianRBF):
+        return np.exp(-_pair_sums(X, np.square) / (2.0 * spec.sigma2))
+    if isinstance(spec, LogKernel):
+        return -np.log(1.0 + np.sqrt(_pair_sums(X, np.square)) / spec.sigma)
+    raise InvalidInput(f"unknown kernel spec {spec!r}")
+
+
+def _pair_sums(X: np.ndarray, f) -> np.ndarray:
+    """sum_k f(X[i, k] - X[j, k]) for every i, j, a block of rows at a time."""
+    m = X.shape[0]
+    D = np.empty((m, m))
+    step = max(1, _BLOCK // (m * X.shape[1]))
+    for a in range(0, m, step):
+        D[a:a + step] = np.sum(f(X[a:a + step, None, :] - X[None, :, :]), axis=2)
+    return D

@@ -373,7 +373,8 @@ def _fit_facts(report: dict, lk, diag, scaling) -> dict:
         report["scaling_diagnostics"] = _diag_dict(diag, scaling)
     else:
         coeffs = lk.coefficients
-        report["solver"] = {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations}
+        report["solver"] = {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations,
+                            "preconditioner_rank": coeffs.preconditioner_rank}
     return report
 
 

@@ -9,10 +9,6 @@ class InvalidInput(HklearnError):
     """An argument violates a documented precondition (shape, range, alignment)."""
 
 
-class UnsupportedEvaluation(HklearnError):
-    """The requested evaluation has no functional form (the ideal kernel)."""
-
-
 class NumericalFailure(HklearnError):
     """A factorization or solve failed beyond repair (jitter retries exhausted)."""
 

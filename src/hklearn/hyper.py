@@ -193,7 +193,7 @@ class PairSystem:
     floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
     ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
     first access (direct solves and the SVR factor or index it); ``diag``
-    costs O(n).
+    costs O(n), and ``column`` reads one column of K from the factors.
 
     ``pairs`` None stands for all m^2 ordered pairs in row-major order.
     """
@@ -246,6 +246,12 @@ class PairSystem:
         g, cross, phi, flat = self._factors
         W = (phi * (g * np.ravel(v))) @ phi.T
         return cross * W.ravel()[flat]
+
+    def column(self, s: int) -> np.ndarray:
+        """Column s of K in O(u^2 + n): cross_r * Phi[i_r, s] * Phi[j_r, s] * g[s]."""
+        g, cross, phi, flat = self._factors
+        c = phi[:, s]
+        return cross * np.outer(c, c * g[s]).ravel()[flat]
 
     def diag(self) -> np.ndarray:
         """The diagonal of K in O(n).

@@ -8,6 +8,7 @@ keeps the factorization well posed without squaring the condition number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,13 +16,15 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidInput, NumericalFailure
-from .hyper import PairSystem
+from .hyper import MAX_ENTRIES, PairSystem
 
 DIRECT_RESIDUAL_TOL = 1e-8
 CG_MAX_ITER = 20_000
 # CG stops on its recursively updated residual, which can drift from the true
 # one; it restarts from its iterate at most this many times.
 CG_RESTARTS = 3
+# Largest rank of the Nystrom preconditioner of CG
+PRECONDITIONER_RANK = 100
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,9 @@ class CoefficientField:
     ``values[k]`` attaches to the ordered point pair ``pair_list[k]``; ``m``
     is the number of underlying sample points.  A fit records how it was
     solved: ``solver`` is ``direct``, ``cg`` or ``smo`` (None when the field
-    was assembled from several solves or loaded), and ``cg_iterations``
-    counts the conjugate-gradient iterations of a ``cg`` solve.
+    was assembled from several solves or loaded), ``cg_iterations``
+    counts the conjugate-gradient iterations of a ``cg`` solve and
+    ``preconditioner_rank`` is the rank of its Nystrom preconditioner.
     """
 
     values: np.ndarray
@@ -69,6 +73,7 @@ class CoefficientField:
     jitter_applied: float = 0.0
     solver: str | None = None
     cg_iterations: int | None = None
+    preconditioner_rank: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -141,8 +146,9 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
     is raised.  Direct solves factor ``gram.entries``; conjugate gradient only
     multiplies by K through ``gram.matvec``, so it never forms the n x n
-    matrix.  Its residual is measured on the same operator, and CG restarts
-    from its iterate (up to ``CG_RESTARTS`` times) while that residual misses
+    matrix.  It is preconditioned by :func:`nystrom_preconditioner`.  Its
+    residual is measured on the same operator, and CG restarts from its
+    iterate (up to ``CG_RESTARTS`` times) while that residual misses
     ``cg_tol``.
     """
     y = np.asarray(responses, dtype=float).ravel()
@@ -165,12 +171,16 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     op = LinearOperator(
         shape=(gram.n, gram.n), matvec=lambda v: gram.matvec(v) + lam * v, dtype=float
     )
+    precond, rank = nystrom_preconditioner(gram, lam)
+    # below machine epsilon the recursive residual can reach exactly zero, and
+    # scipy's next step divides by it
+    rtol = max(min(config.cg_tol, 1e-12), np.finfo(float).eps)
     steps = []  # the callback runs once per iteration
     scale = max(1.0, float(np.linalg.norm(y)))
     beta = None
     for _ in range(CG_RESTARTS + 1):
-        beta, _info = cg(op, y, x0=beta, rtol=min(config.cg_tol, 1e-12), atol=0.0,
-                         maxiter=CG_MAX_ITER, callback=lambda _: steps.append(1))
+        beta, _info = cg(op, y, x0=beta, rtol=rtol, atol=0.0, maxiter=CG_MAX_ITER,
+                         M=precond, callback=lambda _: steps.append(1))
         residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
         if residual <= config.cg_tol * scale:
             break
@@ -179,4 +189,49 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
             f"solve residual {residual / scale:.3e} exceeds tolerance {config.cg_tol:g}"
         )
     return CoefficientField(beta, gram.pair_list, m, solver="cg",
-                            cg_iterations=len(steps))
+                            cg_iterations=len(steps), preconditioner_rank=rank)
+
+
+def nystrom_preconditioner(gram: PairSystem, lam: float):
+    """A preconditioner for K + lam I from a rank-r Nystrom approximation F F' of K.
+
+    F comes from a partial pivoted Cholesky of K: each step takes the pair
+    with the largest residual diagonal as its pivot, so the choice is
+    deterministic, and reads that column of K through ``gram.column``.  It
+    stops when the largest residual diagonal falls to lam / 100 or r reaches
+    ``PRECONDITIONER_RANK`` (and r * n ``MAX_ENTRIES``).  The two orders of a
+    pair have equal columns, so once one is a pivot the other's residual
+    diagonal drops to roundoff and the stopping rule passes it over.
+
+    With F = QR and RR' = VSV', U = QV and the preconditioner is
+    (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam.  It is
+    applied times lam, as v - U diag(S / (S + lam)) U'v, which leaves the CG
+    iterates unchanged and divides by nothing small.  Returns (operator,
+    rank); at rank 0, or lam 0, the operator is None: CG runs unpreconditioned.
+    """
+    n = gram.n
+    cap = min(PRECONDITIONER_RANK, n, MAX_ENTRIES // max(n, 1)) if lam > 0 else 0
+    # rows of F'; np.empty leaves the rows past the rank reached unwritten
+    Ft = np.empty((cap, n))
+    d = gram.diag()
+    r = 0
+    while r < cap:
+        s = int(np.argmax(d))
+        if not d[s] > lam / 100.0:
+            break
+        col = gram.column(s) - Ft[:r].T @ Ft[:r, s]
+        col /= math.sqrt(d[s])
+        Ft[r] = col
+        d -= col * col
+        np.maximum(d, 0.0, out=d)
+        d[s] = 0.0
+        r += 1
+    if r == 0:
+        return None, 0
+    Q, R = np.linalg.qr(Ft[:r].T)
+    S, V = np.linalg.eigh(R @ R.T)
+    U = Q @ V
+    damp = S / (S + lam)
+    return LinearOperator(
+        shape=(n, n), matvec=lambda v: v - U @ (damp * (U.T @ v)), dtype=float
+    ), r

@@ -141,8 +141,17 @@ def learned_gram(lk: LearnedKernel, X):
     return G, definiteness(G)
 
 
+# One coefficient as json.dumps(..., indent=2) writes it inside the document
+_COEFFICIENT = '    {\n      "i": %d,\n      "j": %d,\n      "value": %r\n    }'
+
+
 def save_learned(lk: LearnedKernel, path) -> None:
-    """Write the model as JSON; floats keep full precision via repr."""
+    """Write the model as JSON; floats keep full precision via repr.
+
+    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)``, but the
+    coefficient list, which is most of it, is formatted directly: with
+    ``indent`` json falls back to its pure-Python encoder.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "hyper_params": {
@@ -152,12 +161,15 @@ def save_learned(lk: LearnedKernel, path) -> None:
         },
         "bias": float(lk.bias),
         "points": lk.points.tolist(),
-        "coefficients": [
-            {"i": int(i), "j": int(j), "value": float(v)}
-            for (i, j), v in zip(lk.coefficients.pair_list, lk.coefficients.values)
-        ],
+        "coefficients": [],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    field = lk.coefficients
+    if field.n:
+        rows = zip(*field.pair_list.T.tolist(), field.values.tolist())
+        block = ",\n".join(map(_COEFFICIENT.__mod__, rows))
+        text = text.replace('"coefficients": []', f'"coefficients": [\n{block}\n  ]', 1)
+    Path(path).write_text(text)
 
 
 def load_learned(path) -> LearnedKernel:

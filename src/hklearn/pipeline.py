@@ -291,13 +291,16 @@ def ovr_accuracies(G, labels, train, groups, c_svm: float, spectrum_fix: str) ->
     Indices address the points of the learned Gram ``G`` and of ``labels``,
     which may be any numbers.  Two classes take one :func:`svm_train` (the
     larger label is +1); more take one per class, and a point takes the class
-    of the largest decision value.
+    of the largest decision value.  Their training Gram is clipped once for
+    all of them.
     """
     labels = np.asarray(labels)
     y, classes = labels[train], np.unique(labels[train])
     if classes.size < 2:
         raise InvalidInput("classification needs at least two classes")
     train_gram = G[np.ix_(train, train)]
+    if classes.size > 2 and spectrum_fix == "clip":
+        train_gram, spectrum_fix = _clip_spectrum(train_gram), "none"
     models = [svm_train(train_gram, np.where(y == c, 1.0, -1.0), c_svm, spectrum_fix)
               for c in (classes[1:] if classes.size == 2 else classes)]
     accuracies = []
@@ -342,9 +345,7 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
         raise InvalidInput(f"unknown spectrum_fix {spectrum_fix!r}")
 
     if spectrum_fix == "clip":
-        evals, vecs = eigh(G)
-        G = (vecs * np.maximum(evals, 0.0)) @ vecs.T
-        G = 0.5 * (G + G.T)
+        G = _clip_spectrum(G)
 
     # the SVR solver's default iteration budget
     beta, bias = smo(
@@ -352,6 +353,13 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
         kkt_tol, SvrConfig.max_passes, SvrConfig.max_iter,
     )
     return SvmModel(y * beta, y, bias)
+
+
+def _clip_spectrum(G):
+    """G with its negative eigenvalues set to zero, exactly symmetric."""
+    evals, vecs = eigh(G)
+    G = (vecs * np.maximum(evals, 0.0)) @ vecs.T
+    return 0.5 * (G + G.T)
 
 
 def svm_predict(model: SvmModel, kernel_row_values):

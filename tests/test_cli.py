@@ -353,7 +353,8 @@ def test_tuned_fit_on_zero_one_labels_matches_the_plus_minus_one_run(tmp_path):
     assert runs["01"] == runs["pm1"]
 
 
-def test_tuned_fit_classifies_three_libsvm_classes(tmp_path):
+def _three_class_fit(tmp_path, name="out"):
+    """A tuned fit of 45 points in three libsvm classes; returns (exit code, out)."""
     rng = np.random.default_rng(3)
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
     lines = []
@@ -365,13 +366,58 @@ def test_tuned_fit_classifies_three_libsvm_classes(tmp_path):
         tmp_path / "cfg.json",
         json.dumps({"sigma_h2_grid": [0.5, 1.0], "reg_grid": [1e-3, 1e-1]}),
     )
-    out = tmp_path / "out"
+    out = tmp_path / name
     code = main(["fit", data, "--format", "libsvm", "--config", config,
                  "--output-dir", str(out)])
+    return code, out
+
+
+def test_tuned_fit_classifies_three_libsvm_classes(tmp_path):
+    code, out = _three_class_fit(tmp_path)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["selected_hyperparams"]["score"] > 0.9
     assert report["accuracy_test"] > 0.5  # chance is 1/3
+
+
+def test_three_classes_clip_each_training_gram_once(tmp_path, monkeypatch):
+    import hklearn.cli as cli
+    import hklearn.pipeline as pipeline
+
+    counts = {"eigh": 0, "blocks": 0}
+    real_eigh, real_ovr, real_svm = pipeline.eigh, pipeline.ovr_accuracies, pipeline.svm_train
+
+    def counting_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return real_eigh(*args, **kwargs)
+
+    def per_class_clip(G, labels, train, groups, c_svm, spectrum_fix):
+        # the former arithmetic: every per-class SVM clips the raw Gram itself
+        assert spectrum_fix == "clip"
+        return real_ovr(G, labels, train, groups, c_svm, "none")
+
+    def run(name, ovr):
+        def counting_ovr(*args):
+            counts["blocks"] += 1
+            return ovr(*args)
+
+        for module in (pipeline, cli):  # CV folds, and the final fit's groups
+            monkeypatch.setattr(module, "ovr_accuracies", counting_ovr)
+        counts.update(eigh=0, blocks=0)
+        code, out = _three_class_fit(tmp_path, name)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["timestamp"]
+        return report, (out / "cv_scores.csv").read_bytes(), dict(counts)
+
+    monkeypatch.setattr(pipeline, "eigh", counting_eigh)
+    once = run("once", real_ovr)
+    assert once[2]["eigh"] == once[2]["blocks"] > 0
+    monkeypatch.setattr(pipeline, "svm_train",
+                        lambda G, y, c, _fix, *a: real_svm(G, y, c, "clip", *a))
+    per_class = run("per_class", per_class_clip)
+    assert per_class[2]["eigh"] == 3 * per_class[2]["blocks"]
+    assert once[:2] == per_class[:2]
 
 
 def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypatch):
@@ -664,6 +710,7 @@ def test_extend_above_direct_limit_never_assembles(tmp_path, monkeypatch):
     solver = json.loads((out / "report.json").read_text())["solver"]
     assert solver["path"] == "cg"
     assert isinstance(solver["cg_iterations"], int) and solver["cg_iterations"] > 0
+    assert isinstance(solver["preconditioner_rank"], int) and solver["preconditioner_rank"] > 0
 
 
 def test_extend_past_the_dense_cap_meets_the_cg_residual(tmp_path):
@@ -692,7 +739,7 @@ def test_fit_and_extend_report_their_solver(tmp_path):
         assert main([*cmd[:1], data, *cmd[1:], "--output-dir", str(out)]) == 0
         solver = json.loads((out / "report.json").read_text())["solver"]
         path = "smo" if "svr" in cmd else "direct"
-        assert solver == {"path": path, "cg_iterations": None}
+        assert solver == {"path": path, "cg_iterations": None, "preconditioner_rank": None}
 
 
 def test_fit_without_dataset_exits_2(tmp_path, capsys):

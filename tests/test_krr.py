@@ -1,8 +1,9 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from hklearn import (
     CoefficientField,
@@ -12,10 +13,14 @@ from hklearn import (
     NumericalFailure,
     PairSystem,
     assemble_hyper_gram,
+    data_sigma2,
     fit_krr,
     full_pair_list,
 )
+from hklearn.base_kernels import TL1, gram_matrix
 from hklearn.krr import CG_MAX_ITER, solve_spd_with_jitter
+from hklearn.scaling import nystrom_restrict
+from midpoint_reference import hyper_gram_reference
 
 
 def krr_objective(gram, beta, responses, lam):
@@ -121,6 +126,74 @@ def test_cg_failure_prints_the_relative_residual(rng):
     # a printed value this small is ||r|| / max(1, ||y||)
     assert 0.0 < printed <= 1e-10
     assert "tolerance 1e-17" in str(excinfo.value)
+
+
+def test_cg_below_roundoff_fails_with_a_finite_residual(rng):
+    # rtol 1e-300 let the recursive residual reach zero and scipy divide by it
+    X = rng.standard_normal((4, 2))
+    y = 1e12 * rng.standard_normal(16)
+    config = KrrConfig(1e-2, solver="cg", cg_tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure) as excinfo:
+            fit_krr(PairSystem(HyperKernelParams(1.0, 1.0, 2), X), y, config)
+    printed = float(re.search(r"solve residual (\S+) exceeds", str(excinfo.value))[1])
+    assert np.isfinite(printed)
+
+
+def _tl1_system(m, seed=0):
+    """An extend-tl1-like system: uniform points, sigma_h2 = sigma2, TL1 target."""
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, (m, 2))
+    s2 = data_sigma2(X)
+    return PairSystem(HyperKernelParams(s2, s2, 2), X), gram_matrix(TL1(1.4), X).ravel()
+
+
+@pytest.mark.parametrize("restrict", [False, True], ids=["full", "restricted"])
+def test_preconditioned_cg_matches_the_direct_solve(restrict):
+    X = np.random.default_rng(1).uniform(0.0, 1.0, (20, 2))
+    pairs = nystrom_restrict(20, 10, seed=2)[1] if restrict else None
+    system = PairSystem(HyperKernelParams(0.1, 0.1, 2), X, pairs)
+    y = np.random.default_rng(3).standard_normal(system.n)
+    direct = fit_krr(system, y, KrrConfig(1e-3, solver="direct")).values
+    field = fit_krr(system, y, KrrConfig(1e-3, solver="cg"))
+    assert field.preconditioner_rank > 0
+    assert np.abs(field.values - direct).max() <= 1e-9 * np.abs(direct).max()
+
+
+def test_preconditioned_cg_converges_fast_on_the_tl1_extension():
+    system, y = _tl1_system(46)
+    config = KrrConfig(1e-3)
+    first, second = fit_krr(system, y, config), fit_krr(system, y, config)
+    assert first.solver == "cg" and first.cg_iterations <= 20
+    assert 0 < first.preconditioner_rank <= 100
+    assert "entries" not in vars(system)  # columns come from the factors
+    assert np.array_equal(first.values, second.values)
+    assert (first.cg_iterations, first.preconditioner_rank) == (
+        second.cg_iterations, second.preconditioner_rank)
+
+
+def test_columns_match_the_midpoint_reference(rng):
+    X = rng.uniform(0.0, 1.0, (9, 2))
+    params = HyperKernelParams(0.3, 0.2, 2)
+    _, pairs = nystrom_restrict(9, 4, seed=0)
+    system = PairSystem(params, X, pairs)
+    K = hyper_gram_reference(params, X, pairs)
+    for s in range(system.n):
+        np.testing.assert_allclose(system.column(s), K[:, s], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [24, 46])
+@pytest.mark.parametrize("lam", [1e-1, 1e-3, 1e-4])
+def test_preconditioned_cg_solves_what_plain_cg_solves(m, lam):
+    system, y = _tl1_system(m)
+    config = KrrConfig(lam, solver="cg")
+    scale = config.cg_tol * max(1.0, np.linalg.norm(y))
+    op = LinearOperator((system.n, system.n), dtype=float,
+                        matvec=lambda v: system.matvec(v) + lam * v)
+    plain, _ = cg(op, y, rtol=1e-12, atol=0.0, maxiter=CG_MAX_ITER)
+    assert np.linalg.norm(op.matvec(plain) - y) <= scale
+    field = fit_krr(system, y, config)
+    assert np.linalg.norm(op.matvec(field.values) - y) <= scale
 
 
 def test_direct_solve_on_the_operator_matches_the_dense_gram(rng):

@@ -118,6 +118,45 @@ def test_save_load_round_trip(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _json_dumps_model(lk) -> str:
+    """The model file as json.dumps wrote it before its coefficients were
+    formatted directly."""
+    doc = {
+        "schema_version": 1,
+        "hyper_params": {"sigma2": lk.hyper_params.sigma2,
+                         "sigma_h2": lk.hyper_params.sigma_h2,
+                         "dim": lk.hyper_params.dim},
+        "bias": float(lk.bias),
+        "points": lk.points.tolist(),
+        "coefficients": [
+            {"i": int(i), "j": int(j), "value": float(v)}
+            for (i, j), v in zip(lk.coefficients.pair_list, lk.coefficients.values)
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", ["extend-tl1", "extremes", "one-pair"])
+def test_model_file_is_byte_identical_to_json_dumps(tmp_path, rng, case):
+    params = HyperKernelParams(0.1, 0.2, 2)
+    if case == "extend-tl1":
+        X = rng.uniform(0.0, 1.0, (46, 2))
+        field = CoefficientField(1e3 * rng.standard_normal(46 * 46), full_pair_list(46), 46)
+        bias = 0.0
+    elif case == "extremes":
+        X = rng.standard_normal((2, 2))
+        field = CoefficientField([-0.0, 5e-324, 1e300, -1.5], full_pair_list(2), 2)
+        bias = -0.25
+    else:
+        X = rng.standard_normal((3, 2))
+        field = CoefficientField([0.125], [[2, 1]], 3)
+        bias = 1e-300
+    lk = LearnedKernel(X, field, bias, params)
+    path = tmp_path / "model.json"
+    save_learned(lk, path)
+    assert path.read_text() == _json_dumps_model(lk)
+
+
 def test_load_rejects_bad_schema(tmp_path, rng):
     lk, _, _ = _fitted(rng)
     path = tmp_path / "model.json"
