@@ -2,12 +2,14 @@
 
 Commands
 --------
-fit             full pipeline on a labeled dataset: split, cross-validate,
-                regress the learned kernel onto the target matrix, classify
+fit             full pipeline on a labeled dataset (--no-labels exits 2):
+                split, cross-validate, regress the learned kernel onto the
+                target matrix, classify
 extend          fit a learned kernel to a given kernel matrix, no split
 eval            load a model, evaluate it on a dataset
 rate-study      median error versus sample size, with log-log slope
-decompose-demo  divide-and-conquer fit plus its diagnostics
+decompose-demo  extend with two clusters unless --clusters or --landmarks is
+                set, and its report carries extend's keys
 
 Settings resolve as flags > config file (JSON) > defaults.  All artifacts go
 under --output-dir; reports are byte-stable across reruns except for their
@@ -62,8 +64,6 @@ from .pipeline import (
     split_dataset,
 )
 from .scaling import ScalingConfig, fit_decomposed
-
-COMMANDS = ("fit", "extend", "eval", "rate-study", "decompose-demo")
 
 DEFAULTS = {
     "method": "krr",
@@ -319,17 +319,6 @@ def _hyperparams(settings: dict, X: np.ndarray) -> dict:
     return hp
 
 
-def _scaling_for(settings: dict, m: int) -> ScalingConfig | None:
-    v, u = settings["clusters"], settings["landmarks"]
-    if v is None and u is None:
-        return None
-    return ScalingConfig(
-        v=int(v) if v is not None else 1,
-        u=int(u) if u is not None else m,
-        seed=int(settings["seed"]),
-    )
-
-
 def _experiment_config(settings: dict) -> ExperimentConfig:
     return ExperimentConfig(
         split=tuple(settings["split"]),
@@ -367,30 +356,6 @@ def _plain(obj):
     return obj
 
 
-def _fit_facts(report: dict, lk, diag, scaling) -> dict:
-    """Add the decomposition diagnostics, or the solver facts of a single fit."""
-    if diag is not None:
-        report["scaling_diagnostics"] = _diag_dict(diag, scaling)
-    else:
-        coeffs = lk.coefficients
-        report["solver"] = {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations,
-                            "preconditioner_rank": coeffs.preconditioner_rank}
-    return report
-
-
-def _diag_dict(diag, scaling: ScalingConfig) -> dict:
-    doc = {
-        "v": scaling.v,
-        "u": scaling.u,
-        "q_pi": diag.q_pi,
-        "sigma_min": diag.sigma_min,
-        "bound": diag.bound,
-    }
-    if diag.observed_gap is not None:
-        doc["observed_gap"] = diag.observed_gap
-    return doc
-
-
 def run(manifest: RunManifest) -> int:
     """Execute a command; exit code 0, or 2/3 for config/numerical trouble."""
     try:
@@ -398,7 +363,7 @@ def run(manifest: RunManifest) -> int:
         outdir = manifest.output_dir
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        report = _dispatch(manifest, settings, outdir)
+        report = COMMANDS[manifest.command](manifest, settings, outdir)
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
         report["command"] = manifest.command
         report["seed"] = int(settings["seed"])
@@ -416,26 +381,13 @@ def run(manifest: RunManifest) -> int:
         return 3
 
 
-def _dispatch(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
-    cmd = manifest.command
-    if cmd == "fit":
-        return _cmd_fit(manifest, settings, outdir)
-    if cmd == "extend":
-        return _cmd_extend(manifest, settings, outdir)
-    if cmd == "eval":
-        return _cmd_eval(manifest, settings, outdir)
-    if cmd == "rate-study":
-        return _cmd_rate_study(manifest, settings, outdir)
-    return _cmd_decompose(manifest, settings, outdir)
-
-
-def _require_dataset(manifest: RunManifest, settings: dict, labeled=None):
+def _require_dataset(manifest: RunManifest, settings: dict):
     if manifest.dataset is None:
         raise InvalidInput(f"{manifest.command} needs a dataset argument")
     return ingest_dataset(
         manifest.dataset,
         manifest.dataset_format,
-        labeled=manifest.labeled if labeled is None else labeled,
+        labeled=manifest.labeled,
         standardize=bool(settings["standardize"]),
     )
 
@@ -452,23 +404,42 @@ def _given_kernel(manifest: RunManifest, settings: dict, X, labels) -> np.ndarra
     return _target_matrix(settings, X, labels)
 
 
-def _fit(settings: dict, hp: dict, X, K, outdir: Path, scaling):
-    """Fit the learned kernel to K on X; returns (LearnedKernel, diagnostics).
+def _fit(settings: dict, hp: dict, X, K, outdir: Path):
+    """The one fit step: fit the learned kernel to K on X, write model.json.
 
-    With a ScalingConfig the decomposed strategy runs and returns its
-    diagnostics; without one the direct fit runs and diagnostics are None.
+    With ``clusters`` or ``landmarks`` set the decomposed strategy runs, and
+    the report's fit facts are its ``scaling_diagnostics``; otherwise the
+    direct fit runs, and they are its ``solver`` block.  Returns
+    (LearnedKernel, fit facts).
     """
-    if scaling is not None:
+    v, u = settings["clusters"], settings["landmarks"]
+    if v is not None or u is not None:
+        scaling = ScalingConfig(
+            v=int(v) if v is not None else 1,
+            u=int(u) if u is not None else X.shape[0],
+            seed=int(settings["seed"]),
+        )
         params = HyperKernelParams(hp["sigma2"], hp["sigma_h2"], X.shape[1])
-        return fit_decomposed(
+        lk, diag = fit_decomposed(
             X, K, base_config(settings["method"], hp), scaling, params
         )
-    trace = outdir / "trace.csv" if settings["trace"] else None
-    return fit_extend(X, K, settings["method"], hp, trace_path=trace), None
+        doc = {"v": scaling.v, "u": scaling.u, "q_pi": diag.q_pi,
+               "sigma_min": diag.sigma_min, "bound": diag.bound}
+        if diag.observed_gap is not None:
+            doc["observed_gap"] = diag.observed_gap
+        facts = {"scaling_diagnostics": doc}
+    else:
+        trace = outdir / "trace.csv" if settings["trace"] else None
+        lk = fit_extend(X, K, settings["method"], hp, trace_path=trace)
+        coeffs = lk.coefficients
+        facts = {"solver": {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations,
+                            "preconditioner_rank": coeffs.preconditioner_rank}}
+    save_learned(lk, outdir / "model.json")
+    return lk, facts
 
 
 def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
-    X, labels = _require_dataset(manifest, settings, labeled=True)
+    X, labels = _require_dataset(manifest, settings)
     if labels is None:
         raise InvalidInput("fit needs labels (use extend for unlabeled data)")
     K = _given_kernel(manifest, settings, X, labels)
@@ -488,16 +459,13 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
             settings = dict(settings, c_svm=selected["c_svm"])
         _write_score_table(outdir / "cv_scores.csv", table)
 
-    scaling = _scaling_for(settings, lab.size)
-    lk, diag = _fit(settings, hp, X[lab], K[np.ix_(lab, lab)], outdir, scaling)
-    save_learned(lk, outdir / "model.json")
-
+    lk, facts = _fit(settings, hp, X[lab], K[np.ix_(lab, lab)], outdir)
     G = eval_all_pairs(lk, X)
     acc_unlab, acc_test = ovr_accuracies(
         G, labels, lab, (unlab, test), float(settings["c_svm"]), settings["spectrum_fix"]
     )
     holdout = np.concatenate([unlab, test])
-    report = {
+    return {
         "config": _plain(settings),
         "selected_hyperparams": selected or hp,
         "rmse_heldout_pairs": heldout_pair_rmse(G, K, holdout),
@@ -505,27 +473,24 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
         "accuracy_test": acc_test,
         "definiteness": _definiteness(definiteness(G[np.ix_(test, test)])),
         "split_sizes": [int(lab.size), int(unlab.size), int(test.size)],
+        **facts,
     }
-    return _fit_facts(report, lk, diag, scaling)
 
 
 def _cmd_extend(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     X, labels = _require_dataset(manifest, settings)
     K = _given_kernel(manifest, settings, X, labels)
     hp = _hyperparams(settings, X)
-    scaling = _scaling_for(settings, X.shape[0])
-    lk, diag = _fit(settings, hp, X, K, outdir, scaling)
-    save_learned(lk, outdir / "model.json")
-
+    lk, facts = _fit(settings, hp, X, K, outdir)
     G, definite = learned_gram(lk, X)
-    report = {
+    return {
         "config": _plain(settings),
         "selected_hyperparams": hp,
         "rmse_train_pairs": rmse(G, K),
         "rmse_heldout_pairs": None,
         "definiteness": _definiteness(definite),
+        **facts,
     }
-    return _fit_facts(report, lk, diag, scaling)
 
 
 def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
@@ -580,22 +545,12 @@ def _cmd_rate_study(manifest: RunManifest, settings: dict, outdir: Path) -> dict
 
 
 def _cmd_decompose(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
-    X, labels = _require_dataset(manifest, settings)
-    if settings["target"] == "ideal" and labels is None and manifest.kernel_matrix is None:
+    """``extend`` with two clusters unless --clusters or --landmarks is set."""
+    if settings["clusters"] is None and settings["landmarks"] is None:
+        settings = dict(settings, clusters=2)
+    if settings["target"] == "ideal" and not manifest.labeled and manifest.kernel_matrix is None:
         settings = dict(settings, target="rbf")
-    K = _given_kernel(manifest, settings, X, labels)
-    hp = _hyperparams(settings, X)
-    m = X.shape[0]
-    scaling = _scaling_for(settings, m) or ScalingConfig(
-        v=2, u=m, seed=int(settings["seed"])
-    )
-    lk, diag = _fit(settings, hp, X, K, outdir, scaling)
-    save_learned(lk, outdir / "model.json")
-    return {
-        "config": _plain(settings),
-        "scaling_diagnostics": _diag_dict(diag, scaling),
-        "definiteness": _definiteness(learned_gram(lk, X)[1]),
-    }
+    return _cmd_extend(manifest, settings, outdir)
 
 
 def _write_score_table(path: Path, table) -> None:
@@ -604,6 +559,15 @@ def _write_score_table(path: Path, table) -> None:
         writer.writerow(["sigma_h2_multiplier", "reg", "score"])
         for mult, reg, score in table:
             writer.writerow([repr(mult), repr(reg), repr(score)])
+
+
+COMMANDS = {
+    "fit": _cmd_fit,
+    "extend": _cmd_extend,
+    "eval": _cmd_eval,
+    "rate-study": _cmd_rate_study,
+    "decompose-demo": _cmd_decompose,
+}
 
 
 @functools.cache

@@ -193,7 +193,7 @@ def heldout_pair_rmse(G, Y, holdout) -> float:
 
 def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None,
                    hyperparams=None, *, c_svm: float = 1.0, spectrum_fix: str = "clip"):
-    """Grid-search sigma_h2 and the regularization constant by 5-fold CV.
+    """Grid-search sigma_h2 and the regularization constant by ``cv_folds``-fold CV.
 
     ``y`` is the target kernel matrix over the labeled points.  With class
     ``labels`` given, folds are scored by the accuracy of

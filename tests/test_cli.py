@@ -621,7 +621,43 @@ def test_clusters_alone_report_every_point_as_a_landmark(tmp_path):
     assert diag["v"] == 2
 
 
+def test_decompose_demo_is_extend_with_two_clusters(tmp_path):
+    _, X, _ = _write_blobs(tmp_path / "blobs.csv", m=10)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, X, delimiter=",")
+    K = np.exp(-0.5 * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1))
+    kpath = tmp_path / "k.csv"
+    np.savetxt(kpath, K, delimiter=",")
+    runs = {
+        "decompose-demo": ["decompose-demo"],
+        "extend": ["extend", "--clusters", "2"],
+    }
+    reports, models = {}, {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        code = main(argv + [str(data), "--no-labels", "--kernel-matrix", str(kpath),
+                            "--method", "svr", "--output-dir", str(out)])
+        assert code == 0
+        models[name] = (out / "model.json").read_bytes()
+        reports[name] = json.loads((out / "report.json").read_text())
+        del reports[name]["command"], reports[name]["timestamp"]
+    assert models["decompose-demo"] == models["extend"]
+    assert reports["decompose-demo"] == reports["extend"]
+    assert reports["extend"]["config"]["clusters"] == 2
+
+
 # --------------------------------------------------------------- exit codes
+
+
+def test_fit_on_unlabeled_data_exits_2(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(0).standard_normal((20, 2)), delimiter=",")
+    out = tmp_path / "out"
+    code = main(["fit", str(data), "--no-labels", "--no-tune", "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fit needs labels" in err and err.count("\n") == 1
+    assert not (out / "model.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hklearn import (
     fit_krr,
     full_pair_list,
 )
+from hklearn import krr
 from hklearn.base_kernels import TL1, gram_matrix
 from hklearn.krr import CG_MAX_ITER, solve_spd_with_jitter
 from hklearn.scaling import nystrom_restrict
@@ -101,18 +102,69 @@ def test_cg_on_the_operator_matches_cg_on_the_dense_gram(rng, lam):
     assert "entries" not in vars(system)  # the dense matrix was never formed
 
 
+def _restart_system():
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (24, 2))
+    return PairSystem(HyperKernelParams(0.2, 0.2, 2), X), rng.standard_normal(576)
+
+
 def test_cg_restarts_when_its_recursive_residual_drifts():
     # one CG run stops on its recursive residual while the true one is
     # 5.7e-9 relative, above cg_tol; a restart from its iterate meets cg_tol
-    rng = np.random.default_rng(0)
-    X = rng.uniform(0.0, 1.0, (24, 2))
-    y = rng.standard_normal(576)
-    system = PairSystem(HyperKernelParams(0.2, 0.2, 2), X)
+    system, y = _restart_system()
     config = KrrConfig(1e-5, solver="cg")
     field = fit_krr(system, y, config)
     residual = system.matvec(field.values) + config.lam * field.values - y
     assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
     assert field.solver == "cg" and field.cg_iterations > 0
+
+
+def _counted_cg(monkeypatch, run):
+    """Replace ``krr.cg`` by ``run(call, args, kwargs)``, where ``call``
+    numbers the calls from 0; returns the list of iteration counts, one entry
+    per call."""
+    counts = []
+
+    def wrapper(*args, **kwargs):
+        counts.append(0)
+        outer = kwargs["callback"]
+
+        def callback(xk):
+            counts[-1] += 1
+            outer(xk)
+
+        return run(len(counts) - 1, args, dict(kwargs, callback=callback))
+
+    monkeypatch.setattr(krr, "cg", wrapper)
+    return counts
+
+
+def test_cg_restart_meets_cg_tol_and_counts_every_call(monkeypatch):
+    # a first call stopped after 2 iterations misses cg_tol, so the fit
+    # restarts from its iterate
+    def run(call, args, kwargs):
+        return cg(*args, **(dict(kwargs, maxiter=2) if call == 0 else kwargs))
+
+    counts = _counted_cg(monkeypatch, run)
+    system, y = _restart_system()
+    config = KrrConfig(1e-5, solver="cg")
+    field = fit_krr(system, y, config)
+    residual = system.matvec(field.values) + config.lam * field.values - y
+    assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
+    assert len(counts) >= 2 and counts[0] == 2
+    assert field.cg_iterations == sum(counts)
+
+
+def test_cg_that_never_moves_fails_after_every_restart(monkeypatch):
+    def run(call, args, kwargs):
+        x0 = kwargs["x0"]
+        return (np.zeros(576) if x0 is None else x0), 0
+
+    counts = _counted_cg(monkeypatch, run)
+    system, y = _restart_system()
+    with pytest.raises(NumericalFailure, match="solve residual"):
+        fit_krr(system, y, KrrConfig(1e-5, solver="cg"))
+    assert len(counts) == krr.CG_RESTARTS + 1
 
 
 def test_cg_failure_prints_the_relative_residual(rng):

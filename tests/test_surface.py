@@ -6,12 +6,16 @@ export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
 that only tests call live under ``tests/``, not in the package.  A
 ``_``-prefixed name belongs to its module: no other module of the package
 imports it.  The functions the benchmark's span wrappers replace by name, and
-the arguments their counters read, exist in the package.
+the arguments their counters read, exist in the package, and the traced
+benchmark run passes on every workload.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,3 +97,16 @@ def test_benchmark_layers_resolve_with_the_arguments_their_counters_bind():
     for (module, name), arguments in bound.items():
         fn = getattr(importlib.import_module(f"hklearn.{module}"), name)
         assert arguments <= set(inspect.signature(fn).parameters), f"{module}.{name}"
+
+
+def test_traced_benchmark_passes_on_every_workload():
+    # the span wrappers read names and fields of the package that no other
+    # test pins down, so a run of them is the check that they still resolve
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "hkbench" / "run.py"), "--quick", "--trace", "1",
+         "--seconds", "0.5", "--seed", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
