@@ -306,10 +306,13 @@ def _hyperparams(settings: dict, X: np.ndarray) -> dict:
     s2 = float(s2) if s2 is not None else data_sigma2(X)
     sh2 = settings["sigma_h2"]
     sh2 = float(sh2) if sh2 is not None else s2
+    return {"sigma2": s2, "sigma_h2": sh2, **_solve_settings(settings)}
+
+
+def _solve_settings(settings: dict) -> dict:
+    """reg (lambda for krr, C for svr), epsilon, kkt_tol and an off jitter."""
     reg = settings["lambda"] if settings["method"] == "krr" else settings["C"]
     hp = {
-        "sigma2": s2,
-        "sigma_h2": sh2,
         "reg": float(reg),
         "epsilon": float(settings["epsilon"]),
         "kkt_tol": float(settings["kkt_tol"]),
@@ -530,6 +533,7 @@ def _cmd_rate_study(manifest: RunManifest, settings: dict, outdir: Path) -> dict
         settings["method"],
         config,
         target=settings["rate_target"],
+        hyperparams=_solve_settings(settings),
     )
     with open(outdir / "rate_study.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -49,11 +49,15 @@ class ExperimentConfig:
             raise InvalidInput(f"split fractions must be positive and sum to 1, got {fr}")
         if self.cv_folds < 2:
             raise InvalidInput("cv_folds must be at least 2")
-        if not self.sigma_h2_grid or not self.reg_grid:
-            raise InvalidInput("hyperparameter grids must be nonempty")
         object.__setattr__(self, "split", fr)
-        object.__setattr__(self, "sigma_h2_grid", tuple(float(g) for g in self.sigma_h2_grid))
-        object.__setattr__(self, "reg_grid", tuple(float(g) for g in self.reg_grid))
+        # reg_grid is also the C grid of the classifier, so both grids are scales
+        for name in ("sigma_h2_grid", "reg_grid"):
+            grid = tuple(float(g) for g in getattr(self, name))
+            if not grid:
+                raise InvalidInput("hyperparameter grids must be nonempty")
+            if not all(g > 0 for g in grid):
+                raise InvalidInput(f"{name} entries must be positive, got {list(grid)}")
+            object.__setattr__(self, name, grid)
 
 
 @dataclass(frozen=True)
@@ -228,30 +232,45 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             return heldout_pair_rmse(G, Y, val)
         return ovr_accuracies(G, labels, train, [val], c, spectrum_fix)[0]
 
-    table = []
-    for mult in config.sigma_h2_grid:
-        for reg in config.reg_grid:
-            hp = dict(hyperparams, sigma_h2=mult * s2, reg=reg)
-            try:
-                scores = [
-                    fold_score(_fold_gram(X, Y, method, hp, train), train, val, c_svm)
-                    for train, val in folds
-                ]
-                table.append((mult, reg, float(np.mean(scores))))
-            except HklearnError:
-                table.append((mult, reg, float("nan")))
-
-    valid = [row for row in table if np.isfinite(row[2])]
-    if not valid:
-        raise PipelineFailure("every grid point failed to fit")
-
     def rank(row):
         mult, reg, score = row
         score_key = score if labels is None else -score
         reg_key = reg if method == "svr" else -reg  # prefer stronger smoothing
         return (score_key, reg_key, mult)
 
-    best_mult, best_reg, best_score = min(valid, key=rank)
+    # One pair system per (sigma_h2, fold) serves every reg; its dense Gram
+    # is assembled once.  The fold Grams of the best row so far are kept for
+    # the c_svm pass.
+    table, best, best_grams = [], None, None
+    regs = config.reg_grid
+    for mult in config.sigma_h2_grid:
+        params = HyperKernelParams(s2, mult * s2, X.shape[1])
+        scores = [[] for _ in regs]  # per reg; None once a fold fails
+        grams = [[] for _ in regs]
+        for train, val in folds:
+            X_train = X[train]
+            system = PairSystem(params, X_train)
+            responses = Y[np.ix_(train, train)].ravel()
+            for k, reg in enumerate(regs):
+                if scores[k] is None:
+                    continue
+                try:
+                    base = base_config(method, dict(hyperparams, sigma_h2=mult * s2, reg=reg))
+                    coeffs, bias = solve_pair_system(system, responses, base)
+                    G = eval_all_pairs(LearnedKernel(X_train, coeffs, bias, params), X)
+                    scores[k].append(fold_score(G, train, val, c_svm))
+                    grams[k].append(G)
+                except HklearnError:
+                    scores[k] = None
+        for reg, fold_scores, fold_grams in zip(regs, scores, grams):
+            score = float("nan") if fold_scores is None else float(np.mean(fold_scores))
+            table.append((mult, reg, score))
+            if np.isfinite(score) and (best is None or rank(table[-1]) < rank(best)):
+                best, best_grams = table[-1], fold_grams
+
+    if best is None:
+        raise PipelineFailure("every grid point failed to fit")
+    best_mult, best_reg, best_score = best
     selected = {
         "method": method,
         "sigma2": s2,
@@ -262,14 +281,11 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     }
 
     if labels is not None:
-        # every fold fitted at the selected point in the grid pass, so these
-        # fits succeed; only the SVMs depend on c_svm
-        hp = dict(hyperparams, sigma_h2=best_mult * s2, reg=best_reg)
-        grams = [_fold_gram(X, Y, method, hp, train) for train, _ in folds]
+        # only the SVMs depend on c_svm: score each C on the selected fold fits
         by_c = []
-        for c in config.reg_grid:
+        for c in regs:
             try:
-                accs = [fold_score(G, *fold, c) for G, fold in zip(grams, folds)]
+                accs = [fold_score(G, *fold, c) for G, fold in zip(best_grams, folds)]
                 by_c.append((c, float(np.mean(accs))))
             except HklearnError:
                 continue
@@ -277,12 +293,6 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             best_c, _ = min(by_c, key=lambda t: (-t[1], t[0]))
             selected["c_svm"] = best_c
     return selected, table
-
-
-def _fold_gram(X, Y, method, hp, train):
-    """k* on all of X, fitted on the points ``train``."""
-    lk = fit_extend(X[train], Y[np.ix_(train, train)], method, hp)
-    return eval_all_pairs(lk, X)
 
 
 def ovr_accuracies(G, labels, train, groups, c_svm: float, spectrum_fix: str) -> list:
@@ -375,15 +385,18 @@ def _decision_values(model: SvmModel, rows):
 
 
 def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
-                        config: ExperimentConfig,
-                        target: str = "rbf") -> RateStudyReport:
+                        config: ExperimentConfig, target: str = "rbf",
+                        hyperparams=None) -> RateStudyReport:
     """Median out-of-sample error versus training size, with log-log slope.
 
     Per (m, trial): draw m points, build responses from the target kernel
     ("rbf", or "planted" for a function inside the expansion span) plus
     centered Gaussian noise, fit, and measure RMSE against the noiseless
-    target on fresh pairs.  The fit's regularization constant is
-    ``STUDY_REG_NOISELESS`` without noise and ``STUDY_REG_NOISY`` with it.
+    target on fresh pairs.  ``hyperparams`` is the run's dict (see
+    :func:`base_config`): svr trials fit with its ``reg`` as C, ``epsilon``
+    and ``kkt_tol``.  Ridge trials take its ``jitter`` and the ridge constant
+    ``STUDY_REG_NOISELESS`` without noise, ``STUDY_REG_NOISY`` with it.  Both
+    scales are each trial's ``data_sigma2``.
     """
     ms = [int(v) for v in m_values]
     if len(ms) < 2:
@@ -398,7 +411,12 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
         raise InvalidInput("noise_sigma must be nonnegative")
     if target not in ("rbf", "planted"):
         raise InvalidInput(f"unknown target {target!r}")
-    reg = STUDY_REG_NOISELESS if noise_sigma == 0 else STUDY_REG_NOISY
+    hp = dict(hyperparams or {})
+    if method != "svr":  # ridge trials; base_config rejects other methods
+        hp["reg"] = STUDY_REG_NOISELESS if noise_sigma == 0 else STUDY_REG_NOISY
+    elif "reg" not in hp:
+        raise InvalidInput("the study's svr fits need the run's C as hyperparams['reg']")
+    base = base_config(method, hp)
 
     seeds = np.random.SeedSequence(config.seed).spawn(len(ms) * trials)
     medians = []
@@ -407,7 +425,7 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
         for t in range(trials):
             rng = np.random.default_rng(seeds[mi * trials + t])
             try:
-                errs.append(_study_trial(rng, m, noise_sigma, method, target, reg))
+                errs.append(_study_trial(rng, m, noise_sigma, target, base))
             except HklearnError as exc:
                 failure = PipelineFailure(
                     f"fit failed at m={m}, trial {t}: {exc}"
@@ -423,7 +441,7 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
     return RateStudyReport(tuple(ms), tuple(medians), slope)
 
 
-def _study_trial(rng, m, noise_sigma, method, target, reg) -> float:
+def _study_trial(rng, m, noise_sigma, target, base) -> float:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     s2 = data_sigma2(X)
     params = HyperKernelParams(s2, s2, 2)
@@ -445,7 +463,6 @@ def _study_trial(rng, m, noise_sigma, method, target, reg) -> float:
     if noise_sigma > 0:
         responses = responses + noise_sigma * rng.standard_normal(m * m)
 
-    base = base_config(method, {"reg": reg})
     coeffs, bias = solve_pair_system(system, responses, base)
     lk = LearnedKernel(X, coeffs, bias, params)
 

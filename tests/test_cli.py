@@ -23,6 +23,8 @@ from hklearn.cli import (
 )
 from hklearn.data import fixture_path
 from hklearn.errors import FormatError, InvalidInput
+from hklearn.krr import KrrConfig
+from hklearn.svr import SvrConfig
 
 
 def _write(path, text):
@@ -325,7 +327,7 @@ def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
          "--output-dir", str(tmp_path / "out")]
     )
     assert code == 0
-    assert len(calls) == 11  # 5 grid folds, 5 c_svm folds, the final fit
+    assert len(calls) == 6  # 5 grid folds (the c_svm pass reuses them), the final fit
     for hp in calls:
         assert hp.get("epsilon") == 0.01
         assert hp["sigma2"] == 2.0
@@ -418,6 +420,52 @@ def test_three_classes_clip_each_training_gram_once(tmp_path, monkeypatch):
     per_class = run("per_class", per_class_clip)
     assert per_class[2]["eigh"] == 3 * per_class[2]["blocks"]
     assert once[:2] == per_class[:2]
+
+
+def _fit_artifacts(out):
+    report = json.loads((out / "report.json").read_text())
+    del report["timestamp"]
+    return report, (out / "cv_scores.csv").read_bytes(), (out / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["moons-krr", "moons-svr", "three-classes"])
+def test_tuned_fit_matches_the_per_grid_point_cv_loop(tmp_path, monkeypatch, case):
+    import hklearn.cli as cli
+    from cv_reference import cross_validate_reference
+
+    grid = {"sigma_h2_grid": [0.5, 1.0, 2.0], "reg_grid": [1e-2, 1.0, 100.0]}
+    config = _write(tmp_path / "cfg.json", json.dumps(grid))
+
+    def run(name):
+        if case == "three-classes":
+            code, out = _three_class_fit(tmp_path, name)
+        else:
+            out = tmp_path / name
+            code = main(["fit", str(fixture_path("two_moons.csv")), "--config", config,
+                         "--method", case.split("-")[1], "--output-dir", str(out)])
+        assert code == 0
+        return _fit_artifacts(out)
+
+    fast = run("fast")
+    monkeypatch.setattr(cli, "cross_validate", cross_validate_reference)
+    assert run("reference") == fast
+
+
+def test_tuned_fit_assembles_one_gram_per_sigma_h2_and_fold(tmp_path, monkeypatch):
+    import hklearn.hyper as hyper
+
+    real = hyper.assemble_hyper_gram
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyper, "assemble_hyper_gram", counting)
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=30)
+    assert main(["fit", data, "--output-dir", str(tmp_path / "out")]) == 0
+    # 5 sigma_h2 x 5 folds serve all 11 reg and the c_svm pass, then the final fit
+    assert len(calls) == len(DEFAULTS["sigma_h2_grid"]) * DEFAULTS["cv_folds"] + 1 == 26
 
 
 def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypatch):
@@ -721,6 +769,32 @@ def test_rate_study_with_sample_size_below_two_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_rate_study_fits_with_the_run_solve_settings(tmp_path, monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    real = pipeline.solve_pair_system
+    bases = []
+
+    def recording(system, responses, base, trace_path=None):
+        bases.append(base)
+        return real(system, responses, base, trace_path=trace_path)
+
+    monkeypatch.setattr(pipeline, "solve_pair_system", recording)
+    config = _write(tmp_path / "cfg.json", json.dumps({"kkt_tol": 0.005}))
+    study = ["rate-study", "--m-values", "4", "6", "--trials", "3", "--config", config]
+    code = main(study + ["--method", "svr", "--C", "2.5", "--epsilon", "0.05",
+                         "--output-dir", str(tmp_path / "svr")])
+    assert code == 0
+    assert len(bases) == 6
+    assert set(bases) == {SvrConfig(C=2.5, epsilon=0.05, kkt_tol=0.005)}
+    bases.clear()
+    # ridge trials keep the study's own constant and read only jitter
+    code = main(study + ["--lambda", "5", "--no-jitter", "--noise-sigma", "0.1",
+                         "--output-dir", str(tmp_path / "krr")])
+    assert code == 0
+    assert set(bases) == {KrrConfig(lam=pipeline.STUDY_REG_NOISY, jitter_retries=0)}
+
+
 def _uniform_csv(path, m, seed):
     X = np.random.default_rng(seed).uniform(0.0, 1.0, (m, 2))
     np.savetxt(path, X, delimiter=",", fmt="%.17g")
@@ -832,6 +906,22 @@ def test_model_file_field_of_wrong_json_type_exits_2(tmp_path, capsys, field, va
     assert code == 2
     err = capsys.readouterr().err
     assert "model file missing or malformed field" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, grid",
+    [("reg_grid", [-1, 0.1, 1]), ("reg_grid", [0, 1]), ("sigma_h2_grid", [-1, 1])],
+    ids=["negative-reg", "zero-reg", "negative-sigma_h2"],
+)
+def test_non_positive_cv_grid_entry_exits_2_naming_the_grid(tmp_path, capsys, key, grid):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=30)
+    config = _write(tmp_path / "cfg.json", json.dumps({key: grid}))
+    out = tmp_path / "out"
+    code = main(["fit", data, "--config", config, "--output-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key} entries must be positive" in err and err.count("\n") == 1
+    assert not (out / "cv_scores.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from hklearn import (
     ExperimentConfig,
     HyperKernelParams,
     InvalidInput,
+    KrrConfig,
+    NumericalFailure,
     PipelineFailure,
     SlopeUndefined,
     StratificationWarning,
@@ -24,6 +26,7 @@ from hklearn import (
     svm_predict,
     svm_train,
 )
+from cv_reference import cross_validate_reference
 from qp_oracle import solve_svm_dual
 from svm_reference import svm_train_reference
 
@@ -84,6 +87,10 @@ def test_config_validation():
         ExperimentConfig(cv_folds=1)
     with pytest.raises(InvalidInput):
         ExperimentConfig(sigma_h2_grid=())
+    with pytest.raises(InvalidInput, match="sigma_h2_grid entries must be positive"):
+        ExperimentConfig(sigma_h2_grid=(-1.0, 1.0))
+    with pytest.raises(InvalidInput, match="reg_grid entries must be positive"):
+        ExperimentConfig(reg_grid=(0.0, 1.0))
 
 
 def test_rmse_values():
@@ -170,6 +177,35 @@ def test_cross_validate_shape_checks(rng):
         cross_validate(X, np.zeros((9, 9)), "krr", ExperimentConfig())
     with pytest.raises(InvalidInput):
         cross_validate(X[:3], np.zeros((3, 3)), "krr", ExperimentConfig())
+
+
+def test_cross_validate_scores_nan_only_where_a_fold_fit_fails(rng, monkeypatch):
+    import hklearn.scaling as scaling
+
+    X = rng.standard_normal((10, 2))
+    Y = np.exp(-0.5 * ((X[:, None] - X[None]) ** 2).sum(-1))
+    cfg = ExperimentConfig(seed=1, sigma_h2_grid=(0.5, 1.0), reg_grid=(1e-3, 1e-1, 10.0))
+    s2 = data_sigma2(X)
+    _, clean = cross_validate(X, Y, "krr", cfg)
+
+    real = scaling.fit_krr
+    seen = []  # the fits at (sigma_h2 = s2, lam = 0.1), one per fold
+
+    def second_fold_fails(gram, responses, config):
+        if gram.params.sigma_h2 == 1.0 * s2 and config.lam == 1e-1:
+            seen.append(gram)
+            if len(seen) == 2:
+                raise NumericalFailure("forced failure")
+        return real(gram, responses, config)
+
+    monkeypatch.setattr(scaling, "fit_krr", second_fold_fails)
+    _, failed = cross_validate(X, Y, "krr", cfg)
+    assert len(seen) == 2  # the fold after the failure is not fitted
+    assert np.isnan(failed[4][2])
+    assert failed[:4] + failed[5:] == clean[:4] + clean[5:]
+    seen.clear()
+    _, reference = cross_validate_reference(X, Y, "krr", cfg)
+    np.testing.assert_array_equal(np.array(failed), np.array(reference))
 
 
 def test_svm_two_points_identity_gram():
@@ -335,7 +371,7 @@ def test_planted_trial_fits_on_the_gram_of_its_target(monkeypatch):
     monkeypatch.setattr(pipeline, "PairSystem", counting_system)
     monkeypatch.setattr(hyper, "assemble_hyper_gram", counting_assemble)
     rng = np.random.default_rng(4)
-    err = pipeline._study_trial(rng, 8, 0.0, "krr", "planted", 1e-10)
+    err = pipeline._study_trial(rng, 8, 0.0, "planted", KrrConfig(lam=1e-10))
     # one operator builds the target and is solved; its 64 pairs solve directly
     assert len(systems) == 1
     assert len(assemblies) == 1
@@ -348,10 +384,10 @@ def test_rate_study_failure_carries_partial_results(monkeypatch):
     real = pipeline._study_trial
     calls = {"n": 0}
 
-    def flaky(rng, m, noise_sigma, method, target, reg):
+    def flaky(rng, m, *args):
         if m > 6:
             raise InvalidInput("forced failure")
-        return real(rng, m, noise_sigma, method, target, reg)
+        return real(rng, m, *args)
 
     monkeypatch.setattr(pipeline, "_study_trial", flaky)
     with pytest.raises(PipelineFailure) as exc:

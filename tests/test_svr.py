@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hklearn import (
     ConvergenceFailure,
+    GaussianRBF,
     HyperKernelParams,
     InvalidInput,
     SvrConfig,
@@ -16,7 +17,9 @@ from hklearn import (
     fit_svr,
     gram_matrix,
 )
+from hklearn.svr import smo
 from qp_oracle import solve_svr_dual
+import smo_reference
 
 
 def epsilon_insensitive_loss(y, t, eps):
@@ -177,6 +180,47 @@ def test_iteration_budget_exhaustion_raises(rng):
         fit_svr(gram, y, SvrConfig(C=10.0, epsilon=0.0, kkt_tol=1e-14, max_iter=2,
                                    max_passes=1))
     assert exc.value.violation > 0.0
+
+
+def _smo_duals(kind, C):
+    """Seeded SMO problems: ten-point SVM duals (eps = 0) or SVR duals on 16 pairs."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if kind == "svm":
+            X = rng.standard_normal((10, 2))
+            y = np.where(X[:, 0] + rng.standard_normal(10) > 0, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            yield (gram_matrix(GaussianRBF(1.0), X), y,
+                   np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0), 0.0)
+        else:
+            eps = float(kind.split("-")[1])
+            yield (_gram(rng, 4).entries, rng.standard_normal(16),
+                   np.full(16, -C), np.full(16, C), eps)
+
+
+def _smo_outcome(solver, dual, kkt_tol=1e-3, max_iter=500_000):
+    try:
+        return solver(*dual, kkt_tol, 1000, max_iter)
+    except ConvergenceFailure as exc:
+        return str(exc), exc.violation
+
+
+@pytest.mark.parametrize("C", [1.0, 100.0, 1e4])
+@pytest.mark.parametrize("kind", ["svm", "svr-0.01", "svr-0.1", "svr-0"])
+def test_smo_is_bitwise_the_reference_loop(kind, C):
+    for dual in _smo_duals(kind, C):
+        beta, bias = _smo_outcome(smo, dual)
+        ref_beta, ref_bias = _smo_outcome(smo_reference.smo, dual)
+        assert np.array_equal(beta, ref_beta)
+        assert bias == ref_bias
+
+
+@pytest.mark.parametrize("kind", ["svm", "svr-0.1"])
+def test_smo_runs_out_of_updates_as_the_reference_loop(kind):
+    for dual in _smo_duals(kind, 1e4):
+        failure = _smo_outcome(smo, dual, kkt_tol=1e-12, max_iter=3)
+        assert isinstance(failure[0], str) and failure[1] > 1e-12
+        assert failure == _smo_outcome(smo_reference.smo, dual, kkt_tol=1e-12, max_iter=3)
 
 
 def test_config_validation():
