@@ -34,6 +34,10 @@ from .errors import InvalidInput, ResourceLimit
 # floats.
 _CHUNK = 256
 
+# Column-block size of PairSystem.column_sum; its temporaries hold
+# u * _COLUMN_BLOCK floats.
+_COLUMN_BLOCK = 4096
+
 # Cap on the n^2 entries of an assembled hyper-Gram, and on the u * n point
 # factors of a PairSystem.
 MAX_ENTRIES = 100_000_000
@@ -193,7 +197,8 @@ class PairSystem:
     floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
     ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
     first access (direct solves and the SVR factor or index it); ``diag``
-    costs O(n), and ``column`` reads one column of K from the factors.
+    costs O(n) and returns a fresh array, ``column`` reads one column of K
+    and ``column_sum`` the sum of a set of columns from the factors.
 
     ``pairs`` None stands for all m^2 ordered pairs in row-major order.
     """
@@ -253,6 +258,21 @@ class PairSystem:
         c = phi[:, s]
         return cross * np.outer(c, c * g[s]).ravel()[flat]
 
+    def column_sum(self, cols) -> np.ndarray:
+        """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n).
+
+        (K 1_S)_r = cross_r * W[i_r, j_r] with W = Phi[:, S] diag(g[S]) Phi[:, S]',
+        summed over blocks of ``_COLUMN_BLOCK`` columns.
+        """
+        g, cross, phi, flat = self._factors
+        cols = np.asarray(cols, dtype=np.intp)
+        W = np.zeros((phi.shape[0], phi.shape[0]))
+        for a in range(0, cols.size, _COLUMN_BLOCK):
+            block = cols[a : a + _COLUMN_BLOCK]
+            sub = phi[:, block]
+            W += (sub * g[block]) @ sub.T
+        return cross * W.ravel()[flat]
+
     def diag(self) -> np.ndarray:
         """The diagonal of K in O(n).
 
@@ -266,5 +286,9 @@ class PairSystem:
         return cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh))
 
     def base_jitter(self) -> float:
-        """First rung of the jitter ladder: 1e-10 * trace / n."""
+        """First rung of the jitter ladder: 1e-10 * trace / n, computed once per system."""
+        return self._base_jitter
+
+    @cached_property
+    def _base_jitter(self) -> float:
         return 1e-10 * float(np.sum(self.diag())) / max(self.n, 1)

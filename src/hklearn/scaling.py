@@ -5,7 +5,8 @@ independent subproblem whose solutions are concatenated.  Pairs spanning two
 clusters join a residual group with coefficient zero.  An optional landmark
 restriction keeps only pairs touching one of u sampled points, cutting the
 pair count from m^2 to 2mu - u^2.  The cost of the cut is quantified by the
-cross-cluster mass q_pi and the bound C^2 q_pi / (2 sigma_min).
+cross-cluster mass q_pi and the bound C^2 q_pi / (2 sigma_min), both read
+from the full system's factors without its dense matrix.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class DecompositionDiagnostics:
     """Cross-cluster mass, spectrum floor, and the resulting gap bound.
 
     ``bound`` is None for ridge subproblems (no box constant to square) and
-    infinite when sigma_min <= 0.  ``observed_gap`` is filled only when the
-    full solve was affordable.
+    infinite when sigma_min <= 0, as it is for every list holding a pair and
+    its swap.  ``observed_gap`` is filled only when the full solve was
+    affordable.
     """
 
     q_pi: float
@@ -160,26 +162,40 @@ def nystrom_restrict(m: int, u: int, seed: int):
 
 
 def decomposition_bound(
-    K, pair_clusters, C: float | None, observed_gap: float | None = None,
+    system: PairSystem, pair_clusters, C: float | None,
+    observed_gap: float | None = None,
 ) -> DecompositionDiagnostics:
     """Deviation diagnostics: q_pi, sigma_min, and the bound C^2 q_pi / (2 sigma_min).
 
-    ``K`` is the dense n x n hyper-Gram over the pair list that
-    ``pair_clusters`` labels.  ``C`` is the box constant of an SVR base; with
-    ``C=None`` (a ridge base) the bound is None and only q_pi and sigma_min
-    are computed.
+    ``system`` is the pair system over the list that ``pair_clusters`` labels.
+    ``C`` is the box constant of an SVR base; with ``C=None`` (a ridge base)
+    the bound is None and only q_pi and sigma_min are computed.
+
+    q_pi is the sum of |K| over entries whose pairs lie in different groups.
+    Every entry of K is a product of positive factors, so it is the sum over
+    groups c of the rows outside c of K 1_c, read from the factors one group
+    at a time (``PairSystem.column_sum``): u^2 n work in all, and no n x n
+    array.  Two pairs over the same two points, such as (i, j) and (j, i),
+    give K two equal rows; K is positive semi-definite, so then sigma_min is
+    exactly 0 and no eigen-solve runs.  Only a list without such a pair
+    factors the dense matrix.
     """
-    K = np.asarray(K, dtype=float)
     clusters = np.asarray(pair_clusters, dtype=np.intp)
-    if clusters.size != K.shape[0]:
+    if clusters.size != system.n:
         raise InvalidInput(
-            f"pair_clusters length {clusters.size} != gram dimension {K.shape[0]}"
+            f"pair_clusters length {clusters.size} != pair count {system.n}"
         )
     if C is not None and not C > 0:
         raise InvalidInput("C must be positive")
-    cross = clusters[:, None] != clusters[None, :]
-    q_pi = float(np.abs(K[cross]).sum())
-    sigma_min = float(eigvalsh(K)[0])
+    q_pi = 0.0
+    for c in np.unique(clusters):
+        inside = clusters == c
+        q_pi += float(system.column_sum(np.flatnonzero(inside))[~inside].sum())
+    lo, hi = np.sort(system.pair_list, axis=1).T
+    if np.unique(lo * system.points.shape[0] + hi).size < system.n:
+        sigma_min = 0.0
+    else:
+        sigma_min = float(eigvalsh(system.entries)[0])
     if C is None:
         bound = None
     else:
@@ -212,9 +228,10 @@ def fit_decomposed(
     Returns (LearnedKernel, DecompositionDiagnostics).  The coefficient field
     covers the landmark-restricted pair list with zeros on the residual group,
     so v=1, u=m reproduces the direct solver bit for bit.  The SVR bias is the
-    pair-count-weighted mean of the per-cluster biases.  Diagnostics need the
-    full restricted gram; the observed gap additionally needs a full solve and
-    is skipped above ``FULL_SOLVE_LIMIT`` pairs.
+    pair-count-weighted mean of the per-cluster biases.  The diagnostics
+    read the full restricted system's factors, not its dense matrix; only the
+    observed gap needs a full solve, and it is skipped above
+    ``FULL_SOLVE_LIMIT`` pairs.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -259,4 +276,4 @@ def fit_decomposed(
         full, _ = solve_pair_system(full_system, Y[pairs[:, 0], pairs[:, 1]], base)
         gap = float(np.linalg.norm(full.values - values))
     C = base.C if isinstance(base, SvrConfig) else None
-    return lk, decomposition_bound(full_system.entries, clusters, C, gap)
+    return lk, decomposition_bound(full_system, clusters, C, gap)

@@ -24,7 +24,6 @@ from hklearn import (
     TL1,
     assemble_hyper_gram,
     data_sigma2,
-    decomposition_bound,
     dual_objective,
     eval_hyper_kernel,
     eval_pairs,
@@ -45,6 +44,7 @@ from hklearn import (
     svm_predict,
     svm_train,
 )
+from decomposition_reference import decomposition_bound as dense_decomposition_bound
 from hklearn.cli import ingest_dataset, main
 from qp_oracle import solve_svr_dual
 
@@ -133,13 +133,15 @@ def test_criterion_4_decomposition_bound():
         _, diag = fit_decomposed(X, Y, base, ScalingConfig(2, m, k), params)
         assert diag.observed_gap is not None
         assert diag.observed_gap <= diag.bound
+        # the list holds every pair with its swap, so K is singular exactly
+        assert diag.sigma_min == 0.0 and diag.bound == float("inf")
         # with jitter the spectrum floor is positive and the bound is finite
         plan = kmeans_partition(X, 2, k)
         _, pairs = nystrom_restrict(m, m, k)
         clusters = pair_partition(plan, pairs)
         gram = assemble_hyper_gram(params, X, pairs)
         jittered = gram.entries + gram.base_jitter() * np.eye(gram.n)
-        finite = decomposition_bound(jittered, clusters, base.C, diag.observed_gap)
+        finite = dense_decomposition_bound(jittered, clusters, base.C, diag.observed_gap)
         assert np.isfinite(finite.bound)
         assert diag.observed_gap <= finite.bound
     # degenerate single-cluster decomposition equals the direct solve

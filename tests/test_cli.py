@@ -656,6 +656,21 @@ def test_decompose_demo_reports_bound_diagnostics(tmp_path, method):
     assert diag["observed_gap"] >= 0.0
 
 
+def test_extend_decomposes_past_the_dense_gram_cap(tmp_path):
+    # 120 points make 14,400 pairs: their dense hyper-Gram would exceed
+    # MAX_ENTRIES, which the diagnostics no longer assemble
+    data = tmp_path / "pts.csv"
+    np.savetxt(data, np.random.default_rng(0).uniform(0.0, 1.0, (120, 2)), delimiter=",")
+    out = tmp_path / "out"
+    code = main(["extend", str(data), "--no-labels", "--target", "rbf",
+                 "--clusters", "8", "--output-dir", str(out)])
+    assert code == 0
+    diag = json.loads((out / "report.json").read_text())["scaling_diagnostics"]
+    assert diag["sigma_min"] == 0.0
+    assert diag["u"] == 120 and diag["v"] == 8
+    assert diag["q_pi"] > 0.0 and "observed_gap" not in diag
+
+
 def test_clusters_alone_report_every_point_as_a_landmark(tmp_path):
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from hklearn import (
     nystrom_restrict,
     scaled_gaussian,
 )
+from hklearn import hyper
 from midpoint_reference import hyper_gram_reference
 
 
@@ -192,11 +193,45 @@ def test_pair_system_matches_assembly(d):
             for v in (rng.standard_normal(len(pairs)), np.ones(len(pairs))):
                 err = np.abs(system.matvec(v) - ref @ v)
                 assert np.all(err <= 1e-12 * (ref @ np.abs(v))), case
+            cols = np.flatnonzero(rng.random(len(pairs)) < 0.5)
+            sum_ref = ref[:, cols].sum(axis=1)
+            err = np.abs(system.column_sum(cols) - sum_ref)
+            assert np.all(err <= 1e-12 * sum_ref), case
             d_ref = np.diag(ref)
             assert np.all(np.abs(system.diag() - d_ref) <= 1e-12 * d_ref), case
             base_ref = 1e-10 * np.trace(ref) / len(pairs)
             assert system.base_jitter() == pytest.approx(base_ref, rel=1e-12)
             assert np.all(np.abs(system.entries - ref) <= 1e-12 * ref), case
+
+
+def test_column_sum_spans_column_blocks():
+    # 4,225 pairs: more columns than one block of column_sum
+    m = 65
+    X = np.random.default_rng(1).standard_normal((m, 2))
+    system = PairSystem(HyperKernelParams(1.0, 2.0, 2), X)
+    assert system.n > hyper._COLUMN_BLOCK
+    full = system.matvec(np.ones(system.n))
+    assert np.all(np.abs(system.column_sum(np.arange(system.n)) - full) <= 1e-12 * full)
+
+
+def test_base_jitter_reads_the_diagonal_once(monkeypatch):
+    X = np.random.default_rng(2).standard_normal((5, 2))
+    params = HyperKernelParams(1.0, 1.0, 2)
+    system = PairSystem(params, X)
+    calls = []
+    real = PairSystem.diag
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(PairSystem, "diag", counting)
+    jitter = system.base_jitter()
+    d = system.diag()
+    d[:] = 1e9  # callers such as the preconditioner write into diag()
+    assert system.base_jitter() == jitter
+    assert len(calls) == 2
+    assert np.array_equal(system.diag(), PairSystem(params, X).diag())
 
 
 def test_pair_system_validates_like_assembly():

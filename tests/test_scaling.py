@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh
 
 from hklearn import (
     GaussianRBF,
     HyperKernelParams,
     InvalidInput,
     KrrConfig,
+    PairSystem,
     ScalingConfig,
     SvrConfig,
     assemble_hyper_gram,
@@ -23,7 +25,9 @@ from hklearn import (
     nystrom_restrict,
     pair_partition,
 )
-from hklearn.scaling import RESIDUAL_GROUP
+from decomposition_reference import decomposition_bound as dense_decomposition_bound
+from hklearn import hyper
+from hklearn.scaling import FULL_SOLVE_LIMIT, RESIDUAL_GROUP
 
 
 def _blobs(rng, m, gap=20.0, spread=0.5):
@@ -139,14 +143,19 @@ def test_nystrom_seed_behaviour():
 
 
 def test_bound_zero_for_single_cluster():
-    diag = decomposition_bound(np.eye(4), np.ones(4, dtype=int), C=2.0)
+    diag = dense_decomposition_bound(np.eye(4), np.ones(4, dtype=int), C=2.0)
+    assert diag.q_pi == 0.0
+    assert diag.bound == 0.0
+    X = np.random.default_rng(0).standard_normal((4, 2))
+    system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X, [(0, 1), (2, 3)])
+    diag = decomposition_bound(system, np.ones(2, dtype=int), C=2.0)
     assert diag.q_pi == 0.0
     assert diag.bound == 0.0
 
 
 def test_bound_two_by_two_cross_mass():
     entries = np.array([[1.0, 0.3], [0.3, 1.0]])
-    diag = decomposition_bound(entries, np.array([1, 2]), C=1.0)
+    diag = dense_decomposition_bound(entries, np.array([1, 2]), C=1.0)
     assert diag.q_pi == pytest.approx(0.6)
     assert diag.sigma_min == pytest.approx(0.7)
     assert diag.bound == pytest.approx(0.6 / 1.4)
@@ -154,8 +163,73 @@ def test_bound_two_by_two_cross_mass():
 
 def test_bound_infinite_when_sigma_nonpositive():
     entries = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    diag = decomposition_bound(entries, np.array([1, 2]), C=1.0)
+    diag = dense_decomposition_bound(entries, np.array([1, 2]), C=1.0)
     assert diag.bound == float("inf")
+
+
+@pytest.mark.parametrize("base", [KrrConfig(1e-3), SvrConfig(C=2.0, epsilon=0.05)],
+                         ids=["krr", "svr"])
+@pytest.mark.parametrize("m,u,v", [(9, 9, 3), (10, 4, 2), (8, 3, 1), (7, 7, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_diagnostics_match_the_dense_oracle(seed, m, u, v, base):
+    rng = np.random.default_rng([seed, m, u, v])
+    X = rng.uniform(0.0, 1.0, (m, 2))
+    params = HyperKernelParams(0.25, 0.5, 2)
+    Y = gram_matrix(GaussianRBF(0.25), X)
+    scaling = ScalingConfig(v=v, u=u, seed=seed)
+    _, diag = fit_decomposed(X, Y, base, scaling, params)
+    plan = kmeans_partition(X, v, seed)
+    _, pairs = nystrom_restrict(m, u, seed)
+    K = assemble_hyper_gram(params, X, pairs).entries
+    C = base.C if isinstance(base, SvrConfig) else None
+    ref = dense_decomposition_bound(K, pair_partition(plan, pairs), C)
+    assert abs(diag.q_pi - ref.q_pi) <= 1e-12 * ref.q_pi
+    # every landmark list holds each pair with its swap: K is singular
+    assert abs(ref.sigma_min) <= 1e-12 * eigvalsh(K)[-1]
+    assert diag.sigma_min == 0.0
+    if C is None:
+        assert diag.bound is None
+    else:
+        assert diag.bound == float("inf")
+
+
+def test_list_without_swapped_pair_factors_the_gram():
+    X = np.random.default_rng(3).standard_normal((4, 2))
+    params = HyperKernelParams(1.0, 1.0, 2)
+    system = PairSystem(params, X, [(0, 1), (2, 3)])
+    diag = decomposition_bound(system, np.array([1, 2]), C=1.0)
+    ref = dense_decomposition_bound(system.entries, np.array([1, 2]), C=1.0)
+    assert diag.sigma_min > 0.0
+    assert diag.sigma_min == ref.sigma_min
+    assert np.isfinite(diag.bound)
+    assert diag.bound == pytest.approx(ref.bound, rel=1e-12)
+    # a swapped pair, or a pair listed twice, gives two equal rows
+    for extra in ((1, 0), (0, 1)):
+        system = PairSystem(params, X, [(0, 1), (2, 3), extra])
+        assert decomposition_bound(system, np.array([1, 2, 1]), C=1.0).sigma_min == 0.0
+
+
+def test_large_decomposition_never_assembles_the_full_list(monkeypatch):
+    sizes = []
+    real = hyper.assemble_hyper_gram
+
+    def recording(params, X, pairs=None):
+        sizes.append(len(pairs))
+        return real(params, X, pairs)
+
+    monkeypatch.setattr(hyper, "assemble_hyper_gram", recording)
+    rng = np.random.default_rng(5)
+    m = 48
+    X = _blobs(rng, m)
+    _, pairs = nystrom_restrict(m, m, 0)
+    assert len(pairs) > FULL_SOLVE_LIMIT
+    Y = gram_matrix(GaussianRBF(1.0), X)
+    _, diag = fit_decomposed(
+        X, Y, KrrConfig(1e-3), ScalingConfig(v=2, u=m, seed=0),
+        HyperKernelParams(1.0, 1.0, 2),
+    )
+    assert diag.observed_gap is None and diag.sigma_min == 0.0
+    assert sizes and max(sizes) < len(pairs)
 
 
 @settings(max_examples=20)
@@ -169,8 +243,8 @@ def test_merging_clusters_never_increases_q(seed, v):
     clusters = rng.integers(1, v + 1, size=m * m)
     a, b = rng.choice(np.arange(1, v + 1), size=2, replace=False)
     merged = np.where(clusters == b, a, clusters)
-    q = decomposition_bound(gram.entries, clusters, C=1.0).q_pi
-    q_merged = decomposition_bound(gram.entries, merged, C=1.0).q_pi
+    q = decomposition_bound(gram, clusters, C=1.0).q_pi
+    q_merged = decomposition_bound(gram, merged, C=1.0).q_pi
     assert q_merged <= q + 1e-12
 
 
@@ -261,7 +335,7 @@ def test_bound_covers_observed_gap_with_jitter(rng):
     plan = kmeans_partition(X, 2, seed=0)
     clusters = pair_partition(plan, full_pair_list(8))
     jittered = gram.entries + gram.base_jitter() * np.eye(gram.n)
-    diag = decomposition_bound(jittered, clusters, C=cfg.C, observed_gap=gap)
+    diag = dense_decomposition_bound(jittered, clusters, C=cfg.C, observed_gap=gap)
     assert diag.bound >= gap
 
 
