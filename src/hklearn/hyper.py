@@ -38,6 +38,10 @@ _CHUNK = 256
 # u * _COLUMN_BLOCK floats.
 _COLUMN_BLOCK = 4096
 
+# Row-block size of sq_dists, in floats: its one temporary holds at most
+# max(_SQ_BLOCK, len(B)) of them.
+_SQ_BLOCK = 65_536
+
 # Cap on the n^2 entries of an assembled hyper-Gram, and on the u * n point
 # factors of a PairSystem.
 MAX_ENTRIES = 100_000_000
@@ -113,22 +117,34 @@ def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
 def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every row of A and every row of B.
 
-    Summed one coordinate at a time, so no temporary holds
-    len(A) * len(B) * dim floats.
+    Summed one coordinate at a time over blocks of rows of A, in one
+    temporary of at most ``max(_SQ_BLOCK, len(B))`` floats, reused by every
+    block: a fresh array of that size per block would be mapped and
+    page-faulted anew each time.
     """
     D = np.zeros((A.shape[0], B.shape[0]))
-    for j in range(A.shape[1]):
-        D += np.subtract.outer(A[:, j], B[:, j]) ** 2
+    rows = max(1, _SQ_BLOCK // max(B.shape[0], 1))
+    tmp = np.empty((min(rows, A.shape[0]), B.shape[0]))
+    for a in range(0, A.shape[0], rows):
+        block = D[a : a + rows]
+        t = tmp[: block.shape[0]]
+        for j in range(A.shape[1]):
+            np.subtract.outer(A[a : a + rows, j], B[:, j], out=t)
+            t *= t
+            block += t
     return D
 
 
 def point_factors(params: HyperKernelParams, X: np.ndarray, mids: np.ndarray):
     """The point factor exp(-||x - c||^2 / (4 (sigma2 + sigma_h2))).
 
-    One row per row x of X, one column per midpoint c of ``mids``.
+    One row per row x of X, one column per midpoint c of ``mids``; computed
+    in place, so the result is the only array of its size.
     """
     sh = params.sigma2 + params.sigma_h2
-    return np.exp(sq_dists(X, mids) / (-4.0 * sh))
+    D = sq_dists(X, mids)
+    D /= -4.0 * sh
+    return np.exp(D, out=D)
 
 
 def cross_factor(params: HyperKernelParams, sq):

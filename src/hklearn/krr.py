@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidInput, NumericalFailure
 from .hyper import MAX_ENTRIES, PairSystem
@@ -106,6 +104,10 @@ def solve_spd_with_jitter(
     ``(x, jitter_applied)``; the residual is measured against the jittered
     system actually solved.
     """
+    # the only scipy use of the package; imported here so that CG fits and
+    # evaluation never load scipy.linalg
+    from scipy.linalg import cho_factor, cho_solve
+
     n = entries.shape[0]
     eye = np.eye(n)
     scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -144,12 +146,15 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     The returned coefficients satisfy
     ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
-    is raised.  Direct solves factor ``gram.entries``; conjugate gradient only
-    multiplies by K through ``gram.matvec``, so it never forms the n x n
-    matrix.  It is preconditioned by :func:`nystrom_preconditioner`.  Its
-    residual is measured on the same operator, and CG restarts from its
-    iterate (up to ``CG_RESTARTS`` times) while that residual misses
-    ``cg_tol``.
+    is raised.  Direct solves factor ``gram.entries`` (a Cholesky from
+    scipy.linalg, the package's only scipy use).  Conjugate gradient is the
+    numpy loop :func:`_pcg`: it only multiplies by K through ``gram.matvec``,
+    so it never forms the n x n matrix, and it is preconditioned by
+    :func:`nystrom_preconditioner`.  It stops on its recursive residual at
+    ``min(cg_tol, 1e-12)`` relative to ||y||; the true residual is then
+    measured on the same operator, and CG restarts from its iterate (up to
+    ``CG_RESTARTS`` times) while that residual misses ``cg_tol``.
+    ``cg_iterations`` sums the iterations of every run.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
@@ -168,20 +173,20 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
         return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
                                 solver="direct")
 
-    op = LinearOperator(
-        shape=(gram.n, gram.n), matvec=lambda v: gram.matvec(v) + lam * v, dtype=float
-    )
+    def shifted(v):
+        return gram.matvec(v) + lam * v
+
     precond, rank = nystrom_preconditioner(gram, lam)
-    # below machine epsilon the recursive residual can reach exactly zero, and
-    # scipy's next step divides by it
+    # below machine epsilon rho = r'z can underflow to exactly zero, and
+    # _pcg's next step divides by it
     rtol = max(min(config.cg_tol, 1e-12), np.finfo(float).eps)
-    steps = []  # the callback runs once per iteration
+    iterations = 0
     scale = max(1.0, float(np.linalg.norm(y)))
     beta = None
     for _ in range(CG_RESTARTS + 1):
-        beta, _info = cg(op, y, x0=beta, rtol=rtol, atol=0.0, maxiter=CG_MAX_ITER,
-                         M=precond, callback=lambda _: steps.append(1))
-        residual = float(np.linalg.norm(gram.matvec(beta) + lam * beta - y))
+        beta, steps = _pcg(shifted, y, beta, rtol, CG_MAX_ITER, precond)
+        iterations += steps
+        residual = float(np.linalg.norm(shifted(beta) - y))
         if residual <= config.cg_tol * scale:
             break
     else:
@@ -189,7 +194,38 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
             f"solve residual {residual / scale:.3e} exceeds tolerance {config.cg_tol:g}"
         )
     return CoefficientField(beta, gram.pair_list, m, solver="cg",
-                            cg_iterations=len(steps), preconditioner_rank=rank)
+                            cg_iterations=iterations, preconditioner_rank=rank)
+
+
+def _pcg(matvec, b, x0, rtol, maxiter, precond=None):
+    """Preconditioned conjugate gradient on ``matvec(x) = b`` from x0 (None: 0).
+
+    Stops once the recursive residual r satisfies ||r|| < rtol ||b||, or after
+    ``maxiter`` iterations; returns (x, iterations).  ``precond`` applies M to
+    r (None: the identity).  The operation order is that of
+    ``scipy.sparse.linalg.cg`` (scipy 1.17), so the iterates equal its own.
+    """
+    tol = rtol * np.linalg.norm(b)
+    if tol == 0:  # b = 0
+        return np.zeros_like(b), 0
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    r = b - matvec(x) if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < tol:
+            return x, it
+        z = r if precond is None else precond(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
 
 
 def nystrom_preconditioner(gram: PairSystem, lam: float):
@@ -206,8 +242,9 @@ def nystrom_preconditioner(gram: PairSystem, lam: float):
     With F = QR and RR' = VSV', U = QV and the preconditioner is
     (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam.  It is
     applied times lam, as v - U diag(S / (S + lam)) U'v, which leaves the CG
-    iterates unchanged and divides by nothing small.  Returns (operator,
-    rank); at rank 0, or lam 0, the operator is None: CG runs unpreconditioned.
+    iterates unchanged and divides by nothing small.  Returns (apply, rank),
+    where apply(v) is that product; at rank 0, or lam 0, apply is None: CG
+    runs unpreconditioned.
     """
     n = gram.n
     cap = min(PRECONDITIONER_RANK, n, MAX_ENTRIES // max(n, 1)) if lam > 0 else 0
@@ -232,6 +269,4 @@ def nystrom_preconditioner(gram: PairSystem, lam: float):
     S, V = np.linalg.eigh(R @ R.T)
     U = Q @ V
     damp = S / (S + lam)
-    return LinearOperator(
-        shape=(n, n), matvec=lambda v: v - U @ (damp * (U.T @ v)), dtype=float
-    ), r
+    return (lambda v: v - U @ (damp * (U.T @ v))), r

@@ -15,7 +15,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from numpy.linalg import eigvalsh
 
 from .errors import FormatError, InvalidInput
 from .hyper import (

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .base_kernels import GaussianRBF, gram_matrix
 from .errors import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from numpy.linalg import eigvalsh
 
 from .errors import HklearnError, InvalidInput
 from .hyper import HyperKernelParams, PairSystem, full_pair_list

@@ -1,14 +1,16 @@
 """The downstream SVM's former hand-written SMO loop, kept as a test oracle.
 
 The package solves the SVM dual with the shared ``hklearn.svr.smo``; this is
-the dedicated loop it replaced, verbatim, so tests can check the shared
-solver against it case by case.
+the dedicated loop it replaced, so tests can check the shared solver against
+it case by case.  It is verbatim except for its eigen-solver: it clips the
+spectrum with ``numpy.linalg.eigh``, as the package does, so that both loops
+start from the same clipped Gram bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from hklearn.errors import ConvergenceFailure
 

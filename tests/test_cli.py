@@ -1044,3 +1044,55 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "extend" in proc.stdout
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import hklearn.cli as cli
+from hklearn import HyperKernelParams, KrrConfig, PairSystem, fit_krr
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse")))
+
+work = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+np.savetxt(work / "x.csv", rng.uniform(0.0, 1.0, (46, 2)), delimiter=",")
+np.savetxt(work / "q.csv", rng.uniform(0.0, 1.0, (8, 2)), delimiter=",")
+np.savetxt(work / "s.csv", rng.uniform(0.0, 1.0, (14, 2)), delimiter=",")
+codes = [
+    cli.main(["extend", str(work / "x.csv"), "--no-labels", "--target", "tl1",
+              "--output-dir", str(work / "cg")]),
+    cli.main(["eval", str(work / "q.csv"), "--no-labels",
+              "--model", str(work / "cg" / "model.json"), "--output-dir", str(work / "ev")]),
+    cli.main(["extend", str(work / "s.csv"), "--no-labels", "--target", "rbf",
+              "--method", "svr", "--clusters", "2", "--landmarks", "7",
+              "--output-dir", str(work / "svr")]),
+]
+solver = json.loads((work / "cg" / "report.json").read_text())["solver"]["path"]
+after_cli = loaded()
+X = rng.uniform(0.0, 1.0, (5, 2))
+fit_krr(PairSystem(HyperKernelParams(0.1, 0.1, 2), X), np.ones(25), KrrConfig(1e-3))
+print(json.dumps({"codes": codes, "solver": solver, "after_cli": after_cli,
+                  "after_direct": loaded()}))
+"""
+
+
+def test_cg_fits_eval_and_svr_never_load_scipy_linalg(tmp_path):
+    # a fresh interpreter: only the direct Cholesky solve imports scipy.linalg
+    src = str(Path(hklearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    assert out["solver"] == "cg"
+    assert out["after_cli"] == []
+    assert "scipy.linalg" in out["after_direct"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,3 +261,36 @@ def test_pair_system_factors_cover_only_the_points_it_uses():
     K = hyper_gram_reference(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
     assert system._factors[2].shape == (3, 5)
+
+
+def _point_factors_reference(params, X, mids):
+    """The former point factors: one u x n temporary per coordinate, then a
+    fresh array for the division and one for the exponential."""
+    D = np.zeros((X.shape[0], mids.shape[0]))
+    for j in range(X.shape[1]):
+        D += np.subtract.outer(X[:, j], mids[:, j]) ** 2
+    return np.exp(D / (-4.0 * (params.sigma2 + params.sigma_h2)))
+
+
+@pytest.mark.parametrize("u, n, dim", [(1, 1, 1), (7, 3, 2), (400, 401, 3), (5, 70_000, 2)])
+def test_point_factors_equal_the_former_formula_bit_for_bit(u, n, dim):
+    # ragged row blocks, a single block, and rows longer than a block
+    rng = np.random.default_rng(u + n)
+    params = HyperKernelParams(0.3, 0.2, dim)
+    X, mids = rng.standard_normal((u, dim)), rng.standard_normal((n, dim))
+    assert np.array_equal(hyper.point_factors(params, X, mids),
+                          _point_factors_reference(params, X, mids))
+
+
+def test_point_factors_peak_at_their_output():
+    # 400 x 20,000 factors are 64 MB; the former formula peaked at twice that
+    rng = np.random.default_rng(0)
+    X, mids = rng.uniform(0.0, 1.0, (400, 2)), rng.uniform(0.0, 1.0, (20_000, 2))
+    params = HyperKernelParams(0.1, 0.1, 2)
+    tracemalloc.start()
+    try:
+        phi = hyper.point_factors(params, X, mids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * phi.nbytes

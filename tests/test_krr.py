@@ -119,33 +119,30 @@ def test_cg_restarts_when_its_recursive_residual_drifts():
     assert field.solver == "cg" and field.cg_iterations > 0
 
 
-def _counted_cg(monkeypatch, run):
-    """Replace ``krr.cg`` by ``run(call, args, kwargs)``, where ``call``
-    numbers the calls from 0; returns the list of iteration counts, one entry
-    per call."""
+def _counted_pcg(monkeypatch, run):
+    """Replace ``krr._pcg`` by ``run(call, args)``, where ``call`` numbers the
+    calls from 0; returns the list of iteration counts, one entry per call."""
     counts = []
 
-    def wrapper(*args, **kwargs):
-        counts.append(0)
-        outer = kwargs["callback"]
+    def wrapper(*args):
+        x, steps = run(len(counts), args)
+        counts.append(steps)
+        return x, steps
 
-        def callback(xk):
-            counts[-1] += 1
-            outer(xk)
-
-        return run(len(counts) - 1, args, dict(kwargs, callback=callback))
-
-    monkeypatch.setattr(krr, "cg", wrapper)
+    monkeypatch.setattr(krr, "_pcg", wrapper)
     return counts
 
 
 def test_cg_restart_meets_cg_tol_and_counts_every_call(monkeypatch):
     # a first call stopped after 2 iterations misses cg_tol, so the fit
     # restarts from its iterate
-    def run(call, args, kwargs):
-        return cg(*args, **(dict(kwargs, maxiter=2) if call == 0 else kwargs))
+    pcg = krr._pcg
 
-    counts = _counted_cg(monkeypatch, run)
+    def run(call, args):
+        matvec, b, x0, rtol, maxiter, precond = args
+        return pcg(matvec, b, x0, rtol, 2 if call == 0 else maxiter, precond)
+
+    counts = _counted_pcg(monkeypatch, run)
     system, y = _restart_system()
     config = KrrConfig(1e-5, solver="cg")
     field = fit_krr(system, y, config)
@@ -156,15 +153,41 @@ def test_cg_restart_meets_cg_tol_and_counts_every_call(monkeypatch):
 
 
 def test_cg_that_never_moves_fails_after_every_restart(monkeypatch):
-    def run(call, args, kwargs):
-        x0 = kwargs["x0"]
+    def run(call, args):
+        x0 = args[2]
         return (np.zeros(576) if x0 is None else x0), 0
 
-    counts = _counted_cg(monkeypatch, run)
+    counts = _counted_pcg(monkeypatch, run)
     system, y = _restart_system()
     with pytest.raises(NumericalFailure, match="solve residual"):
         fit_krr(system, y, KrrConfig(1e-5, solver="cg"))
     assert len(counts) == krr.CG_RESTARTS + 1
+
+
+@pytest.mark.parametrize(
+    "system_of, lam, maxiter",
+    [(_restart_system, 1e-5, CG_MAX_ITER), (_restart_system, 0.0, 300),
+     (lambda: _tl1_system(46), 1e-3, CG_MAX_ITER)],
+    ids=["restart", "unpreconditioned", "extend-tl1"],
+)
+def test_pcg_equals_scipy_cg_bit_for_bit(system_of, lam, maxiter):
+    # the numpy loop copies the operation order of scipy.sparse.linalg.cg, so
+    # its iterates and iteration counts are scipy's, from zero and from an
+    # iterate; at lam 0 there is no preconditioner and the run ends at maxiter
+    system, y = system_of()
+    precond, rank = krr.nystrom_preconditioner(system, lam)
+    assert (rank > 0) == (lam > 0)
+    n = system.n
+    op = LinearOperator((n, n), dtype=float, matvec=lambda v: system.matvec(v) + lam * v)
+    M = None if precond is None else LinearOperator((n, n), dtype=float, matvec=precond)
+    x = None
+    for _ in range(2):
+        steps = []
+        expected, _ = cg(op, y, x0=x, rtol=1e-12, atol=0.0, maxiter=maxiter, M=M,
+                         callback=lambda _: steps.append(1))
+        x, iterations = krr._pcg(op.matvec, y, x, 1e-12, maxiter, precond)
+        assert np.array_equal(x, expected)
+        assert iterations == len(steps) > 0
 
 
 def test_cg_failure_prints_the_relative_residual(rng):
@@ -181,7 +204,8 @@ def test_cg_failure_prints_the_relative_residual(rng):
 
 
 def test_cg_below_roundoff_fails_with_a_finite_residual(rng):
-    # rtol 1e-300 let the recursive residual reach zero and scipy divide by it
+    # without the eps floor on rtol, 1e-300 let rho = r'z underflow to zero
+    # and _pcg's next step divide by it
     X = rng.standard_normal((4, 2))
     y = 1e12 * rng.standard_normal(16)
     config = KrrConfig(1e-2, solver="cg", cg_tol=1e-300)

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -273,14 +272,15 @@ def test_svm_matches_dedicated_smo_reference(kind, C, kkt_tol):
     # for bit.  The biases differ by roundoff: the reference reads its bias
     # off an incrementally updated gradient, which drifts (2e-12 relative on
     # unnormalized 27-point Grams at C=100), while the shared loop recomputes
-    # the gradient; so the bias is checked against its exact value.
+    # the gradient; so the bias is checked against its exact value.  Both
+    # clip with numpy.linalg.eigh, the package's eigen-solver.
     for seed in range(3):
         G, y, fix = _svm_case(kind, seed)
         model = svm_train(G, y, C, fix, kkt_tol=kkt_tol)
         alpha, bias = svm_train_reference(G, y, C, fix, kkt_tol=kkt_tol)
         assert np.array_equal(model.alphas, alpha)
         if fix == "clip":
-            evals, vecs = eigh(G)
+            evals, vecs = np.linalg.eigh(G)
             G = (vecs * np.maximum(evals, 0.0)) @ vecs.T
             G = 0.5 * (G + G.T)
         exact = _exact_svm_bias(G, y, alpha, C)
