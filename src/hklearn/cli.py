@@ -11,10 +11,11 @@ rate-study      median error versus sample size, with log-log slope
 decompose-demo  extend with two clusters unless --clusters or --landmarks is
                 set, and its report carries extend's keys
 
-Settings resolve as flags > config file (JSON) > defaults.  All artifacts go
-under --output-dir; reports are byte-stable across reruns except for their
-timestamp (wall-clock timings live in a separate timings.json for that
-reason).
+Each setting is one row of SETTINGS: its default, its flags and the
+commands that read it.  Settings resolve as flags > config file (JSON) >
+defaults, and a setting given to a run that leaves it unread exits 2.  All
+artifacts go under --output-dir; reports are byte-stable across reruns except
+for their timestamp (wall-clock timings live in a separate timings.json).
 """
 
 from __future__ import annotations
@@ -65,37 +66,41 @@ from .pipeline import (
 )
 from .scaling import ScalingConfig, fit_decomposed
 
-DEFAULTS = {
-    "method": "krr",
-    "lambda": 1e-3,
-    "C": 1.0,
-    "epsilon": 0.1,
-    "kkt_tol": 1e-3,
-    "sigma2": None,          # null -> mean per-feature variance of the data
-    "sigma_h2": None,        # null -> equal to sigma2
-    "target": "ideal",
-    "tl1_tau": None,         # null -> 0.7 * feature dimension
-    "rbf_sigma2": None,      # null -> data variance rule
-    "log_sigma": 1.0,
-    "clusters": None,
-    "landmarks": None,
-    "seed": 0,
-    "standardize": True,
-    "spectrum_fix": "clip",
-    "jitter": True,
-    "tune": True,
-    "c_svm": 1.0,
-    "split": [0.4, 0.4, 0.2],
-    "cv_folds": 5,
-    "trials": 10,
-    "sigma_h2_grid": [0.25, 0.5, 1.0, 2.0, 4.0],
-    "reg_grid": [10.0 ** k for k in range(-5, 6)],
-    "m_values": [8, 16, 32, 64],
-    "noise_sigma": 0.1,
-    "rate_target": "rbf",
-    "trace": False,
+# The settings table: each setting's default, its flags (None: config file
+# only; "=a|b" lists the values) and the commands that read it.  A method or
+# a target among the readers limits them to runs with that value.
+_FITS = "fit extend decompose-demo"
+SETTINGS = {
+    "method": ("krr", "--method=krr|svr", f"{_FITS} rate-study"),
+    "lambda": (1e-3, "--lambda", f"{_FITS} krr"),
+    "C": (1.0, "--C", f"{_FITS} rate-study svr"),
+    "epsilon": (0.1, "--epsilon", f"{_FITS} rate-study svr"),
+    "kkt_tol": (1e-3, None, f"{_FITS} rate-study svr"),
+    "sigma2": (None, None, _FITS),          # null -> mean per-feature variance of the data
+    "sigma_h2": (None, "--sigma-h2", _FITS),  # null -> equal to sigma2
+    "target": ("ideal", "--target=ideal|rbf|tl1|log", _FITS),
+    "tl1_tau": (None, None, f"{_FITS} tl1"),         # null -> 0.7 * feature dimension
+    "rbf_sigma2": (None, None, f"{_FITS} rbf"),      # null -> data variance rule
+    "log_sigma": (1.0, None, f"{_FITS} log"),
+    "clusters": (None, "--clusters", _FITS),
+    "landmarks": (None, "--landmarks", _FITS),
+    "seed": (0, "--seed", f"{_FITS} rate-study"),
+    "standardize": (True, "--standardize --no-standardize", f"{_FITS} eval"),
+    "spectrum_fix": ("clip", "--spectrum-fix=none|clip", "fit eval"),
+    "jitter": (True, "--no-jitter", f"{_FITS} rate-study krr"),
+    "tune": (True, "--no-tune", "fit"),
+    "c_svm": (1.0, None, "fit eval"),
+    "split": ([0.4, 0.4, 0.2], None, "fit"),
+    "cv_folds": (5, None, "fit"),
+    "trials": (10, "--trials", "rate-study"),
+    "sigma_h2_grid": ([0.25, 0.5, 1.0, 2.0, 4.0], None, "fit"),
+    "reg_grid": ([10.0 ** k for k in range(-5, 6)], None, "fit"),
+    "m_values": ([8, 16, 32, 64], "--m-values", "rate-study"),
+    "noise_sigma": (0.1, "--noise-sigma", "rate-study"),
+    "rate_target": ("rbf", "--rate-target=rbf|planted", "rate-study"),
+    "trace": (False, "--trace", "fit extend svr"),
 }
-# settings that count or seed something
+DEFAULTS = {key: row[0] for key, row in SETTINGS.items()}
 INT_KEYS = ("seed", "cv_folds", "trials", "clusters", "landmarks", "m_values")
 
 
@@ -134,7 +139,7 @@ def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bo
     """Read a dataset as (features, labels or None).
 
     csv: one row per sample, final column is the label when ``labeled``.
-    libsvm-sparse: "label idx:val ..." with 1-based indices, padded to the
+    libsvm: "label idx:val ..." with 1-based indices, padded to the
     largest index seen.  Features are standardized per column by default.
     """
     path = Path(path)
@@ -143,7 +148,7 @@ def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bo
         if labeled and data.shape[1] < 2:
             raise FormatError(f"{path}: labeled csv needs at least 2 columns")
         X, labels = (data[:, :-1], data[:, -1]) if labeled else (data, None)
-    elif fmt in ("libsvm", "libsvm-sparse"):
+    elif fmt == "libsvm":
         X, labels = _read_libsvm_dataset(path)
         if not labeled:
             labels = None
@@ -229,17 +234,20 @@ def ingest_kernel_matrix(path) -> np.ndarray:
 
 
 def _load_settings(manifest: RunManifest) -> dict:
-    settings = dict(DEFAULTS)
+    """The settings the run reads, from flags > config file > defaults; a
+    setting given that the run does not read (see :func:`_unread`) exits 2."""
+    command = manifest.command
+    explicit = {}
     if manifest.config_path is not None:
         try:
-            loaded = json.loads(Path(manifest.config_path).read_text())
+            explicit = json.loads(Path(manifest.config_path).read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
-        settings.update(loaded)
-    settings.update(manifest.settings)  # flags override the file
+        if not isinstance(explicit, dict):
+            raise FormatError("config file must hold a JSON object")
+    explicit.update(manifest.settings)  # flags override the file
+    row = [key for key, (_, _, readers) in SETTINGS.items() if command in readers.split()]
+    settings = {key: explicit.get(key, DEFAULTS[key]) for key in row}
     for key, value in settings.items():
         if not _has_default_type(key, value):
             raise InvalidInput(f"setting {key} has the wrong type, got {value!r}")
@@ -247,21 +255,46 @@ def _load_settings(manifest: RunManifest) -> dict:
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not np.isfinite(v) for v in values):
             raise InvalidInput(f"setting {key} must be finite, got {value!r}")
-    if settings["method"] not in ("krr", "svr"):
-        raise InvalidInput(f"method must be krr or svr, got {settings['method']!r}")
-    if settings["spectrum_fix"] not in ("none", "clip"):
-        raise InvalidInput("spectrum_fix must be none or clip")
-    if settings["trace"] and (
-        manifest.command not in ("fit", "extend")
-        or settings["method"] != "svr"
-        or settings["clusters"] is not None
-        or settings["landmarks"] is not None
-    ):
-        raise InvalidInput(
-            "trace records the svr solver: it needs fit or extend with "
-            "--method svr and no --clusters or --landmarks"
-        )
-    return settings
+        choices = (SETTINGS[key][1] or "").partition("=")[2].split("|")
+        if choices != [""] and value not in choices:
+            raise InvalidInput(f"setting {key} must be one of {choices}, got {value!r}")
+    if command == "decompose-demo":  # extend with two clusters
+        if settings["clusters"] is None and settings["landmarks"] is None:
+            settings["clusters"] = 2
+        if not ("target" in explicit or manifest.labeled or manifest.kernel_matrix):
+            settings["target"] = "rbf"
+    unread = _unread(manifest, settings)
+    for key in explicit:
+        if key not in row or key in unread:
+            raise InvalidInput(
+                f"{command} does not read setting {key!r} {unread.get(key, 'at all')}"
+            )
+    return {key: value for key, value in settings.items() if key not in unread}
+
+
+def _unread(manifest: RunManifest, settings: dict) -> dict:
+    """The settings of the command's row that this run leaves unread, each
+    with the reason."""
+    command, method, target = manifest.command, settings.get("method"), settings.get("target")
+    tune = settings.get("tune")
+    decomposed = settings.get("clusters") is not None or settings.get("landmarks") is not None
+    rules = {  # reason: the keys it leaves unread
+        "with --kernel-matrix": manifest.kernel_matrix and "target tl1_tau rbf_sigma2 log_sigma",
+        "in a tuned fit": tune is True and "lambda C sigma_h2",
+        "in an untuned fit": tune is False and "cv_folds sigma_h2_grid reg_grid",
+        "without clusters or landmarks": command == "extend" and not decomposed and "seed",
+        "in a decomposed fit": decomposed and "trace",
+        "without labels": not manifest.labeled and "c_svm spectrum_fix",
+    }
+    unread = {}
+    for why, keys in rules.items():
+        unread |= {key: why for key in (keys or "").split() if key not in unread}
+    for key, (_, _, readers) in SETTINGS.items():
+        tags = set(readers.split()).difference(COMMANDS)  # a method or a target
+        if tags and not tags & {method, target}:
+            why = f"with method {method}" if tags & {"krr", "svr"} else f"with target {target}"
+            unread.setdefault(key, why)
+    return {key: why for key, why in unread.items() if key in settings}
 
 
 def _has_default_type(key: str, value) -> bool:
@@ -292,44 +325,29 @@ def _target_matrix(settings: dict, X: np.ndarray, labels) -> np.ndarray:
         return gram_matrix(Ideal(labels), X)
     if name == "rbf":
         s2 = settings["rbf_sigma2"]
-        return gram_matrix(GaussianRBF(float(s2) if s2 else data_sigma2(X)), X)
+        return gram_matrix(GaussianRBF(float(s2) if s2 is not None else data_sigma2(X)), X)
     if name == "tl1":
         tau = settings["tl1_tau"]
-        return gram_matrix(TL1(float(tau) if tau else 0.7 * X.shape[1]), X)
-    if name == "log":
-        return gram_matrix(LogKernel(float(settings["log_sigma"])), X)
-    raise InvalidInput(f"unknown target kernel {name!r}")
+        return gram_matrix(TL1(float(tau) if tau is not None else 0.7 * X.shape[1]), X)
+    return gram_matrix(LogKernel(float(settings["log_sigma"])), X)  # log
 
 
 def _hyperparams(settings: dict, X: np.ndarray) -> dict:
     s2 = settings["sigma2"]
     s2 = float(s2) if s2 is not None else data_sigma2(X)
-    sh2 = settings["sigma_h2"]
+    sh2 = settings.get("sigma_h2")
     sh2 = float(sh2) if sh2 is not None else s2
     return {"sigma2": s2, "sigma_h2": sh2, **_solve_settings(settings)}
 
 
 def _solve_settings(settings: dict) -> dict:
-    """reg (lambda for krr, C for svr), epsilon, kkt_tol and an off jitter."""
-    reg = settings["lambda"] if settings["method"] == "krr" else settings["C"]
-    hp = {
-        "reg": float(reg),
-        "epsilon": float(settings["epsilon"]),
-        "kkt_tol": float(settings["kkt_tol"]),
-    }
-    if not settings["jitter"]:
+    """The solve settings the run reads: reg (lambda for krr, C for svr), the
+    svr's epsilon and kkt_tol, and an off jitter."""
+    names = {"lambda": "reg", "C": "reg", "epsilon": "epsilon", "kkt_tol": "kkt_tol"}
+    hp = {names[key]: float(value) for key, value in settings.items() if key in names}
+    if settings.get("jitter") is False:
         hp["jitter"] = False
     return hp
-
-
-def _experiment_config(settings: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        split=tuple(settings["split"]),
-        cv_folds=int(settings["cv_folds"]),
-        sigma_h2_grid=tuple(settings["sigma_h2_grid"]),
-        reg_grid=tuple(settings["reg_grid"]),
-        seed=int(settings["seed"]),
-    )
 
 
 def _definiteness(report: DefinitenessReport) -> dict:
@@ -369,7 +387,8 @@ def run(manifest: RunManifest) -> int:
         report = COMMANDS[manifest.command](manifest, settings, outdir)
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
         report["command"] = manifest.command
-        report["seed"] = int(settings["seed"])
+        if "seed" in settings:
+            report["seed"] = int(settings["seed"])
         _write_json(outdir / "report.json", report)
         _write_json(
             outdir / "timings.json",
@@ -432,7 +451,7 @@ def _fit(settings: dict, hp: dict, X, K, outdir: Path):
             doc["observed_gap"] = diag.observed_gap
         facts = {"scaling_diagnostics": doc}
     else:
-        trace = outdir / "trace.csv" if settings["trace"] else None
+        trace = outdir / "trace.csv" if settings.get("trace") else None
         lk = fit_extend(X, K, settings["method"], hp, trace_path=trace)
         coeffs = lk.coefficients
         facts = {"solver": {"path": coeffs.solver, "cg_iterations": coeffs.cg_iterations,
@@ -446,7 +465,8 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     if labels is None:
         raise InvalidInput("fit needs labels (use extend for unlabeled data)")
     K = _given_kernel(manifest, settings, X, labels)
-    config = _experiment_config(settings)
+    keys = ("split", "cv_folds", "sigma_h2_grid", "reg_grid", "seed")  # untuned: no folds
+    config = ExperimentConfig(**{key: settings[key] for key in keys if key in settings})
     lab, unlab, test = split_dataset(X, labels, config, settings["seed"])
 
     selected = None
@@ -525,13 +545,12 @@ def _cmd_eval(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
 
 
 def _cmd_rate_study(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
-    config = _experiment_config(settings)
     study = learning_rate_study(
         settings["m_values"],
         int(settings["trials"]),
         float(settings["noise_sigma"]),
         settings["method"],
-        config,
+        int(settings["seed"]),
         target=settings["rate_target"],
         hyperparams=_solve_settings(settings),
     )
@@ -548,15 +567,6 @@ def _cmd_rate_study(manifest: RunManifest, settings: dict, outdir: Path) -> dict
     }
 
 
-def _cmd_decompose(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
-    """``extend`` with two clusters unless --clusters or --landmarks is set."""
-    if settings["clusters"] is None and settings["landmarks"] is None:
-        settings = dict(settings, clusters=2)
-    if settings["target"] == "ideal" and not manifest.labeled and manifest.kernel_matrix is None:
-        settings = dict(settings, target="rbf")
-    return _cmd_extend(manifest, settings, outdir)
-
-
 def _write_score_table(path: Path, table) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -570,7 +580,7 @@ COMMANDS = {
     "extend": _cmd_extend,
     "eval": _cmd_eval,
     "rate-study": _cmd_rate_study,
-    "decompose-demo": _cmd_decompose,
+    "decompose-demo": _cmd_extend,  # with two clusters by default; see _load_settings
 }
 
 
@@ -586,60 +596,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name not in ("rate-study",):
+        if name != "rate-study":
             p.add_argument("dataset", nargs="?", help="dataset csv or libsvm file")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--kernel-matrix", help="given kernel matrix csv")
+            p.add_argument("--kernel-matrix", help="given kernel matrix csv")
+            p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
+            p.add_argument("--no-labels", action="store_true",
+                           help="dataset csv has no label column")
         if name == "eval":
-            p.add_argument("--model", help="learned model JSON", required=False)
-        p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
-        p.add_argument("--no-labels", action="store_true",
-                       help="dataset csv has no label column")
-        p.add_argument("--method", choices=("krr", "svr"))
-        p.add_argument("--lambda", dest="lambda", type=float,
-                       help="ridge regularization weight")
-        p.add_argument("--C", type=float, help="box bound of the svr dual")
-        p.add_argument("--epsilon", type=float, help="insensitive tube width")
-        p.add_argument("--sigma-h2", type=float, help="pair-scale bandwidth offset")
-        p.add_argument("--clusters", type=int, help="cluster count for decomposition")
-        p.add_argument("--landmarks", type=int, help="landmark count for restriction")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--standardize", dest="standardize", action="store_true",
-                       default=None)
-        p.add_argument("--no-standardize", dest="standardize", action="store_false")
-        p.add_argument("--spectrum-fix", choices=("none", "clip"))
-        p.add_argument("--target", choices=("ideal", "rbf", "tl1", "log"))
-        p.add_argument("--no-tune", dest="tune", action="store_false", default=None)
-        p.add_argument("--no-jitter", dest="jitter", action="store_false", default=None)
-        p.add_argument("--trace", action="store_true", default=None,
-                       help="write the svr convergence trace csv (direct svr "
-                       "fit or extend only)")
-        if name == "rate-study":
-            p.add_argument("--trials", type=int)
-            p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-            p.add_argument("--m-values", dest="m_values", type=int, nargs="+")
-            p.add_argument("--rate-target", dest="rate_target",
-                           choices=("rbf", "planted"))
+            p.add_argument("--model", help="learned model JSON")
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--output-dir", default="hklearn_out")
+        for key, (default, flags, readers) in SETTINGS.items():
+            for flag in flags.split() if flags and name in readers.split() else ():
+                flag, _, choices = flag.partition("=")
+                kw = {"dest": key, "help": f"config key {key}"}
+                if isinstance(default, bool):
+                    kw.update(default=None, action="store_false" if flag.startswith("--no-")
+                              else "store_true")
+                elif choices:
+                    kw["choices"] = choices.split("|")
+                else:
+                    kw.update(type=int if key in INT_KEYS else float,
+                              nargs="+" if isinstance(default, list) else None)
+                p.add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))  # rate-study has no dataset flags
     overrides = {
-        key: value for key, value in vars(args).items()
+        key: value for key, value in args.items()
         if key in DEFAULTS and value is not None
     }
     try:
         manifest = RunManifest(
-            command=args.command,
-            output_dir=Path(args.output_dir),
-            dataset=Path(args.dataset) if getattr(args, "dataset", None) else None,
-            kernel_matrix=Path(args.kernel_matrix) if args.kernel_matrix else None,
-            model=Path(args.model) if getattr(args, "model", None) else None,
-            config_path=Path(args.config) if args.config else None,
-            dataset_format=args.format,
-            labeled=not args.no_labels,
+            command=args["command"],
+            output_dir=Path(args["output_dir"]),
+            dataset=Path(args["dataset"]) if args.get("dataset") else None,
+            kernel_matrix=Path(args["kernel_matrix"]) if args.get("kernel_matrix") else None,
+            model=Path(args["model"]) if args.get("model") else None,
+            config_path=Path(args["config"]) if args["config"] else None,
+            dataset_format=args.get("format", "csv"),
+            labeled=not args.get("no_labels"),
             settings=overrides,
         )
     except HklearnError as exc:

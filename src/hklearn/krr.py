@@ -31,7 +31,7 @@ class KrrConfig:
 
     ``lam`` must be positive for the SPD factorization guarantee; zero is
     accepted so that deliberately singular systems surface as
-    ``NumericalFailure`` instead of being rejected up front.  ``solver`` is
+    ``NumericalFailure`` (on the CG path, before it iterates).  ``solver`` is
     ``direct`` (Cholesky), ``cg`` (conjugate gradient), or ``auto`` (the
     default) which takes the iterative path above ``direct_limit`` unknowns.
     """
@@ -172,6 +172,9 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
         )
         return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
                                 solver="direct")
+
+    if lam == 0:  # CG on the semidefinite K diverges; fail before iterating
+        raise NumericalFailure("conjugate gradient needs lambda > 0, got lambda 0")
 
     def shifted(v):
         return gram.matvec(v) + lam * v

@@ -385,18 +385,17 @@ def _decision_values(model: SvmModel, rows):
 
 
 def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
-                        config: ExperimentConfig, target: str = "rbf",
-                        hyperparams=None) -> RateStudyReport:
+                        seed: int, target: str = "rbf", hyperparams=None) -> RateStudyReport:
     """Median out-of-sample error versus training size, with log-log slope.
 
     Per (m, trial): draw m points, build responses from the target kernel
     ("rbf", or "planted" for a function inside the expansion span) plus
     centered Gaussian noise, fit, and measure RMSE against the noiseless
-    target on fresh pairs.  ``hyperparams`` is the run's dict (see
-    :func:`base_config`): svr trials fit with its ``reg`` as C, ``epsilon``
-    and ``kkt_tol``.  Ridge trials take its ``jitter`` and the ridge constant
-    ``STUDY_REG_NOISELESS`` without noise, ``STUDY_REG_NOISY`` with it.  Both
-    scales are each trial's ``data_sigma2``.
+    target on fresh pairs, all drawn from ``seed``.  ``hyperparams`` is the
+    run's dict (see :func:`base_config`): svr trials fit with its ``reg`` as
+    C, ``epsilon`` and ``kkt_tol``.  Ridge trials take its ``jitter`` and the
+    ridge constant ``STUDY_REG_NOISELESS`` without noise, ``STUDY_REG_NOISY``
+    with it.  Both scales are each trial's ``data_sigma2``.
     """
     ms = [int(v) for v in m_values]
     if len(ms) < 2:
@@ -418,7 +417,7 @@ def learning_rate_study(m_values, trials: int, noise_sigma: float, method: str,
         raise InvalidInput("the study's svr fits need the run's C as hyperparams['reg']")
     base = base_config(method, hp)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(len(ms) * trials)
+    seeds = np.random.SeedSequence(seed).spawn(len(ms) * trials)
     medians = []
     for mi, m in enumerate(ms):
         errs = []

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from hklearn import (
-    ExperimentConfig,
     GaussianRBF,
     HyperKernelParams,
     KrrConfig,
@@ -276,13 +275,12 @@ def test_criterion_7_indefinite_learning_and_ideal_accuracy():
 
 def test_criterion_8_learning_rate_study():
     start = time.perf_counter()
-    config = ExperimentConfig(seed=0)
-    noisy = learning_rate_study([8, 16, 32, 64], 10, 0.1, "krr", config)
+    noisy = learning_rate_study([8, 16, 32, 64], 10, 0.1, "krr", 0)
     assert noisy.loglog_slope < 0
     steps = np.diff(noisy.median_errors)
     assert int(np.sum(steps <= 0)) >= 3
     clean = learning_rate_study(
-        [8, 16, 32, 64], 10, 0.0, "krr", config, target="planted"
+        [8, 16, 32, 64], 10, 0.0, "krr", 0, target="planted"
     )
     assert max(clean.median_errors) <= 1e-4
     assert time.perf_counter() - start < 600.0

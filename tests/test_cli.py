@@ -14,7 +14,9 @@ import pytest
 
 import hklearn
 from hklearn.cli import (
+    COMMANDS,
     DEFAULTS,
+    SETTINGS,
     build_parser,
     ingest_dataset,
     ingest_kernel_matrix,
@@ -496,7 +498,7 @@ def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypa
 def test_flags_override_config_which_overrides_defaults(tmp_path):
     data, _, _ = _write_blobs(tmp_path / "data.csv")
     config = _write(
-        tmp_path / "cfg.json", json.dumps({"lambda": 0.5, "epsilon": 0.05})
+        tmp_path / "cfg.json", json.dumps({"lambda": 0.5, "sigma_h2": 0.7})
     )
     out = tmp_path / "out"
     code = main(
@@ -514,8 +516,9 @@ def test_flags_override_config_which_overrides_defaults(tmp_path):
     assert code == 0
     got = json.loads((out / "report.json").read_text())["config"]
     assert got["lambda"] == 0.01  # flag wins over the file
-    assert got["epsilon"] == 0.05  # file wins over the default
+    assert got["sigma_h2"] == 0.7  # file wins over the default
     assert got["method"] == "krr"  # untouched default survives
+    assert "epsilon" not in got  # a krr run echoes only what it reads
     assert DEFAULTS["lambda"] == 1e-3  # the shared table is never mutated
 
 
@@ -590,7 +593,7 @@ def test_svr_trace_artifact(tmp_path):
         ["extend", "DATA", "--method", "svr", "--clusters", "2"],
         ["fit", "DATA", "--no-tune", "--method", "svr", "--landmarks", "4"],
         ["decompose-demo", "DATA", "--method", "svr"],
-        ["eval", "DATA", "--method", "svr"],
+        ["eval", "DATA"],
         ["rate-study", "--method", "svr"],
     ],
     ids=["extend-krr", "fit-krr", "extend-clusters", "fit-landmarks",
@@ -599,11 +602,17 @@ def test_svr_trace_artifact(tmp_path):
 def test_trace_on_a_run_without_trace_exits_2(tmp_path, capsys, argv):
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
     out = tmp_path / "out"
-    argv = [data if a == "DATA" else a for a in argv]
-    code = main(argv + ["--trace", "--output-dir", str(out)])
+    argv = [data if a == "DATA" else a for a in argv] + ["--trace", "--output-dir", str(out)]
+    usage_error = argv[0] not in ("fit", "extend")  # commands without the flag
+    if usage_error:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
     assert code == 2
     err = capsys.readouterr().err
-    assert "trace" in err and err.count("\n") == 1
+    assert "trace" in err and (usage_error or err.count("\n") == 1)
     assert not (out / "trace.csv").exists()
 
 
@@ -616,7 +625,6 @@ def test_rate_study_artifacts(tmp_path):
             "--trials", "3",
             "--noise-sigma", "0.0",
             "--rate-target", "planted",
-            "--lambda", "1e-10",
             "--output-dir", str(out),
         ]
     )
@@ -630,6 +638,7 @@ def test_rate_study_artifacts(tmp_path):
     assert len(report["median_errors"]) == 2
     assert max(report["median_errors"]) <= 1e-4
     assert isinstance(report["loglog_slope"], float)
+    assert "lambda" not in report["config"]  # noiseless ridge trials fit at 1e-10
 
 
 @pytest.mark.parametrize("method", ["krr", "svr"])
@@ -707,6 +716,21 @@ def test_decompose_demo_is_extend_with_two_clusters(tmp_path):
     assert models["decompose-demo"] == models["extend"]
     assert reports["decompose-demo"] == reports["extend"]
     assert reports["extend"]["config"]["clusters"] == 2
+    # a given kernel matrix leaves target unread, and a decomposed fit trace
+    assert not {"target", "trace"} & set(reports["extend"]["config"])
+
+
+def test_decompose_demo_takes_the_rbf_target_only_when_target_is_unset(tmp_path, capsys):
+    _, X, _ = _write_blobs(tmp_path / "blobs.csv", m=10)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, X, delimiter=",")
+    out = tmp_path / "out"
+    assert main(["decompose-demo", str(data), "--no-labels", "--output-dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["target"] == "rbf"
+    code = main(["decompose-demo", str(data), "--no-labels", "--target", "ideal",
+                 "--output-dir", str(tmp_path / "ideal")])
+    assert code == 2
+    assert "ideal target needs a labeled dataset" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- exit codes
@@ -751,7 +775,7 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("cv_folds", "five"), ("seed", 0.5), ("split", 5), ("jitter", 0)],
+    [("cv_folds", "five"), ("seed", 0.5), ("split", 5), ("jitter", 0), ("method", "ridge")],
 )
 def test_config_value_of_wrong_type_exits_2_naming_the_key(
     tmp_path, capsys, key, value
@@ -804,8 +828,8 @@ def test_rate_study_fits_with_the_run_solve_settings(tmp_path, monkeypatch):
     assert set(bases) == {SvrConfig(C=2.5, epsilon=0.05, kkt_tol=0.005)}
     bases.clear()
     # ridge trials keep the study's own constant and read only jitter
-    code = main(study + ["--lambda", "5", "--no-jitter", "--noise-sigma", "0.1",
-                         "--output-dir", str(tmp_path / "krr")])
+    code = main(study[:-2] + ["--no-jitter", "--noise-sigma", "0.1",
+                              "--output-dir", str(tmp_path / "krr")])
     assert code == 0
     assert set(bases) == {KrrConfig(lam=pipeline.STUDY_REG_NOISY, jitter_retries=0)}
 
@@ -993,11 +1017,163 @@ def test_singular_solve_without_jitter_exits_3(tmp_path, capsys, command):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# --------------------------------------------------- settings each run reads
+
+# A value of each setting other than its default; method takes the other one
+PROBES = {
+    "method": None, "lambda": 0.5, "C": 5.0, "epsilon": 0.01, "kkt_tol": 0.2,
+    "sigma2": 2.0, "sigma_h2": 0.7, "target": "rbf", "tl1_tau": 0.5,
+    "rbf_sigma2": 0.5, "log_sigma": 2.0, "clusters": 3, "landmarks": 4, "seed": 5,
+    "standardize": False, "spectrum_fix": "none", "jitter": False, "tune": False,
+    "c_svm": 100.0, "split": [0.5, 0.3, 0.2], "cv_folds": 3, "trials": 4,
+    "sigma_h2_grid": [1.0], "reg_grid": [0.1, 10.0], "m_values": [4, 8],
+    "noise_sigma": 0.2, "rate_target": "planted", "trace": True,
+}
+# the rate study draws its own data; its small fixture is a short study
+FIXTURE = {"rate-study": {"m_values": [4, 6], "trials": 3}}
+WALK = [
+    (command, method, key)
+    for command in COMMANDS
+    for method in ((None,) if command == "eval" else ("krr", "svr"))
+    for key in DEFAULTS
+]
+
+
+@pytest.fixture(scope="module")
+def walk_run(tmp_path_factory):
+    """run(command, method, settings): (artifacts, config echo) of a run of
+    the fixture with ``settings`` in its config file, or None on exit 2.
+
+    The artifacts are every file but timings.json, with the report's
+    timestamp and config echo removed.  Runs are cached.
+    """
+    root = tmp_path_factory.mktemp("walk")
+
+    def two_classes(name, m, seed):  # they overlap, so that the svm settings move accuracies
+        labels = np.repeat([1.0, -1.0], m // 2)
+        X = np.random.default_rng(seed).normal(0.0, 1.0, (m, 2)) + 0.3 * labels[:, None]
+        np.savetxt(root / name, np.column_stack([X, labels]), delimiter=",")
+        return str(root / name)
+
+    # the smallest data a tuned fit splits into 5 folds; its svr fit is fast
+    data = two_classes("data.csv", 12, 18)
+    # eval clips the learned Gram of the log target, which is far from definite
+    assert main(["extend", data, "--target", "log", "--output-dir", str(root / "model")]) == 0
+    queries = [two_classes("queries.csv", 60, 160), "--model", str(root / "model" / "model.json")]
+    inputs = {"rate-study": [], "eval": queries}
+    cache = {}
+
+    def run(command, method, settings):
+        config = {**FIXTURE.get(command, {}), **({"method": method} if method else {}),
+                  **settings}
+        key = json.dumps([command, config], sort_keys=True)
+        if key not in cache:
+            out = root / f"run{len(cache)}"
+            path = _write(root / f"cfg{len(cache)}.json", json.dumps(config))
+            argv = [command, *inputs.get(command, [data]), "--config", path]
+            code = main(argv + ["--output-dir", str(out)])
+            assert code in (0, 2)
+            cache[key] = None
+            if code == 0:
+                files = {p.name: p.read_text() for p in out.iterdir() if p.name != "timings.json"}
+                report = json.loads(files.pop("report.json"))
+                del report["timestamp"]
+                cache[key] = (dict(files, report=report), report.pop("config"))
+        return cache[key]
+
+    return run
+
+
+@pytest.mark.parametrize("command, method, key", WALK)
+def test_every_setting_a_run_accepts_changes_an_artifact(walk_run, capsys, command, method,
+                                                         key):
+    probe = PROBES[key] if key != "method" else {"krr": "svr"}.get(method, "krr")
+    got = walk_run(command, method, {key: probe})
+    if got is None:
+        err = capsys.readouterr().err
+        assert f"{command} does not read setting {key!r}" in err and err.count("\n") == 1
+        return
+    assert got[1][key] == probe
+    if key == "jitter" and method == "krr":
+        return  # read: whether a solve is direct, and so jittered, depends on the data
+    assert got[0] != walk_run(command, method, {})[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extend", "DATA", "--kernel-matrix", "K", "--target", "tl1"],
+         "extend does not read setting 'target' with --kernel-matrix"),
+        (["extend", "DATA", "--target", "rbf", "--config", '{"tl1_tau": 1.0}'],
+         "extend does not read setting 'tl1_tau' with target rbf"),
+        (["eval", "DATA", "--no-labels", "--model", "MODEL", "--config", '{"c_svm": 2.0}'],
+         "eval does not read setting 'c_svm' without labels"),
+        (["fit", "DATA", "--config", '{"lamda": 1.0}'], "fit does not read setting 'lamda' at all"),
+    ],
+    ids=["kernel-matrix-target", "other-target-scale", "unlabeled-eval-c_svm", "unknown-key"],
+)
+def test_unread_setting_exits_2_naming_the_key_and_the_command(tmp_path, capsys, argv, message):
+    data, _, labels = _write_blobs(tmp_path / "data.csv", m=8)
+    paths = {"DATA": data, "K": _write(tmp_path / "k.csv", "\n".join(
+        ",".join("1.0" if a == b else "-1.0" for b in labels) for a in labels) + "\n")}
+    if "MODEL" in argv:
+        assert main(["extend", data, "--output-dir", str(tmp_path / "model")]) == 0
+        paths["MODEL"] = str(tmp_path / "model" / "model.json")
+    argv = [paths.get(a, a) for a in argv]
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        argv[i] = _write(tmp_path / "cfg.json", argv[i])
+    capsys.readouterr()
+    code = main(argv + ["--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "DATA", "--lambda", "5", "--method", "svr", "--clusters", "3"],
+        ["rate-study", "--lambda", "5", "--sigma-h2", "9"],
+        ["rate-study", "--kernel-matrix", "DATA"],
+        ["rate-study", "--no-labels"],
+    ],
+    ids=["eval-fit-flags", "rate-study-lambda", "rate-study-kernel-matrix", "rate-study-labels"],
+)
+def test_flag_outside_the_command_row_is_a_usage_error(tmp_path, capsys, argv):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    with pytest.raises(SystemExit) as exc:
+        main([data if a == "DATA" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, key", [("rbf", "rbf_sigma2"), ("tl1", "tl1_tau")])
+def test_zero_target_scale_exits_2(tmp_path, capsys, target, key):
+    # 0 is a value, not the null that takes the data rule
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    config = _write(tmp_path / "cfg.json", json.dumps({key: 0}))
+    code = main(["extend", data, "--target", target, "--config", config,
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_readme_config_keys_match_defaults():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]
     keys = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
     assert sorted(keys) == sorted(DEFAULTS)
+    # the README table of flags and readers is cli.SETTINGS
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|$", section, flags=re.MULTILINE)
+    assert {
+        key: (re.findall(r"--[\w-]+", flags), set(re.findall(r"[\w-]+", readers)) - {"only", "target"})
+        for key, flags, readers in rows
+    } == {
+        key: ([f.partition("=")[0] for f in (flags or "").split()], set(readers.split()))
+        for key, (_, flags, readers) in SETTINGS.items()
+    }
 
 
 # RunManifest's inputs: every other flag sets a config key of DEFAULTS

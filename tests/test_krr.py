@@ -164,6 +164,16 @@ def test_cg_that_never_moves_fails_after_every_restart(monkeypatch):
     assert len(counts) == krr.CG_RESTARTS + 1
 
 
+def test_cg_at_lambda_zero_fails_before_iterating(monkeypatch):
+    # at lambda 0, CG would run unpreconditioned on the semidefinite K and
+    # diverge for every restart's CG_MAX_ITER iterations
+    counts = _counted_pcg(monkeypatch, lambda call, args: pytest.fail("CG iterated"))
+    system, y = _restart_system()
+    with pytest.raises(NumericalFailure, match="lambda"):
+        fit_krr(system, y, KrrConfig(0.0, solver="cg"))
+    assert counts == []
+
+
 @pytest.mark.parametrize(
     "system_of, lam, maxiter",
     [(_restart_system, 1e-5, CG_MAX_ITER), (_restart_system, 0.0, 300),

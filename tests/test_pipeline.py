@@ -328,26 +328,25 @@ def test_fit_extend_unknown_method(rng):
 
 def test_rate_study_rejects_single_m():
     with pytest.raises(SlopeUndefined):
-        learning_rate_study([8], 3, 0.1, "krr", ExperimentConfig())
+        learning_rate_study([8], 3, 0.1, "krr", 0)
 
 
 def test_rate_study_input_validation():
-    cfg = ExperimentConfig()
     with pytest.raises(InvalidInput):
-        learning_rate_study([8, 8], 3, 0.1, "krr", cfg)
+        learning_rate_study([8, 8], 3, 0.1, "krr", 0)
     with pytest.raises(InvalidInput):
-        learning_rate_study([8, 16], 2, 0.1, "krr", cfg)
+        learning_rate_study([8, 16], 2, 0.1, "krr", 0)
     with pytest.raises(InvalidInput):
-        learning_rate_study([8, 16], 3, -0.1, "krr", cfg)
+        learning_rate_study([8, 16], 3, -0.1, "krr", 0)
     with pytest.raises(InvalidInput):
-        learning_rate_study([8, 16], 3, 0.1, "krr", cfg, target="spline")
+        learning_rate_study([8, 16], 3, 0.1, "krr", 0, target="spline")
     with pytest.raises(InvalidInput):
-        learning_rate_study([1, 2], 3, 0.1, "krr", cfg)
+        learning_rate_study([1, 2], 3, 0.1, "krr", 0)
 
 
 def test_rate_study_noiseless_planted_is_tiny():
     report = learning_rate_study(
-        [6, 10], 3, 0.0, "krr", ExperimentConfig(seed=1), target="planted"
+        [6, 10], 3, 0.0, "krr", 1, target="planted"
     )
     assert all(e <= 1e-4 for e in report.median_errors)
     assert len(report.m_values) == 2
@@ -391,7 +390,7 @@ def test_rate_study_failure_carries_partial_results(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_study_trial", flaky)
     with pytest.raises(PipelineFailure) as exc:
-        learning_rate_study([6, 10], 3, 0.0, "krr", ExperimentConfig(), target="planted")
+        learning_rate_study([6, 10], 3, 0.0, "krr", 0, target="planted")
     partial = exc.value.partial
     assert partial.m_values == (6,)
     assert len(partial.median_errors) == 1
