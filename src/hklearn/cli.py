@@ -44,6 +44,7 @@ from .errors import (
     ResourceLimit,
 )
 from .hyper import HyperKernelParams
+from .krr import KrrConfig
 from .learned import (
     DefinitenessReport,
     definiteness,
@@ -65,6 +66,7 @@ from .pipeline import (
     split_dataset,
 )
 from .scaling import ScalingConfig, fit_decomposed
+from .svr import SvrConfig
 
 # The settings table: each setting's default, its flags (None: config file
 # only; "=a|b" lists the values) and the commands that read it.  A method or
@@ -74,8 +76,8 @@ SETTINGS = {
     "method": ("krr", "--method=krr|svr", f"{_FITS} rate-study"),
     "lambda": (1e-3, "--lambda", f"{_FITS} krr"),
     "C": (1.0, "--C", f"{_FITS} rate-study svr"),
-    "epsilon": (0.1, "--epsilon", f"{_FITS} rate-study svr"),
-    "kkt_tol": (1e-3, None, f"{_FITS} rate-study svr"),
+    "epsilon": (SvrConfig.epsilon, "--epsilon", f"{_FITS} rate-study svr"),
+    "kkt_tol": (SvrConfig.kkt_tol, None, f"{_FITS} rate-study svr"),
     "sigma2": (None, None, _FITS),          # null -> mean per-feature variance of the data
     "sigma_h2": (None, "--sigma-h2", _FITS),  # null -> equal to sigma2
     "target": ("ideal", "--target=ideal|rbf|tl1|log", _FITS),
@@ -87,7 +89,7 @@ SETTINGS = {
     "seed": (0, "--seed", f"{_FITS} rate-study"),
     "standardize": (True, "--standardize --no-standardize", f"{_FITS} eval"),
     "spectrum_fix": ("clip", "--spectrum-fix=none|clip", "fit eval"),
-    "jitter": (True, "--no-jitter", f"{_FITS} rate-study krr"),
+    "jitter": (KrrConfig.jitter, "--no-jitter", f"{_FITS} rate-study krr"),
     "tune": (True, "--no-tune", "fit"),
     "c_svm": (1.0, None, "fit eval"),
     "split": ([0.4, 0.4, 0.2], None, "fit"),
@@ -255,6 +257,8 @@ def _load_settings(manifest: RunManifest) -> dict:
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not np.isfinite(v) for v in values):
             raise InvalidInput(f"setting {key} must be finite, got {value!r}")
+        if key == "seed" and value < 0:  # numpy seeds only from nonnegative ints
+            raise InvalidInput(f"setting seed must be nonnegative, got {value!r}")
         choices = (SETTINGS[key][1] or "").partition("=")[2].split("|")
         if choices != [""] and value not in choices:
             raise InvalidInput(f"setting {key} must be one of {choices}, got {value!r}")
@@ -467,7 +471,7 @@ def _cmd_fit(manifest: RunManifest, settings: dict, outdir: Path) -> dict:
     K = _given_kernel(manifest, settings, X, labels)
     keys = ("split", "cv_folds", "sigma_h2_grid", "reg_grid", "seed")  # untuned: no folds
     config = ExperimentConfig(**{key: settings[key] for key in keys if key in settings})
-    lab, unlab, test = split_dataset(X, labels, config, settings["seed"])
+    lab, unlab, test = split_dataset(X, labels, config)
 
     selected = None
     hp = _hyperparams(settings, X[lab])

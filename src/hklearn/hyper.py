@@ -68,6 +68,19 @@ class HyperKernelParams:
             raise InvalidInput(f"sigma_h2 must be positive, got {self.sigma_h2}")
         if self.dim < 1:
             raise InvalidInput(f"dim must be >= 1, got {self.dim}")
+        # the normalizing prefactors of pair_factors and cross_factor, and
+        # their product, the largest hyper-kernel value
+        sh = self.sigma2 + self.sigma_h2
+        try:
+            pref = (2.0 * math.pi * self.sigma2) ** (-self.dim / 2.0)
+            cross = (4.0 * math.pi**2 * self.sigma2 * sh) ** (-self.dim / 2.0)
+        except (OverflowError, ZeroDivisionError):
+            pref = cross = 0.0
+        if not all(0.0 < f < math.inf for f in (pref, cross, pref * cross)):
+            raise InvalidInput(
+                f"scales sigma2={self.sigma2} and sigma_h2={self.sigma_h2} give a "
+                f"hyper-kernel prefactor outside the doubles in dimension {self.dim}"
+            )
 
 
 def scaled_gaussian(x, x2, s2: float, dim: int) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .errors import FormatError, InvalidInput
+from .errors import FormatError, InvalidInput, NumericalFailure
 from .hyper import (
     HyperKernelParams,
     cross_factor,
@@ -82,12 +82,14 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     return out + lk.bias
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
     """Evaluate k* on every pair of A x B, as a (len(A), len(B)) matrix.
 
     Omitting ``B`` means ``B = A``: the upper triangle is evaluated once and
     mirrored, so that matrix is exactly symmetric.  Rows of A and B are taken
-    in blocks of ``_QUERY_CHUNK``, so temporaries stay at block size.
+    in blocks of ``_QUERY_CHUNK``, so temporaries stay at block size.  A value
+    that overflows raises ``NumericalFailure``.
     """
     params = lk.hyper_params
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -115,6 +117,8 @@ def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
             if sym:
                 G[c:c2, a:a2] = block.T
     G += lk.bias
+    if not np.isfinite(G).all():
+        raise NumericalFailure("the learned kernel overflows on these points")
     return G
 
 

@@ -27,7 +27,7 @@ from .hyper import HyperKernelParams, PairSystem
 from .krr import CoefficientField, KrrConfig
 from .learned import LearnedKernel, eval_all_pairs, eval_pairs
 from .scaling import solve_pair_system
-from .svr import SvrConfig, smo
+from .svr import SMO_MAX_ITER, SMO_MAX_PASSES, SvrConfig, smo
 
 DEFAULT_REG_GRID = tuple(10.0 ** k for k in range(-5, 6))
 # Ridge weights of the learning-rate study, for noiseless and noisy responses
@@ -77,8 +77,9 @@ def _largest_remainder(total: int, fractions) -> np.ndarray:
     return alloc
 
 
-def split_dataset(X, labels, config: ExperimentConfig, seed: int):
-    """Deterministic stratified (labeled, unlabeled, test) index split.
+def split_dataset(X, labels, config: ExperimentConfig):
+    """Deterministic stratified (labeled, unlabeled, test) index split,
+    drawn from ``config.seed``.
 
     Per-class allocations follow the global largest-remainder totals, so the
     group sizes are exact regardless of class balance.  Classes too small to
@@ -102,7 +103,7 @@ def split_dataset(X, labels, config: ExperimentConfig, seed: int):
         )
         classes = [np.arange(m)]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     alloc = np.vstack([_largest_remainder(len(idx), config.split) for idx in classes])
     # reconcile per-class rounding with the exact global group sizes
     diff = alloc.sum(axis=0) - targets
@@ -167,19 +168,15 @@ def base_config(method: str, hyperparams: dict):
     """The KRR or SVR solve settings for ``method`` from a hyperparameter dict.
 
     ``reg`` is lambda for krr and C for svr.  A ``jitter`` entry of False
-    turns off the jitter ladder of direct KRR solves.
+    turns off the jitter ladder of direct KRR solves; an svr's ``epsilon`` and
+    ``kkt_tol`` default to :class:`SvrConfig`'s.
     """
     reg = float(hyperparams["reg"])
     if method == "krr":
-        if hyperparams.get("jitter", True):
-            return KrrConfig(lam=reg)
-        return KrrConfig(lam=reg, jitter_retries=0)
+        return KrrConfig(lam=reg, jitter=hyperparams.get("jitter") is not False)
     if method == "svr":
-        return SvrConfig(
-            C=reg,
-            epsilon=float(hyperparams.get("epsilon", 0.1)),
-            kkt_tol=float(hyperparams.get("kkt_tol", 1e-3)),
-        )
+        return SvrConfig(C=reg, **{key: float(hyperparams[key])
+                                   for key in ("epsilon", "kkt_tol") if key in hyperparams})
     raise InvalidInput(f"unknown method {method!r}, expected 'krr' or 'svr'")
 
 
@@ -221,6 +218,11 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     if hyperparams is None:
         hyperparams = {"sigma2": data_sigma2(X)}
     s2 = float(hyperparams["sigma2"])
+    regs = config.reg_grid
+    # invalid solve or classifier settings fail here, not once per grid point
+    bases = [base_config(method, dict(hyperparams, reg=reg)) for reg in regs]
+    if labels is not None:
+        _check_svm(c_svm, spectrum_fix)
     rng = np.random.default_rng(config.seed)
     folds = [
         (np.setdiff1d(np.arange(m), val), val)
@@ -242,7 +244,6 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
     # is assembled once.  The fold Grams of the best row so far are kept for
     # the c_svm pass.
     table, best, best_grams = [], None, None
-    regs = config.reg_grid
     for mult in config.sigma_h2_grid:
         params = HyperKernelParams(s2, mult * s2, X.shape[1])
         scores = [[] for _ in regs]  # per reg; None once a fold fails
@@ -251,11 +252,10 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             X_train = X[train]
             system = PairSystem(params, X_train)
             responses = Y[np.ix_(train, train)].ravel()
-            for k, reg in enumerate(regs):
+            for k, base in enumerate(bases):
                 if scores[k] is None:
                     continue
                 try:
-                    base = base_config(method, dict(hyperparams, sigma_h2=mult * s2, reg=reg))
                     coeffs, bias = solve_pair_system(system, responses, base)
                     G = eval_all_pairs(LearnedKernel(X_train, coeffs, bias, params), X)
                     scores[k].append(fold_score(G, train, val, c_svm))
@@ -333,7 +333,7 @@ class SvmModel:
 
 
 def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
-              kkt_tol: float = 1e-3) -> SvmModel:
+              kkt_tol: float = SvrConfig.kkt_tol) -> SvmModel:
     """Binary SVM on a precomputed (possibly indefinite) Gram matrix.
 
     With spectrum_fix="clip" the training Gram's negative eigenvalues are
@@ -349,20 +349,23 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
         raise InvalidInput("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise InvalidInput("both classes must be present")
-    if not C_svm > 0:
-        raise InvalidInput("C_svm must be positive")
-    if spectrum_fix not in ("none", "clip"):
-        raise InvalidInput(f"unknown spectrum_fix {spectrum_fix!r}")
+    _check_svm(C_svm, spectrum_fix)
 
     if spectrum_fix == "clip":
         G = _clip_spectrum(G)
 
-    # the SVR solver's default iteration budget
     beta, bias = smo(
         G, y, np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0), 0.0,
-        kkt_tol, SvrConfig.max_passes, SvrConfig.max_iter,
+        kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER,
     )
     return SvmModel(y * beta, y, bias)
+
+
+def _check_svm(c_svm, spectrum_fix):
+    if not c_svm > 0:
+        raise InvalidInput(f"c_svm must be positive, got {c_svm}")
+    if spectrum_fix not in ("none", "clip"):
+        raise InvalidInput(f"unknown spectrum_fix {spectrum_fix!r}")
 
 
 def _clip_spectrum(G):

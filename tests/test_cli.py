@@ -311,14 +311,14 @@ def test_tuned_fit_writes_cv_score_table(tmp_path):
 def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
     import hklearn.pipeline as pipeline
 
-    real = pipeline.base_config
+    real = pipeline.solve_pair_system
     calls = []
 
-    def recording(method, hyperparams):
-        calls.append(dict(hyperparams))
-        return real(method, hyperparams)
+    def recording(system, responses, base, trace_path=None):
+        calls.append((system.params, base))
+        return real(system, responses, base, trace_path=trace_path)
 
-    monkeypatch.setattr(pipeline, "base_config", recording)
+    monkeypatch.setattr(pipeline, "solve_pair_system", recording)
     config = _write(
         tmp_path / "cfg.json",
         json.dumps({"sigma2": 2.0, "sigma_h2_grid": [0.5], "reg_grid": [1.0]}),
@@ -330,10 +330,10 @@ def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 6  # 5 grid folds (the c_svm pass reuses them), the final fit
-    for hp in calls:
-        assert hp.get("epsilon") == 0.01
-        assert hp["sigma2"] == 2.0
-        assert hp["sigma_h2"] == 0.5 * 2.0
+    for params, base in calls:
+        assert base.epsilon == 0.01
+        assert params.sigma2 == 2.0
+        assert params.sigma_h2 == 0.5 * 2.0
 
 
 def test_tuned_fit_on_zero_one_labels_matches_the_plus_minus_one_run(tmp_path):
@@ -831,7 +831,7 @@ def test_rate_study_fits_with_the_run_solve_settings(tmp_path, monkeypatch):
     code = main(study[:-2] + ["--no-jitter", "--noise-sigma", "0.1",
                               "--output-dir", str(tmp_path / "krr")])
     assert code == 0
-    assert set(bases) == {KrrConfig(lam=pipeline.STUDY_REG_NOISY, jitter_retries=0)}
+    assert set(bases) == {KrrConfig(lam=pipeline.STUDY_REG_NOISY, jitter=False)}
 
 
 def _uniform_csv(path, m, seed):
@@ -924,6 +924,20 @@ def test_non_finite_model_file_exits_2(tmp_path, capsys, field, value):
     assert f"non-finite {field}" in err and err.count("\n") == 1
 
 
+def test_model_whose_learned_kernel_overflows_exits_3(tmp_path, capsys):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    for coefficient in doc["coefficients"]:
+        coefficient["value"] = 1e308
+    model = _write(tmp_path / "model.json", json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", data, "--model", model, "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "learned kernel overflows" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("i", 1.5), ("i", "1"), ("value", "0.5"), ("bias", "0.1"), ("points", "0.5"),
     ("i", True), ("j", False), ("value", True), ("points", True),
@@ -984,6 +998,60 @@ def test_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys, argv, confi
     assert code == 2
     err = capsys.readouterr().err
     assert f"setting {key} must be finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "decompose-demo", "rate-study"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=20)
+    argv = [command] + ([] if command == "rate-study" else [data])
+    code = main(argv + ["--seed", "-1", "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "setting seed must be nonnegative" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "method, key, value, message",
+    [("krr", "c_svm", 0.0, "c_svm must be positive"),
+     ("krr", "c_svm", -1.0, "c_svm must be positive"),
+     ("svr", "epsilon", -0.1, "epsilon must be nonnegative"),
+     ("svr", "kkt_tol", 0.0, "kkt_tol must be at least"),
+     ("svr", "kkt_tol", 1e-300, "kkt_tol must be at least machine epsilon")],
+    ids=["zero-c_svm", "negative-c_svm", "negative-epsilon", "zero-kkt_tol",
+         "kkt_tol-below-roundoff"],
+)
+def test_invalid_solve_setting_exits_2_in_a_tuned_fit_as_in_an_untuned_one(
+        tmp_path, capsys, method, key, value, message):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=20)
+    config = _write(tmp_path / "cfg.json", json.dumps({key: value, "method": method}))
+    errors = []
+    for tune in ([], ["--no-tune"]):
+        code = main(["fit", data, *tune, "--config", config,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert message in errors[0] and errors[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("sigma2", [1e-300, 1e-160])
+def test_scales_whose_prefactor_leaves_the_doubles_exit_2(tmp_path, capsys, sigma2):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    config = _write(tmp_path / "cfg.json", json.dumps({"sigma2": sigma2}))
+    code = main(["extend", data, "--config", config, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"scales sigma2={sigma2}" in err and err.count("\n") == 1
+    # a model file with those scales is refused in the same way
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    doc["hyper_params"]["sigma2"] = sigma2
+    model = _write(tmp_path / "model.json", json.dumps(doc))
+    capsys.readouterr()
+    code = main(["eval", data, "--model", model, "--output-dir", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"scales sigma2={sigma2}" in err and err.count("\n") == 1
 
 
 def test_kernel_matrix_size_mismatch_exits_2(tmp_path, capsys):

@@ -24,6 +24,12 @@ from hklearn.scaling import nystrom_restrict
 from midpoint_reference import hyper_gram_reference
 
 
+def _solve_path(monkeypatch, **constants):
+    """Set KrrConfig's solve path class constants for the rest of the test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(KrrConfig, name, value)
+
+
 def krr_objective(gram, beta, responses, lam):
     """Oracle: ``||K beta - y||^2 + lam * beta' K beta``, which the fit minimizes."""
     K = gram.entries
@@ -70,24 +76,27 @@ def test_direct_residual_bound(rng):
         assert np.linalg.norm(r) / max(1.0, np.linalg.norm(y)) <= 1e-8
 
 
-def test_cg_agrees_with_direct(rng):
+def test_cg_agrees_with_direct(rng, monkeypatch):
     gram = _random_gram(rng, 8)
     y = rng.standard_normal(64)
-    direct = fit_krr(gram, y, KrrConfig(1e-2, solver="direct"))
-    iterative = fit_krr(gram, y, KrrConfig(1e-2, solver="cg", cg_tol=1e-12))
+    _solve_path(monkeypatch, solver="direct")
+    direct = fit_krr(gram, y, KrrConfig(1e-2))
+    _solve_path(monkeypatch, solver="cg", cg_tol=1e-12)
+    iterative = fit_krr(gram, y, KrrConfig(1e-2))
     np.testing.assert_allclose(
         iterative.values, direct.values, rtol=1e-6, atol=1e-6 * np.abs(direct.values).max()
     )
 
 
 @pytest.mark.parametrize("lam", [1e-1, 1e-3, 1e-4])
-def test_cg_on_the_operator_matches_cg_on_the_dense_gram(rng, lam):
+def test_cg_on_the_operator_matches_cg_on_the_dense_gram(rng, lam, monkeypatch):
     X = rng.uniform(0.0, 1.0, (24, 2))
     params = HyperKernelParams(0.2, 0.2, 2)
     system = PairSystem(params, X)
     K = assemble_hyper_gram(params, X).entries
     y = rng.standard_normal(system.n)
-    config = KrrConfig(lam, solver="cg")
+    _solve_path(monkeypatch, solver="cg")
+    config = KrrConfig(lam)
     free = fit_krr(system, y, config)
     # the dense side multiplies by the assembled matrix, not by the operator
     dense, info = cg(K + lam * np.eye(system.n), y, rtol=1e-12, atol=0.0,
@@ -108,11 +117,12 @@ def _restart_system():
     return PairSystem(HyperKernelParams(0.2, 0.2, 2), X), rng.standard_normal(576)
 
 
-def test_cg_restarts_when_its_recursive_residual_drifts():
+def test_cg_restarts_when_its_recursive_residual_drifts(monkeypatch):
     # one CG run stops on its recursive residual while the true one is
     # 5.7e-9 relative, above cg_tol; a restart from its iterate meets cg_tol
     system, y = _restart_system()
-    config = KrrConfig(1e-5, solver="cg")
+    _solve_path(monkeypatch, solver="cg")
+    config = KrrConfig(1e-5)
     field = fit_krr(system, y, config)
     residual = system.matvec(field.values) + config.lam * field.values - y
     assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
@@ -144,7 +154,8 @@ def test_cg_restart_meets_cg_tol_and_counts_every_call(monkeypatch):
 
     counts = _counted_pcg(monkeypatch, run)
     system, y = _restart_system()
-    config = KrrConfig(1e-5, solver="cg")
+    _solve_path(monkeypatch, solver="cg")
+    config = KrrConfig(1e-5)
     field = fit_krr(system, y, config)
     residual = system.matvec(field.values) + config.lam * field.values - y
     assert np.linalg.norm(residual) <= config.cg_tol * max(1.0, np.linalg.norm(y))
@@ -159,8 +170,9 @@ def test_cg_that_never_moves_fails_after_every_restart(monkeypatch):
 
     counts = _counted_pcg(monkeypatch, run)
     system, y = _restart_system()
+    _solve_path(monkeypatch, solver="cg")
     with pytest.raises(NumericalFailure, match="solve residual"):
-        fit_krr(system, y, KrrConfig(1e-5, solver="cg"))
+        fit_krr(system, y, KrrConfig(1e-5))
     assert len(counts) == krr.CG_RESTARTS + 1
 
 
@@ -169,8 +181,9 @@ def test_cg_at_lambda_zero_fails_before_iterating(monkeypatch):
     # diverge for every restart's CG_MAX_ITER iterations
     counts = _counted_pcg(monkeypatch, lambda call, args: pytest.fail("CG iterated"))
     system, y = _restart_system()
+    _solve_path(monkeypatch, solver="cg")
     with pytest.raises(NumericalFailure, match="lambda"):
-        fit_krr(system, y, KrrConfig(0.0, solver="cg"))
+        fit_krr(system, y, KrrConfig(0.0))
     assert counts == []
 
 
@@ -200,10 +213,11 @@ def test_pcg_equals_scipy_cg_bit_for_bit(system_of, lam, maxiter):
         assert iterations == len(steps) > 0
 
 
-def test_cg_failure_prints_the_relative_residual(rng):
+def test_cg_failure_prints_the_relative_residual(rng, monkeypatch):
     X = rng.standard_normal((4, 2))
     y = 1e12 * rng.standard_normal(16)
-    config = KrrConfig(1e-2, solver="cg", cg_tol=1e-17)
+    _solve_path(monkeypatch, solver="cg", cg_tol=1e-17)
+    config = KrrConfig(1e-2)
     with pytest.raises(NumericalFailure) as excinfo:
         fit_krr(PairSystem(HyperKernelParams(1.0, 1.0, 2), X), y, config)
     printed = float(re.search(r"solve residual (\S+) exceeds", str(excinfo.value))[1])
@@ -213,12 +227,13 @@ def test_cg_failure_prints_the_relative_residual(rng):
     assert "tolerance 1e-17" in str(excinfo.value)
 
 
-def test_cg_below_roundoff_fails_with_a_finite_residual(rng):
+def test_cg_below_roundoff_fails_with_a_finite_residual(rng, monkeypatch):
     # without the eps floor on rtol, 1e-300 let rho = r'z underflow to zero
     # and _pcg's next step divide by it
     X = rng.standard_normal((4, 2))
     y = 1e12 * rng.standard_normal(16)
-    config = KrrConfig(1e-2, solver="cg", cg_tol=1e-300)
+    _solve_path(monkeypatch, solver="cg", cg_tol=1e-300)
+    config = KrrConfig(1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalFailure) as excinfo:
@@ -235,13 +250,15 @@ def _tl1_system(m, seed=0):
 
 
 @pytest.mark.parametrize("restrict", [False, True], ids=["full", "restricted"])
-def test_preconditioned_cg_matches_the_direct_solve(restrict):
+def test_preconditioned_cg_matches_the_direct_solve(restrict, monkeypatch):
     X = np.random.default_rng(1).uniform(0.0, 1.0, (20, 2))
     pairs = nystrom_restrict(20, 10, seed=2)[1] if restrict else None
     system = PairSystem(HyperKernelParams(0.1, 0.1, 2), X, pairs)
     y = np.random.default_rng(3).standard_normal(system.n)
-    direct = fit_krr(system, y, KrrConfig(1e-3, solver="direct")).values
-    field = fit_krr(system, y, KrrConfig(1e-3, solver="cg"))
+    _solve_path(monkeypatch, solver="direct")
+    direct = fit_krr(system, y, KrrConfig(1e-3)).values
+    _solve_path(monkeypatch, solver="cg")
+    field = fit_krr(system, y, KrrConfig(1e-3))
     assert field.preconditioner_rank > 0
     assert np.abs(field.values - direct).max() <= 1e-9 * np.abs(direct).max()
 
@@ -270,9 +287,10 @@ def test_columns_match_the_midpoint_reference(rng):
 
 @pytest.mark.parametrize("m", [24, 46])
 @pytest.mark.parametrize("lam", [1e-1, 1e-3, 1e-4])
-def test_preconditioned_cg_solves_what_plain_cg_solves(m, lam):
+def test_preconditioned_cg_solves_what_plain_cg_solves(m, lam, monkeypatch):
     system, y = _tl1_system(m)
-    config = KrrConfig(lam, solver="cg")
+    _solve_path(monkeypatch, solver="cg")
+    config = KrrConfig(lam)
     scale = config.cg_tol * max(1.0, np.linalg.norm(y))
     op = LinearOperator((system.n, system.n), dtype=float,
                         matvec=lambda v: system.matvec(v) + lam * v)
@@ -292,16 +310,14 @@ def test_direct_solve_on_the_operator_matches_the_dense_gram(rng):
     assert (free.solver, free.cg_iterations) == ("direct", None)
 
 
-def test_auto_solver_switches_on_size(rng):
+def test_auto_solver_switches_on_size(rng, monkeypatch):
     gram = _random_gram(rng, 4)
     y = rng.standard_normal(16)
-    small_limit = KrrConfig(1e-2, solver="auto", direct_limit=4, cg_tol=1e-12)
-    large_limit = KrrConfig(1e-2, solver="auto", direct_limit=1000)
-    np.testing.assert_allclose(
-        fit_krr(gram, y, small_limit).values,
-        fit_krr(gram, y, large_limit).values,
-        rtol=1e-6,
-    )
+    _solve_path(monkeypatch, solver="auto", direct_limit=4, cg_tol=1e-12)
+    small_limit = fit_krr(gram, y, KrrConfig(1e-2))
+    _solve_path(monkeypatch, solver="auto", direct_limit=1000)
+    large_limit = fit_krr(gram, y, KrrConfig(1e-2))
+    np.testing.assert_allclose(small_limit.values, large_limit.values, rtol=1e-6)
 
 
 def test_shrinkage_monotone_in_lambda(rng):
@@ -339,7 +355,7 @@ def test_singular_without_jitter_raises():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     gram = assemble_hyper_gram(HyperKernelParams(1.0, 1.0, 2), X)
     with pytest.raises(NumericalFailure):
-        fit_krr(gram, np.ones(9), KrrConfig(0.0, jitter_retries=0))
+        fit_krr(gram, np.ones(9), KrrConfig(0.0, jitter=False))
 
 
 def test_negative_lambda_rejected():

@@ -33,14 +33,14 @@ from svm_reference import svm_train_reference
 def test_split_sizes_forty_forty_twenty(rng):
     X = rng.standard_normal((10, 2))
     y = np.array([1, 1, 1, 1, 1, -1, -1, -1, -1, -1])
-    lab, unlab, test = split_dataset(X, y, ExperimentConfig(), seed=0)
+    lab, unlab, test = split_dataset(X, y, ExperimentConfig(seed=0))
     assert (lab.size, unlab.size, test.size) == (4, 4, 2)
 
 
 def test_split_disjoint_and_exhaustive(rng):
     X = rng.standard_normal((23, 3))
     y = np.where(rng.uniform(size=23) < 0.5, 1, -1)
-    parts = split_dataset(X, y, ExperimentConfig(), seed=5)
+    parts = split_dataset(X, y, ExperimentConfig(seed=5))
     joined = np.concatenate(parts)
     assert joined.size == 23
     np.testing.assert_array_equal(np.sort(joined), np.arange(23))
@@ -49,8 +49,8 @@ def test_split_disjoint_and_exhaustive(rng):
 def test_split_deterministic(rng):
     X = rng.standard_normal((15, 2))
     y = np.where(np.arange(15) % 2 == 0, 1, -1)
-    a = split_dataset(X, y, ExperimentConfig(), seed=9)
-    b = split_dataset(X, y, ExperimentConfig(), seed=9)
+    a = split_dataset(X, y, ExperimentConfig(seed=9))
+    b = split_dataset(X, y, ExperimentConfig(seed=9))
     for left, right in zip(a, b):
         np.testing.assert_array_equal(left, right)
 
@@ -58,7 +58,7 @@ def test_split_deterministic(rng):
 def test_split_stratifies_balanced_classes(rng):
     X = rng.standard_normal((20, 2))
     y = np.array([1] * 10 + [-1] * 10)
-    lab, unlab, test = split_dataset(X, y, ExperimentConfig(), seed=2)
+    lab, unlab, test = split_dataset(X, y, ExperimentConfig(seed=2))
     for part, expected in ((lab, 8), (unlab, 8), (test, 4)):
         assert part.size == expected
         assert np.sum(y[part] == 1) == expected // 2
@@ -68,13 +68,13 @@ def test_split_warns_on_tiny_class(rng):
     X = rng.standard_normal((10, 2))
     y = np.array([1] * 8 + [-1] * 2)
     with pytest.warns(StratificationWarning):
-        parts = split_dataset(X, y, ExperimentConfig(), seed=0)
+        parts = split_dataset(X, y, ExperimentConfig(seed=0))
     assert sum(p.size for p in parts) == 10
 
 
 def test_split_rejects_tiny_dataset(rng):
     with pytest.raises(InvalidInput):
-        split_dataset(rng.standard_normal((4, 2)), np.ones(4), ExperimentConfig(), seed=0)
+        split_dataset(rng.standard_normal((4, 2)), np.ones(4), ExperimentConfig(seed=0))
 
 
 def test_config_validation():

@@ -7,10 +7,12 @@ that only tests call live under ``tests/``, not in the package.  A
 ``_``-prefixed name belongs to its module: no other module of the package
 imports it.  The functions the benchmark's span wrappers replace by name, and
 the arguments their counters read, exist in the package, and the traced
-benchmark run passes on every workload.
+benchmark run passes on every workload.  Every field of a solve config is a
+setting that a command reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -110,3 +112,17 @@ def test_traced_benchmark_passes_on_every_workload():
     assert proc.returncode == 0, proc.stderr[-2000:]
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_every_solve_config_field_is_a_setting_with_the_same_default():
+    from hklearn.cli import SETTINGS
+    from hklearn.krr import KrrConfig
+    from hklearn.svr import SvrConfig
+
+    keys = {"lam": "lambda"}  # field name -> settings key, where they differ
+    fields = [f for config in (KrrConfig, SvrConfig) for f in dataclasses.fields(config)]
+    unset = [f.name for f in fields if keys.get(f.name, f.name) not in SETTINGS]
+    assert not unset, f"solve config fields that no command sets: {unset}"
+    for f in fields:
+        if f.default is not dataclasses.MISSING:
+            assert SETTINGS[f.name][0] == f.default, f.name

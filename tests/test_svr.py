@@ -17,6 +17,7 @@ from hklearn import (
     fit_svr,
     gram_matrix,
 )
+from hklearn import svr
 from hklearn.svr import smo
 from qp_oracle import solve_svr_dual
 import smo_reference
@@ -173,12 +174,13 @@ def test_dual_objective_beats_random_feasible_points(rng):
         assert model.dual_objective >= rival - 1e-8
 
 
-def test_iteration_budget_exhaustion_raises(rng):
+def test_iteration_budget_exhaustion_raises(rng, monkeypatch):
     gram = _gram(rng, 3)
     y = 5.0 * rng.standard_normal(9)
+    monkeypatch.setattr(svr, "SMO_MAX_ITER", 2)
+    monkeypatch.setattr(svr, "SMO_MAX_PASSES", 1)
     with pytest.raises(ConvergenceFailure) as exc:
-        fit_svr(gram, y, SvrConfig(C=10.0, epsilon=0.0, kkt_tol=1e-14, max_iter=2,
-                                   max_passes=1))
+        fit_svr(gram, y, SvrConfig(C=10.0, epsilon=0.0, kkt_tol=1e-14))
     assert exc.value.violation > 0.0
 
 
