@@ -42,6 +42,7 @@ from .errors import (
     NumericalFailure,
     PipelineFailure,
     ResourceLimit,
+    utf8_input,
 )
 from .hyper import HyperKernelParams
 from .krr import KrrConfig
@@ -157,13 +158,22 @@ def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bo
     else:
         raise InvalidInput(f"unknown dataset format {fmt!r}")
     if standardize:
-        X = standardize_columns(X)
+        X = standardize_columns(X, path)
     return X, labels
 
 
-def standardize_columns(X: np.ndarray) -> np.ndarray:
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
+def standardize_columns(X: np.ndarray, path="dataset") -> np.ndarray:
+    """Center and scale each column; a column whose mean or deviation is not
+    a double is a FormatError naming ``path`` and the column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = X.mean(axis=0)
+        sd = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
+    if bad.size:
+        raise FormatError(
+            f"{path}: column {bad[0] + 1} is too large to standardize "
+            f"(its mean or deviation overflows)"
+        )
     sd[sd == 0] = 1.0  # constant columns pass through centered
     return (X - mu) / sd
 
@@ -172,37 +182,76 @@ def _read_csv_numbers(path: Path, name: str) -> np.ndarray:
     """A csv file of numbers as a 2-d array, skipping blank rows.
 
     Every row must have the width of the first; ``name`` describes the file
-    in the message for one with no rows.
+    in the message for one with no rows.  The cells are converted in one
+    numpy call, which parses by Python ``float()`` rules; only when that
+    fails are the rows walked again for the first bad cell or row.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            values = [_parse_float(c, path, lineno, "cell") for c in row]
-            if rows and len(values) != len(rows[0]):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, "
-                    f"found {len(values)}"
-                )
-            rows.append(values)
-    if not rows:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
+        kept = [
+            (lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+            if any(c.strip() for c in row)
+        ]
+    if not kept:
         raise FormatError(f"{path}: empty {name}")
-    return np.array(rows)
+    try:
+        data = np.array([row for _, row in kept], dtype=float)
+    except ValueError:  # a non-numeric cell or a ragged row
+        data = None
+    if data is None or not np.isfinite(data).all():
+        _raise_first_bad_row(path, kept)
+    return data
+
+
+def _raise_first_bad_row(path: Path, kept) -> None:
+    """Raise the FormatError of the first non-numeric or non-finite cell, or
+    row not as wide as the first, in file order."""
+    width = len(kept[0][1])
+    for lineno, row in kept:
+        for cell in row:
+            _parse_float(cell, path, lineno, "cell")
+        if len(row) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} columns, found {len(row)}")
 
 
 def _read_libsvm_dataset(path: Path):
-    labels, entries, max_idx = [], [], 0
-    with open(path) as fh:
+    """A libsvm file as (features, labels).  Labels, feature indices and
+    values are each converted in one numpy call; only when one fails are the
+    lines walked again for the first bad token."""
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         lines = [
             (no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()
         ]
     if not lines:
         raise FormatError(f"{path}: empty dataset")
+    rows = [line.split() for _, line in lines]
+    features = [tok.partition(":") for tokens in rows for tok in tokens[1:]]
+    try:
+        labels = np.array([tokens[0] for tokens in rows], dtype=float)
+        cols = np.array([idx for idx, _, _ in features], dtype=np.int64) - 1
+        values = np.array([val for _, _, val in features], dtype=float)
+        ok = (all(sep for _, sep, _ in features) and (cols >= 0).all()
+              and np.isfinite(labels).all() and np.isfinite(values).all())
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        _raise_first_bad_line(path, lines)
+        raise FormatError(f"{path}: a feature index is beyond 64-bit integers")
+    counts = [len(tokens) - 1 for tokens in rows]
+    width = int(cols.max()) + 1 if cols.size else 0
+    flat = np.repeat(np.arange(len(rows)) * width, counts) + cols
+    # a feature given twice on one line keeps its last value
+    _, last = np.unique(flat[::-1], return_index=True)
+    X = np.zeros((len(rows), width))
+    X.flat[flat[::-1][last]] = values[::-1][last]
+    return X, labels
+
+
+def _raise_first_bad_line(path: Path, lines) -> None:
+    """Raise the FormatError of the first bad label, feature or value, in
+    file order."""
     for lineno, line in lines:
         tokens = line.split()
-        labels.append(_parse_float(tokens[0], path, lineno, "label"))
-        row = {}
+        _parse_float(tokens[0], path, lineno, "label")
         for tok in tokens[1:]:
             idx, sep, val = tok.partition(":")
             if not sep:
@@ -213,14 +262,7 @@ def _read_libsvm_dataset(path: Path):
                 raise FormatError(f"{path}:{lineno}: bad feature index {idx!r}") from None
             if i < 1:
                 raise FormatError(f"{path}:{lineno}: feature indices are 1-based")
-            row[i - 1] = _parse_float(val, path, lineno, "value")
-            max_idx = max(max_idx, i)
-        entries.append(row)
-    X = np.zeros((len(entries), max_idx))
-    for r, row in enumerate(entries):
-        for c, v in row.items():
-            X[r, c] = v
-    return X, np.array(labels)
+            _parse_float(val, path, lineno, "value")
 
 
 def ingest_kernel_matrix(path) -> np.ndarray:
@@ -229,10 +271,14 @@ def ingest_kernel_matrix(path) -> np.ndarray:
     K = _read_csv_numbers(path, "kernel matrix")
     if K.shape[0] != K.shape[1]:
         raise FormatError(f"{path}: kernel matrix must be square, got {K.shape}")
-    gap = float(np.abs(K - K.T).max())
+    with np.errstate(over="ignore"):
+        gap = float(np.abs(K - K.T).max())
+        sym = 0.5 * (K + K.T)
+    if not np.isfinite(sym).all():
+        raise FormatError(f"{path}: kernel matrix entries overflow in (K + K') / 2")
     if gap > 1e-8:
         warnings.warn(f"kernel matrix asymmetric by {gap:.3e}; symmetrizing")
-    return 0.5 * (K + K.T)
+    return sym
 
 
 def _load_settings(manifest: RunManifest) -> dict:
@@ -242,7 +288,8 @@ def _load_settings(manifest: RunManifest) -> dict:
     explicit = {}
     if manifest.config_path is not None:
         try:
-            explicit = json.loads(Path(manifest.config_path).read_text())
+            with utf8_input(manifest.config_path):
+                explicit = json.loads(Path(manifest.config_path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise FormatError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(explicit, dict):

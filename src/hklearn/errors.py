@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and :func:`utf8_input`, which
+turns an input file's decoding failure into a ``FormatError``."""
+
+from contextlib import contextmanager
 
 
 class HklearnError(Exception):
@@ -30,6 +33,16 @@ class ResourceLimit(HklearnError):
 
 class FormatError(HklearnError):
     """An input file cannot be parsed (ragged rows, non-numeric cells, bad shape)."""
+
+
+@contextmanager
+def utf8_input(path):
+    """Turn a UnicodeDecodeError while reading ``path`` into a FormatError
+    naming the file: every input file must be UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 class PipelineFailure(HklearnError):

@@ -117,12 +117,13 @@ def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
             c, low = cho_factor(shifted, lower=True)
         except np.linalg.LinAlgError:
             continue
-        x = cho_solve((c, low), rhs)
+        # a right-hand side that overflows fails the residual test below
+        x = cho_solve((c, low), rhs, check_finite=False)
         worst = float(np.linalg.norm(shifted @ x - rhs)) / scale
         for _ in range(2):
             if worst <= DIRECT_RESIDUAL_TOL:
                 break
-            x = x + cho_solve((c, low), rhs - shifted @ x)
+            x = x + cho_solve((c, low), rhs - shifted @ x, check_finite=False)
             worst = float(np.linalg.norm(shifted @ x - rhs)) / scale
         if worst <= DIRECT_RESIDUAL_TOL:
             return x, jitter

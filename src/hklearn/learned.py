@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .errors import FormatError, InvalidInput, NumericalFailure
+from .errors import FormatError, InvalidInput, NumericalFailure, utf8_input
 from .hyper import (
     HyperKernelParams,
     cross_factor,
@@ -178,7 +178,8 @@ def save_learned(lk: LearnedKernel, path) -> None:
 
 def load_learned(path) -> LearnedKernel:
     try:
-        doc = json.loads(Path(path).read_text())
+        with utf8_input(path):
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"model file is not valid JSON: {exc}") from exc
     try:

@@ -33,6 +33,9 @@ EQUALITY_SLACK = 1e-8  # scaled by C*n in the model invariant
 # The budget of every SMO solve: full-gradient refresh rounds, total updates
 SMO_MAX_PASSES = 1000
 SMO_MAX_ITER = 500_000
+# Updates per progress check: a window that moves beta by less than one ulp of
+# the box bounds ends the solve
+SMO_STALL_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,19 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
     bounds are per coordinate, so the SVR box [-C, C] and the signed SVM boxes
     [0, C] / [-C, 0] are both instances.  Returns (beta, bias).  Raises
     ConvergenceFailure (carrying the worst violation) if the iteration budget
-    runs out first.  ``trace_path``, when given, receives one CSV row per
-    update: iteration, dual objective, worst KKT violation.
+    runs out first, or once ``SMO_STALL_WINDOW`` updates have moved beta by
+    less than one ulp of the box: with hyper-Gram entries near 1e58 each step
+    is about 1e-58, and the budget would run out with beta still at zero.
+    ``trace_path``, when given, receives one CSV row per update: iteration,
+    dual objective, worst KKT violation.
     """
     n = y.size
     diag = np.diag(K).copy()
 
     beta = np.zeros(n)
+    bounds = np.abs(np.concatenate([lo, hi]))
+    stall_tol = np.finfo(float).eps * bounds[np.isfinite(bounds)].max(initial=0.0)
+    mark, stalled = beta.copy(), False
     trace_file = open(trace_path, "w", newline="") if trace_path else nullcontext()
     with trace_file:
         trace = csv.writer(trace_file) if trace_path else None
@@ -194,7 +203,12 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
                     trace.writerow(
                         [iteration, repr(objective), repr(max(violation, 0.0))]
                     )
-            if violation <= kkt_tol or iteration >= max_iter:
+                if iteration % SMO_STALL_WINDOW == 0:
+                    stalled = np.abs(beta - mark).max() <= stall_tol
+                    if stalled:
+                        break
+                    mark = beta.copy()
+            if violation <= kkt_tol or iteration >= max_iter or stalled:
                 break
 
     # final verdict from an exactly recomputed gradient

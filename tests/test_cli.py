@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1083,6 +1084,75 @@ def test_singular_solve_without_jitter_exits_3(tmp_path, capsys, command):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at", ["start", "end"])
+@pytest.mark.parametrize("bad_file", ["data", "kernel", "model", "config"])
+def test_an_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, bad_file, at):
+    data, _, labels = _write_blobs(tmp_path / "data.csv", m=8)
+    ideal = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+    kernel = tmp_path / "k.csv"
+    np.savetxt(kernel, ideal, delimiter=",", fmt="%.17g")
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fitted")]) == 0
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    paths = {"data": Path(data), "kernel": kernel, "config": config,
+             "model": tmp_path / "fitted" / "model.json"}
+    bad = paths[bad_file]
+    raw = bad.read_bytes()
+    bad.write_bytes(b"\xff" + raw if at == "start" else raw + b"\xff")
+    capsys.readouterr()
+    code = main(["eval", data, "--model", str(paths["model"]), "--kernel-matrix", str(kernel),
+                 "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}: not UTF-8 text" in err and err.count("\n") == 1
+
+
+def test_a_column_too_large_to_standardize_exits_2_naming_it(tmp_path, capsys):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    rows = Path(data).read_text().splitlines()
+    rows[3] = rows[3].split(",")[0] + ",1e308," + rows[3].split(",")[2]
+    bad = _write(tmp_path / "big.csv", "\n".join(rows) + "\n")
+    code = main(["extend", bad, "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}: column 2 is too large to standardize" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "cell, code", [((0, 0), 2), ((0, 1), 3)], ids=["diagonal", "off-diagonal"]
+)
+def test_a_kernel_matrix_entry_near_the_largest_double_exits_2_or_3(
+    tmp_path, capsys, cell, code
+):
+    # a diagonal 1e308 overflows (K + K') / 2; an off-diagonal one halves to
+    # 5e307, which overflows the solve's residual
+    data, _, labels = _write_blobs(tmp_path / "data.csv", m=8)
+    K = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+    K[cell] = 1e308
+    kernel = tmp_path / "k.csv"
+    np.savetxt(kernel, K, delimiter=",", fmt="%.17g")
+    capsys.readouterr()
+    assert main(["extend", data, "--kernel-matrix", str(kernel),
+                 "--output-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_svr_whose_steps_cannot_move_beta_exits_3_within_a_second(tmp_path, capsys):
+    # sigma2 1e-30 puts hyper-Gram entries near 1e57, so each SMO step is about
+    # 1e-58 and the update budget would run out with beta still near zero
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=20, seed=3)
+    config = _write(tmp_path / "tiny.json", json.dumps({"sigma2": 1e-30, "sigma_h2": 1.0}))
+    started = time.perf_counter()
+    code = main(["extend", data, "--method", "svr", "--config", config,
+                 "--output-dir", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: KKT violation") and err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 # --------------------------------------------------- settings each run reads

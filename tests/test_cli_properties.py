@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +41,9 @@ TOKENS = ("x", "", "nan", "inf", "1e999", "1e308", "-", "1.5.2", "true", "null",
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A directory with a labeled 20-point ``data.csv`` and the ``model/model.json``
-    that ``extend`` fits on five of its points."""
+    """A directory with a labeled 20-point ``data.csv``, its gaussian kernel
+    matrix ``k.csv`` and the ``model/model.json`` that ``extend`` fits on five
+    of its points."""
     root = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(3)
     X = np.vstack([rng.normal(0.0, 0.4, (10, 2)), rng.normal(3.0, 0.4, (10, 2))])
@@ -50,6 +52,8 @@ def inputs(tmp_path_factory):
     data, small = root / "data.csv", root / "small.csv"
     np.savetxt(data, rows, delimiter=",", fmt="%.17g")
     np.savetxt(small, rows[[0, 1, 2, 10, 11]], delimiter=",", fmt="%.17g")
+    gaps = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.savetxt(root / "k.csv", np.exp(-0.5 * gaps), delimiter=",", fmt="%.17g")
     assert _run(["extend", str(small), "--output-dir", str(root / "model")]) == 0
     return root
 
@@ -68,20 +72,23 @@ def _run(argv):
     return code
 
 
-def _argv(command, root, config, data=None, model=None):
+def _argv(command, root, config, damaged=None):
     """The argv of ``command`` on the inputs under ``root``, with ``config``
-    as its config file and, when given, replaced dataset or model text."""
-    paths = {}
-    for name, text in (("data.csv", data), ("model.json", model)):
-        if text is not None:
-            (root / f"case_{name}").write_text(text)
-            paths[name] = str(root / f"case_{name}")
+    as its config file and, when given, ``damaged`` = (input name, bytes) in
+    place of that input; a damaged ``k.csv`` goes in as ``--kernel-matrix``."""
+    paths = {name: str(root / name) for name in ("data.csv", "model/model.json", "k.csv")}
+    if damaged is not None:
+        name, raw = damaged
+        paths[name] = str(root / f"case_{Path(name).name}")
+        Path(paths[name]).write_bytes(raw)
     (root / "case.json").write_text(json.dumps(config))
     argv = [command]
     if command != "rate-study":
-        argv.append(paths.get("data.csv", str(root / "data.csv")))
+        argv.append(paths["data.csv"])
     if command == "eval":
-        argv += ["--model", paths.get("model.json", str(root / "model" / "model.json"))]
+        argv += ["--model", paths["model/model.json"]]
+    if damaged is not None and damaged[0] == "k.csv":
+        argv += ["--kernel-matrix", paths["k.csv"]]
     return argv + ["--config", str(root / "case.json"), "--output-dir", str(root / "out")]
 
 
@@ -95,25 +102,27 @@ def test_any_value_of_one_setting_exits_0_2_or_3(inputs, triple, value):
     _run(_argv(command, inputs, config))
 
 
-def _damage(text, draw):
-    """``text`` cut short, or with one of its tokens replaced."""
-    if draw(st.booleans()):
-        return text[: draw(st.integers(0, max(len(text) - 1, 0)))]
+def _damage(raw, draw):
+    """``raw`` cut short, with one of its tokens replaced, or with one byte
+    replaced or inserted (a byte from 0x80 up leaves the text not UTF-8)."""
+    how = draw(st.sampled_from(["cut", "token", "byte"]))
+    if how == "cut":
+        return raw[: draw(st.integers(0, max(len(raw) - 1, 0)))]
+    if how == "byte":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + draw(st.integers(0, 1)):]
+    text = raw.decode()
     spans = [m.span() for m in re.finditer(r"[^\s,:\[\]{}\"]+", text)]
     a, b = spans[draw(st.integers(0, len(spans) - 1))]
-    return text[:a] + draw(st.sampled_from(TOKENS)) + text[b:]
+    return (text[:a] + draw(st.sampled_from(TOKENS)) + text[b:]).encode()
 
 
-@settings(max_examples=100)
+@settings(max_examples=200)
 # every command but rate-study, which reads no file
 @given(command=st.sampled_from([c for c in COMMANDS if c != "rate-study"]), data=st.data())
 def test_a_damaged_csv_or_model_file_exits_0_2_or_3(inputs, command, data):
     draw = data.draw
-    config = BASE.get(command, {})
-    if command == "eval" and draw(st.booleans()):
-        model = _damage((inputs / "model" / "model.json").read_text(), draw)
-        argv = _argv(command, inputs, config, model=model)
-    else:
-        data_csv = _damage((inputs / "data.csv").read_text(), draw)
-        argv = _argv(command, inputs, config, data=data_csv)
-    _run(argv)
+    names = ["data.csv", "k.csv"] + (["model/model.json"] if command == "eval" else [])
+    name = draw(st.sampled_from(names))
+    raw = _damage((inputs / name).read_bytes(), draw)
+    _run(_argv(command, inputs, BASE.get(command, {}), damaged=(name, raw)))
