@@ -162,7 +162,7 @@ def ingest_dataset(path, fmt: str = "csv", labeled: bool = True, standardize: bo
     return X, labels
 
 
-def standardize_columns(X: np.ndarray, path="dataset") -> np.ndarray:
+def standardize_columns(X: np.ndarray, path) -> np.ndarray:
     """Center and scale each column; a column whose mean or deviation is not
     a double is a FormatError naming ``path`` and the column."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,44 +214,17 @@ def _raise_first_bad_row(path: Path, kept) -> None:
 
 
 def _read_libsvm_dataset(path: Path):
-    """A libsvm file as (features, labels).  Labels, feature indices and
-    values are each converted in one numpy call; only when one fails are the
-    lines walked again for the first bad token."""
+    labels, entries, max_idx = [], [], 0
     with utf8_input(path), open(path, encoding="utf-8") as fh:
         lines = [
             (no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()
         ]
     if not lines:
         raise FormatError(f"{path}: empty dataset")
-    rows = [line.split() for _, line in lines]
-    features = [tok.partition(":") for tokens in rows for tok in tokens[1:]]
-    try:
-        labels = np.array([tokens[0] for tokens in rows], dtype=float)
-        cols = np.array([idx for idx, _, _ in features], dtype=np.int64) - 1
-        values = np.array([val for _, _, val in features], dtype=float)
-        ok = (all(sep for _, sep, _ in features) and (cols >= 0).all()
-              and np.isfinite(labels).all() and np.isfinite(values).all())
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        _raise_first_bad_line(path, lines)
-        raise FormatError(f"{path}: a feature index is beyond 64-bit integers")
-    counts = [len(tokens) - 1 for tokens in rows]
-    width = int(cols.max()) + 1 if cols.size else 0
-    flat = np.repeat(np.arange(len(rows)) * width, counts) + cols
-    # a feature given twice on one line keeps its last value
-    _, last = np.unique(flat[::-1], return_index=True)
-    X = np.zeros((len(rows), width))
-    X.flat[flat[::-1][last]] = values[::-1][last]
-    return X, labels
-
-
-def _raise_first_bad_line(path: Path, lines) -> None:
-    """Raise the FormatError of the first bad label, feature or value, in
-    file order."""
     for lineno, line in lines:
         tokens = line.split()
-        _parse_float(tokens[0], path, lineno, "label")
+        labels.append(_parse_float(tokens[0], path, lineno, "label"))
+        row = {}
         for tok in tokens[1:]:
             idx, sep, val = tok.partition(":")
             if not sep:
@@ -262,7 +235,14 @@ def _raise_first_bad_line(path: Path, lines) -> None:
                 raise FormatError(f"{path}:{lineno}: bad feature index {idx!r}") from None
             if i < 1:
                 raise FormatError(f"{path}:{lineno}: feature indices are 1-based")
-            _parse_float(val, path, lineno, "value")
+            row[i - 1] = _parse_float(val, path, lineno, "value")
+            max_idx = max(max_idx, i)
+        entries.append(row)
+    X = np.zeros((len(entries), max_idx))
+    for r, row in enumerate(entries):
+        for c, v in row.items():
+            X[r, c] = v
+    return X, np.array(labels)
 
 
 def ingest_kernel_matrix(path) -> np.ndarray:

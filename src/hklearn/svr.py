@@ -33,8 +33,7 @@ EQUALITY_SLACK = 1e-8  # scaled by C*n in the model invariant
 # The budget of every SMO solve: full-gradient refresh rounds, total updates
 SMO_MAX_PASSES = 1000
 SMO_MAX_ITER = 500_000
-# Updates per progress check: a window that moves beta by less than one ulp of
-# the box bounds ends the solve
+# Updates per progress check: see _cycles_past_budget
 SMO_STALL_WINDOW = 1000
 
 
@@ -141,19 +140,15 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
     bounds are per coordinate, so the SVR box [-C, C] and the signed SVM boxes
     [0, C] / [-C, 0] are both instances.  Returns (beta, bias).  Raises
     ConvergenceFailure (carrying the worst violation) if the iteration budget
-    runs out first, or once ``SMO_STALL_WINDOW`` updates have moved beta by
-    less than one ulp of the box: with hyper-Gram entries near 1e58 each step
-    is about 1e-58, and the budget would run out with beta still at zero.
-    ``trace_path``, when given, receives one CSV row per update: iteration,
-    dual objective, worst KKT violation.
+    runs out first, or as soon as :func:`_cycles_past_budget` shows that it
+    would.  ``trace_path``, when given, receives one CSV row per update:
+    iteration, dual objective, worst KKT violation.
     """
     n = y.size
     diag = np.diag(K).copy()
 
     beta = np.zeros(n)
-    bounds = np.abs(np.concatenate([lo, hi]))
-    stall_tol = np.finfo(float).eps * bounds[np.isfinite(bounds)].max(initial=0.0)
-    mark, stalled = beta.copy(), False
+    mark, stalled = None, False
     trace_file = open(trace_path, "w", newline="") if trace_path else nullcontext()
     with trace_file:
         trace = csv.writer(trace_file) if trace_path else None
@@ -204,10 +199,12 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
                         [iteration, repr(objective), repr(max(violation, 0.0))]
                     )
                 if iteration % SMO_STALL_WINDOW == 0:
-                    stalled = np.abs(beta - mark).max() <= stall_tol
+                    stalled = mark is not None and _cycles_past_budget(
+                        beta, F, *mark, lo, hi, (max_iter - iteration) / SMO_STALL_WINDOW
+                    )
                     if stalled:
                         break
-                    mark = beta.copy()
+                    mark = beta.copy(), F.copy()
             if violation <= kkt_tol or iteration >= max_iter or stalled:
                 break
 
@@ -225,6 +222,29 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
             violation=final_violation,
         )
     return beta, _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok)
+
+
+def _cycles_past_budget(beta, F, beta0, F0, lo, hi, windows_left) -> bool:
+    """Whether the window of updates from (beta0, F0) to (beta, F) is a cycle
+    that the remaining budget cannot leave.
+
+    A window that returns F bitwise to F0 leaves every slope, and so the KKT
+    violation, where it was; if no coefficient changed sign, the next window
+    repeats it, drifting beta by the same amount.  Only a coefficient
+    reaching its bound or zero (the kink of the eps term) can end the cycle,
+    so when none would within ``windows_left`` more windows the budget runs
+    out first.  Hyper-Gram entries near 1e57 (``sigma2`` 1e-30) give such a
+    cycle: coefficients whose rows are zero drift by 1e-58 per update.
+    """
+    if not np.array_equal(F, F0):
+        return False
+    drift = beta - beta0
+    moving = drift != 0.0
+    b, d = beta[moving], drift[moving]
+    ahead = np.where(d > 0.0, hi[moving] - b, b - lo[moving])
+    ahead = np.where(b * d < 0.0, np.minimum(ahead, np.abs(b)), ahead)
+    kept_sign = np.sign(b) == np.sign(beta0[moving])
+    return bool((kept_sign & (ahead > windows_left * np.abs(d))).all())
 
 
 def fit_svr(gram: PairSystem, responses, config: SvrConfig,

@@ -1,9 +1,9 @@
-"""The csv and libsvm readers as one Python call per cell, kept as a test oracle.
+"""The csv reader as one Python call per cell, kept as a test oracle.
 
-``_parse_float``, ``_read_csv_numbers`` and ``_read_libsvm_dataset`` are
-copied verbatim from ``hklearn.cli`` before its readers converted each file
-in one numpy call, so tests can require the package's readers to return
-bitwise the same arrays and raise the same messages on every file.
+``_parse_float`` and ``_read_csv_numbers`` are copied verbatim from
+``hklearn.cli`` before its csv reader converted each file in one numpy call,
+so tests can require the package's reader to return bitwise the same array
+and raise the same message on every file.
 """
 
 from __future__ import annotations
@@ -47,35 +47,3 @@ def _read_csv_numbers(path: Path, name: str) -> np.ndarray:
     if not rows:
         raise FormatError(f"{path}: empty {name}")
     return np.array(rows)
-
-
-def _read_libsvm_dataset(path: Path):
-    labels, entries, max_idx = [], [], 0
-    with open(path) as fh:
-        lines = [
-            (no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()
-        ]
-    if not lines:
-        raise FormatError(f"{path}: empty dataset")
-    for lineno, line in lines:
-        tokens = line.split()
-        labels.append(_parse_float(tokens[0], path, lineno, "label"))
-        row = {}
-        for tok in tokens[1:]:
-            idx, sep, val = tok.partition(":")
-            if not sep:
-                raise FormatError(f"{path}:{lineno}: malformed feature {tok!r}")
-            try:
-                i = int(idx)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad feature index {idx!r}") from None
-            if i < 1:
-                raise FormatError(f"{path}:{lineno}: feature indices are 1-based")
-            row[i - 1] = _parse_float(val, path, lineno, "value")
-            max_idx = max(max_idx, i)
-        entries.append(row)
-    X = np.zeros((len(entries), max_idx))
-    for r, row in enumerate(entries):
-        for c, v in row.items():
-            X[r, c] = v
-    return X, np.array(labels)

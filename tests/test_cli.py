@@ -204,16 +204,23 @@ def test_libsvm_malformed_lines_rejected(tmp_path, line, match):
         ingest_dataset(p, "libsvm")
 
 
+def test_libsvm_file_that_is_not_utf8_rejected(tmp_path):
+    p = tmp_path / "d.svm"
+    p.write_bytes(b"1 1:0.5\n-1 2:\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        ingest_dataset(p, "libsvm")
+
+
 def test_standardize_columns_centers_and_scales(rng):
     X = rng.normal(3.0, 2.5, size=(50, 4))
-    Z = standardize_columns(X)
+    Z = standardize_columns(X, "dataset")
     np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_standardize_constant_column_centers_only():
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    Z = standardize_columns(X)
+    Z = standardize_columns(X, "dataset")
     np.testing.assert_array_equal(Z[:, 1], 0.0)
 
 
@@ -1140,9 +1147,10 @@ def test_a_kernel_matrix_entry_near_the_largest_double_exits_2_or_3(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_svr_whose_steps_cannot_move_beta_exits_3_within_a_second(tmp_path, capsys):
-    # sigma2 1e-30 puts hyper-Gram entries near 1e57, so each SMO step is about
-    # 1e-58 and the update budget would run out with beta still near zero
+def test_svr_caught_in_a_cycle_exits_3_within_a_second(tmp_path, capsys):
+    # sigma2 1e-30 puts hyper-Gram entries near 1e57 on some pairs and zero rows
+    # on the rest; SMO cycles with the zero-row coefficients drifting 1e-58 per
+    # update, and the update budget would run out long before they reach C
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=20, seed=3)
     config = _write(tmp_path / "tiny.json", json.dumps({"sigma2": 1e-30, "sigma_h2": 1.0}))
     started = time.perf_counter()

@@ -1,8 +1,7 @@
-"""The csv and libsvm readers against ``csv_reference``, their one Python
-call per cell oracle: on every generated file they return bitwise the same
-arrays or raise the same message."""
+"""The csv reader against ``csv_reference``, its one Python call per cell
+oracle: on every generated file it returns bitwise the same array or raises
+the same message."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,35 +43,13 @@ def csv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-@st.composite
-def libsvm_texts(draw):
-    """Lines of a label and index:value features, with blank and malformed lines."""
-    lines = []
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
-            continue
-        tokens = [draw(CELL)]
-        for _ in range(draw(st.integers(0, 5))):
-            idx = draw(st.one_of(
-                st.integers(1, 4).map(str),
-                st.integers(1, 4).map(str),
-                st.sampled_from(["0", "-1", "x", "", "1_0", "+2", "1.0"]),
-            ))
-            sep = draw(st.sampled_from([":"] * 7 + [""]))
-            tokens.append(f"{idx}{sep}{draw(st.one_of(NUMBER, NUMBER, CELL))}")
-        lines.append(" ".join(tokens))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + end
-
-
 def _outcome(read, path):
-    """A reader's arrays as (shape, dtype, bytes), or the message it raised."""
+    """A reader's array as (shape, dtype, bytes), or the message it raised."""
     try:
         out = read(path)
     except FormatError as exc:
         return str(exc)
-    return [(a.shape, a.dtype, a.tobytes()) for a in (out if isinstance(out, tuple) else [out])]
+    return out.shape, out.dtype, out.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +65,3 @@ def test_csv_reader_is_the_per_cell_loop(scratch, text):
     assert _outcome(lambda p: cli._read_csv_numbers(p, "dataset"), path) == _outcome(
         lambda p: csv_reference._read_csv_numbers(p, "dataset"), path
     )
-
-
-@settings(max_examples=200)
-@given(text=libsvm_texts())
-def test_libsvm_reader_is_the_per_token_loop(scratch, text):
-    path = scratch / "d.svm"
-    path.write_bytes(text.encode())
-    assert _outcome(cli._read_libsvm_dataset, path) == _outcome(
-        csv_reference._read_libsvm_dataset, path
-    )
-
-
-def test_a_libsvm_feature_given_twice_keeps_its_last_value(scratch):
-    path = scratch / "twice.svm"
-    path.write_text("1 2:0.5 1:3 2:0.7\n-1 3:1 3:2 1:4\n")
-    X, labels = cli._read_libsvm_dataset(path)
-    np.testing.assert_array_equal(X, [[3.0, 0.7, 0.0], [4.0, 0.0, 2.0]])
-    np.testing.assert_array_equal(labels, [1.0, -1.0])

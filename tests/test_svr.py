@@ -217,6 +217,19 @@ def test_smo_is_bitwise_the_reference_loop(kind, C):
         assert bias == ref_bias
 
 
+def test_smo_with_large_gram_entries_and_box_is_the_reference_loop():
+    # Gram entries near 1e12 make every step tiny against C = 1e5 while the
+    # violation keeps falling; the second dual needs more than one stall
+    # window of updates to reach kkt_tol 1e-6
+    duals = [(K * 1e12, y, lo, hi, eps) for K, y, lo, hi, eps in _smo_duals("svm", 1e5)]
+    assert isinstance(_smo_outcome(smo, duals[1], 1e-6, svr.SMO_STALL_WINDOW)[0], str)
+    for dual in duals:
+        beta, bias = _smo_outcome(smo, dual, kkt_tol=1e-6)
+        ref_beta, ref_bias = _smo_outcome(smo_reference.smo, dual, kkt_tol=1e-6)
+        assert np.array_equal(beta, ref_beta)
+        assert bias == ref_bias
+
+
 @pytest.mark.parametrize("kind", ["svm", "svr-0.1"])
 def test_smo_runs_out_of_updates_as_the_reference_loop(kind):
     for dual in _smo_duals(kind, 1e4):
