@@ -44,7 +44,7 @@ from .errors import (
     ResourceLimit,
     utf8_input,
 )
-from .hyper import HyperKernelParams
+from .hyper import MAX_ENTRIES, HyperKernelParams
 from .krr import KrrConfig
 from .learned import (
     DefinitenessReport,
@@ -235,6 +235,11 @@ def _read_libsvm_dataset(path: Path):
                 raise FormatError(f"{path}:{lineno}: bad feature index {idx!r}") from None
             if i < 1:
                 raise FormatError(f"{path}:{lineno}: feature indices are 1-based")
+            if len(lines) * i > MAX_ENTRIES:
+                raise FormatError(
+                    f"{path}:{lineno}: feature index {i} would make a {len(lines)} x {i} "
+                    f"dense matrix (cap {MAX_ENTRIES} entries)"
+                )
             row[i - 1] = _parse_float(val, path, lineno, "value")
             max_idx = max(max_idx, i)
         entries.append(row)

@@ -26,6 +26,12 @@ CG_RESTARTS = 3
 PRECONDITIONER_RANK = 100
 # Rungs of the diagonal jitter ladder of a direct solve (base, 10x, 100x)
 JITTER_RUNGS = 3
+# Rows of the diagonal blocks of the direct solve's substitution
+SOLVE_BLOCK = 64
+# Direct solves of one system that share its eigendecomposition.  One eigh
+# costs 2-6 Cholesky solves from 81 to 1,936 pairs, and a solve with it about a
+# tenth of one, so it pays from 3 solves at 81 pairs and from 7 at 1,936.
+SPECTRUM_MIN_SOLVES = 7
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,8 @@ class KrrConfig:
     ``lam`` must be positive for the SPD factorization guarantee; zero is
     accepted so that deliberately singular systems surface as
     ``NumericalFailure`` (on the CG path, before it iterates).  The class
-    constant ``solver`` is ``direct`` (Cholesky), ``cg`` (conjugate gradient,
+    constant ``solver`` is ``direct`` (a numpy Cholesky, or one shared
+    eigendecomposition across a grid of ``lam``), ``cg`` (conjugate gradient,
     to ``cg_tol``), or ``auto``, which takes CG above ``direct_limit`` unknowns.
     """
 
@@ -92,41 +99,45 @@ class CoefficientField:
 
 
 def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
-                          base_jitter: float, retries: int = JITTER_RUNGS):
-    """Cholesky-solve ``(entries + shift I) x = rhs``, escalating a diagonal
-    jitter (base, 10x, 100x) when the factorization fails or the solve is too
+                          base_jitter: float, retries: int = JITTER_RUNGS, spectrum=None):
+    """Solve ``(entries + shift I) x = rhs``, escalating a diagonal jitter
+    (base, 10x, 100x) when the factorization fails or the solve is too
     inaccurate (relative residual above ``DIRECT_RESIDUAL_TOL``).
 
-    A couple of iterative-refinement steps follow each factorization so the
-    residual contract holds on ill-conditioned systems too.  Returns
+    Each rung factors the shifted matrix by Cholesky.  With ``spectrum``, the
+    eigendecomposition (w, V) of ``entries``, it solves with
+    V diag(1 / (w + shift + jitter)) V' instead, and a non-positive shifted
+    eigenvalue counts as a failed factorization.  A couple of
+    iterative-refinement steps follow each factorization so the residual
+    contract holds on ill-conditioned systems too.  Returns
     ``(x, jitter_applied)``; the residual is measured against the jittered
-    system actually solved.
+    system actually solved.  A right-hand side whose norm overflows, or a last
+    residual that is not finite, raises ``NumericalFailure``.
     """
-    # the only scipy use of the package; imported here so that CG fits and
-    # evaluation never load scipy.linalg
-    from scipy.linalg import cho_factor, cho_solve
-
-    n = entries.shape[0]
-    eye = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
     ladder = [0.0] + [base_jitter * 10.0 ** k for k in range(retries)]
     worst = None
-    for jitter in ladder:
-        shifted = entries + (shift + jitter) * eye
-        try:
-            c, low = cho_factor(shifted, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        # a right-hand side that overflows fails the residual test below
-        x = cho_solve((c, low), rhs, check_finite=False)
-        worst = float(np.linalg.norm(shifted @ x - rhs)) / scale
-        for _ in range(2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.linalg.norm(rhs)))
+        if not math.isfinite(scale):
+            raise NumericalFailure("the norm of the responses overflows")
+        for jitter in ladder:
+            total = shift + jitter
+            solve = _factor(entries, total, spectrum)
+            if solve is None:
+                continue
+            x = solve(rhs)
+            r = entries @ x + total * x - rhs
+            worst = float(np.linalg.norm(r)) / scale
+            for _ in range(2):
+                if worst <= DIRECT_RESIDUAL_TOL:
+                    break
+                x = x - solve(r)
+                r = entries @ x + total * x - rhs
+                worst = float(np.linalg.norm(r)) / scale
             if worst <= DIRECT_RESIDUAL_TOL:
-                break
-            x = x + cho_solve((c, low), rhs - shifted @ x, check_finite=False)
-            worst = float(np.linalg.norm(shifted @ x - rhs)) / scale
-        if worst <= DIRECT_RESIDUAL_TOL:
-            return x, jitter
+                return x, jitter
+    if worst is not None and not math.isfinite(worst):
+        raise NumericalFailure("solve residual is not finite: the solve overflows")
     if worst is not None:
         raise NumericalFailure(
             f"solve residual {worst:.3e} exceeds tolerance {DIRECT_RESIDUAL_TOL:g}"
@@ -139,21 +150,81 @@ def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
     raise NumericalFailure("factorization failed and jitter is disabled")
 
 
-def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
+def _factor(entries, shift, spectrum):
+    """A solver of ``(entries + shift I) x = b``, or None where its factorization fails."""
+    if spectrum is not None:
+        w, V = spectrum
+        d = w + shift
+        if not d.min() > 0:
+            return None
+        return lambda b: V @ ((V.T @ b) / d)
+    try:
+        L = np.linalg.cholesky(entries + shift * np.eye(entries.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    return lambda b: _cholesky_solve(L, b)
+
+
+def _cholesky_solve(L, b):
+    """x with L L' x = b, by block forward and back substitution.
+
+    numpy has no triangular solve, so each diagonal block of ``SOLVE_BLOCK``
+    rows is solved by ``np.linalg.solve`` and the rest are matrix-vector
+    products.  Solving the blocks, rather than multiplying by their inverses,
+    keeps the substitution backward stable.
+    """
+    n = L.shape[0]
+    z = np.empty_like(b)
+    for a in range(0, n, SOLVE_BLOCK):
+        e = min(a + SOLVE_BLOCK, n)
+        z[a:e] = np.linalg.solve(L[a:e, a:e], b[a:e] - L[a:e, :a] @ z[:a])
+    x = np.empty_like(b)
+    for a in range((n - 1) // SOLVE_BLOCK * SOLVE_BLOCK, -1, -SOLVE_BLOCK):
+        e = min(a + SOLVE_BLOCK, n)
+        x[a:e] = np.linalg.solve(L[a:e, a:e].T, z[a:e] - L[e:, a:e].T @ x[e:])
+    return x
+
+
+def _solver(gram: PairSystem, config: KrrConfig) -> str:
+    """``direct`` or ``cg``: the solver that ``fit_krr`` takes for ``config``."""
+    if config.solver == "auto":
+        return "direct" if gram.n <= config.direct_limit else "cg"
+    return config.solver
+
+
+def shared_spectrum(gram: PairSystem, configs):
+    """``np.linalg.eigh(gram.entries)`` when at least ``SPECTRUM_MIN_SOLVES`` of
+    ``configs`` are direct ridge solves of ``gram``, else None.
+
+    A grid of ridge weights on one system passes it to :func:`fit_krr` as
+    ``spectrum``, so that one eigendecomposition serves all of them.
+    """
+    direct = sum(isinstance(c, KrrConfig) and _solver(gram, c) == "direct" for c in configs)
+    if direct < SPECTRUM_MIN_SOLVES:
+        return None
+    try:
+        return np.linalg.eigh(gram.entries)
+    except np.linalg.LinAlgError:  # each solve then factors on its own
+        return None
+
+
+def fit_krr(gram: PairSystem, responses, config: KrrConfig,
+            spectrum=None) -> CoefficientField:
     """Fit ridge coefficients for the given hyper-Gram and response vector.
 
     The returned coefficients satisfy
     ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
-    is raised.  Direct solves factor ``gram.entries`` (a Cholesky from
-    scipy.linalg, the package's only scipy use).  Conjugate gradient is the
-    numpy loop :func:`_pcg`: it only multiplies by K through ``gram.matvec``,
-    so it never forms the n x n matrix, and it is preconditioned by
-    :func:`nystrom_preconditioner`.  It stops on its recursive residual at
-    ``min(cg_tol, 1e-12)`` relative to ||y||; the true residual is then
-    measured on the same operator, and CG restarts from its iterate (up to
-    ``CG_RESTARTS`` times) while that residual misses ``cg_tol``.
-    ``cg_iterations`` sums the iterations of every run.
+    is raised.  Direct solves factor ``gram.entries`` by a numpy Cholesky, or,
+    given ``spectrum`` (see :func:`shared_spectrum`), solve with that
+    eigendecomposition of it; see :func:`solve_spd_with_jitter`.  Conjugate
+    gradient is the numpy loop :func:`_pcg`: it only multiplies by K through
+    ``gram.matvec``, so it never forms the n x n matrix, and it is
+    preconditioned by :func:`nystrom_preconditioner`.  It stops on its
+    recursive residual at ``min(cg_tol, 1e-12)`` relative to ||y||; the true
+    residual is then measured on the same operator, and CG restarts from its
+    iterate (up to ``CG_RESTARTS`` times) while that residual misses
+    ``cg_tol``.  ``cg_iterations`` sums the iterations of every run.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
@@ -161,13 +232,10 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     lam = config.lam
     m = gram.points.shape[0]
 
-    solver = config.solver
-    if solver == "auto":
-        solver = "direct" if gram.n <= config.direct_limit else "cg"
-
-    if solver == "direct":
+    if _solver(gram, config) == "direct":
         beta, jitter = solve_spd_with_jitter(
-            gram.entries, lam, y, gram.base_jitter(), retries=JITTER_RUNGS if config.jitter else 0
+            gram.entries, lam, y, gram.base_jitter(),
+            retries=JITTER_RUNGS if config.jitter else 0, spectrum=spectrum,
         )
         return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
                                 solver="direct")

@@ -19,12 +19,13 @@ from .base_kernels import GaussianRBF, gram_matrix
 from .errors import (
     HklearnError,
     InvalidInput,
+    NumericalFailure,
     PipelineFailure,
     SlopeUndefined,
     StratificationWarning,
 )
 from .hyper import HyperKernelParams, PairSystem
-from .krr import CoefficientField, KrrConfig
+from .krr import CoefficientField, KrrConfig, shared_spectrum
 from .learned import LearnedKernel, eval_all_pairs, eval_pairs
 from .scaling import solve_pair_system
 from .svr import SMO_MAX_ITER, SMO_MAX_PASSES, SvrConfig, smo
@@ -130,7 +131,11 @@ def rmse(predicted, truth) -> float:
     t = np.asarray(truth, dtype=float).ravel()
     if p.size != t.size or p.size == 0:
         raise InvalidInput(f"rmse needs equal nonempty lengths, got {p.size} and {t.size}")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sqrt(np.mean((p - t) ** 2)))
+    if not np.isfinite(value):
+        raise NumericalFailure("rmse is not finite: the values or their errors overflow")
+    return value
 
 
 def data_sigma2(X) -> float:
@@ -241,8 +246,9 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         return (score_key, reg_key, mult)
 
     # One pair system per (sigma_h2, fold) serves every reg; its dense Gram
-    # is assembled once.  The fold Grams of the best row so far are kept for
-    # the c_svm pass.
+    # is assembled once, and its eigendecomposition is taken once when enough
+    # direct ridge solves share it.  The fold Grams of the best row so far are
+    # kept for the c_svm pass.
     table, best, best_grams = [], None, None
     for mult in config.sigma_h2_grid:
         params = HyperKernelParams(s2, mult * s2, X.shape[1])
@@ -252,11 +258,12 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             X_train = X[train]
             system = PairSystem(params, X_train)
             responses = Y[np.ix_(train, train)].ravel()
-            for k, base in enumerate(bases):
-                if scores[k] is None:
-                    continue
+            live = [k for k in range(len(regs)) if scores[k] is not None]
+            spectrum = shared_spectrum(system, [bases[k] for k in live])
+            for k in live:
                 try:
-                    coeffs, bias = solve_pair_system(system, responses, base)
+                    coeffs, bias = solve_pair_system(system, responses, bases[k],
+                                                     spectrum=spectrum)
                     G = eval_all_pairs(LearnedKernel(X_train, coeffs, bias, params), X)
                     scores[k].append(fold_score(G, train, val, c_svm))
                     grams[k].append(G)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,19 @@ def test_libsvm_file_that_is_not_utf8_rejected(tmp_path):
         ingest_dataset(p, "libsvm")
 
 
+@pytest.mark.parametrize("index", [10**9, 10**13])
+def test_libsvm_index_past_the_dense_cap_exits_2_naming_its_line(tmp_path, capsys, index):
+    # 4 rows at index 1e9 would ask for 29.8 GiB of dense matrix, at 1e13 for 291 TiB
+    p = _write(tmp_path / "d.svm", f"1 1:0.5\n-1 2:1.0\n1 {index}:1.0\n-1 1:2.0\n")
+    with pytest.raises(FormatError, match=rf"d\.svm:3: feature index {index} would make a 4 x {index}"):
+        ingest_dataset(p, "libsvm")
+    capsys.readouterr()
+    code = main(["extend", p, "--format", "libsvm", "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_standardize_columns_centers_and_scales(rng):
     X = rng.normal(3.0, 2.5, size=(50, 4))
     Z = standardize_columns(X, "dataset")
@@ -322,9 +336,9 @@ def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
     real = pipeline.solve_pair_system
     calls = []
 
-    def recording(system, responses, base, trace_path=None):
+    def recording(system, responses, base, trace_path=None, spectrum=None):
         calls.append((system.params, base))
-        return real(system, responses, base, trace_path=trace_path)
+        return real(system, responses, base, trace_path=trace_path, spectrum=spectrum)
 
     monkeypatch.setattr(pipeline, "solve_pair_system", recording)
     config = _write(
@@ -1147,6 +1161,26 @@ def test_a_kernel_matrix_entry_near_the_largest_double_exits_2_or_3(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_kernel_matrix_whose_solve_overflows_exits_3_without_a_runtime_warning(
+    tmp_path, capsys
+):
+    # the off-diagonal 5e307 responses overflow the norm of the right-hand side
+    data, _, labels = _write_blobs(tmp_path / "data.csv", m=8)
+    K = np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
+    K[0, 1] = 1e308
+    kernel = tmp_path / "k.csv"
+    np.savetxt(kernel, K, delimiter=",", fmt="%.17g")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # the symmetrizing notice
+        code = main(["extend", data, "--kernel-matrix", str(kernel),
+                     "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "norm of the responses overflows" in err and err.count("\n") == 1
+
+
 def test_svr_caught_in_a_cycle_exits_3_within_a_second(tmp_path, capsys):
     # sigma2 1e-30 puts hyper-Gram entries near 1e57 on some pairs and zero rows
     # on the rest; SMO cycles with the zero-row coefficients drifting 1e-58 per
@@ -1402,7 +1436,7 @@ print(json.dumps({"codes": codes, "solver": solver, "after_cli": after_cli,
 
 
 def test_cg_fits_eval_and_svr_never_load_scipy_linalg(tmp_path):
-    # a fresh interpreter: only the direct Cholesky solve imports scipy.linalg
+    # a fresh interpreter: no run and no direct solve imports scipy.linalg
     src = str(Path(hklearn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -1417,4 +1451,67 @@ def test_cg_fits_eval_and_svr_never_load_scipy_linalg(tmp_path):
     assert out["codes"] == [0, 0, 0]
     assert out["solver"] == "cg"
     assert out["after_cli"] == []
-    assert "scipy.linalg" in out["after_direct"]
+    assert out["after_direct"] == []
+
+
+_SCIPY_REFUSED_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
+import hklearn.cli as cli
+
+work = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+labels = np.repeat([1.0, -1.0], 6)
+blobs = np.vstack([rng.normal(0.0, 0.4, (6, 2)), rng.normal(3.0, 0.4, (6, 2))])
+np.savetxt(work / "l.csv", np.column_stack([blobs, labels]), delimiter=",")
+np.savetxt(work / "x.csv", rng.uniform(0.0, 1.0, (46, 2)), delimiter=",")
+np.savetxt(work / "s.csv", rng.uniform(0.0, 1.0, (10, 2)), delimiter=",")
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+codes = {
+    "fit": run("fit", work / "l.csv", "--output-dir", work / "fit"),
+    "extend-direct": run("extend", work / "s.csv", "--no-labels", "--target", "rbf",
+                         "--output-dir", work / "direct"),
+    "extend-cg": run("extend", work / "x.csv", "--no-labels", "--target", "tl1",
+                     "--output-dir", work / "cg"),
+    "decompose-demo": run("decompose-demo", work / "l.csv", "--target", "rbf",
+                          "--output-dir", work / "demo"),
+    "rate-study": run("rate-study", "--m-values", 4, 6, "--trials", 3,
+                      "--output-dir", work / "rate"),
+    "eval": run("eval", work / "l.csv", "--model", work / "fit" / "model.json",
+                "--output-dir", work / "eval"),
+}
+paths = {name: json.loads((work / out / "report.json").read_text())["solver"]["path"]
+         for name, out in (("extend-direct", "direct"), ("extend-cg", "cg"))}
+print(json.dumps({"codes": codes, "paths": paths,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_every_command_runs_with_scipy_refused(tmp_path):
+    # a fresh interpreter whose import system refuses every scipy module
+    src = str(Path(hklearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_REFUSED_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == dict.fromkeys(
+        ["fit", "extend-direct", "extend-cg", "decompose-demo", "rate-study", "eval"], 0
+    ), proc.stderr
+    assert out["paths"] == {"extend-direct": "direct", "extend-cg": "cg"}
+    assert out["scipy"] == []

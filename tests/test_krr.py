@@ -19,8 +19,10 @@ from hklearn import (
 )
 from hklearn import krr
 from hklearn.base_kernels import TL1, gram_matrix
-from hklearn.krr import CG_MAX_ITER, solve_spd_with_jitter
+from hklearn.krr import CG_MAX_ITER, shared_spectrum, solve_spd_with_jitter
+from hklearn.pipeline import DEFAULT_REG_GRID
 from hklearn.scaling import nystrom_restrict
+from cholesky_reference import solve_spd_with_jitter_reference
 from midpoint_reference import hyper_gram_reference
 
 
@@ -375,3 +377,98 @@ def test_coefficient_field_shape_and_finiteness():
     assert field.n == 4 and field.values.shape == (4,)
     with pytest.raises(InvalidInput):
         CoefficientField(np.array([1.0, np.inf, 0.0, 0.0]), pairs, 2)
+
+
+def _study_system(m):
+    """The pair system of m uniform points in the unit square and RBF responses."""
+    X = np.random.default_rng(m).uniform(0.0, 1.0, (m, 2))
+    y = np.exp(-np.sum((X[:, None] - X[None]) ** 2, axis=-1) / 0.5).ravel()
+    return PairSystem(HyperKernelParams(0.1, 0.1, 2), X), y
+
+
+def _outcome(solve, *args, **kwargs):
+    """(x, jitter) of a solve, or None where it raises NumericalFailure."""
+    try:
+        return solve(*args, **kwargs)
+    except NumericalFailure:
+        return None
+
+
+def _gap(entries, shift, x, x_ref, y):
+    """||A (x - x_ref)|| / (||A||_F ||x_ref|| + ||y||) for A = entries + shift I.
+
+    The normwise relative gap between two solutions of A x = y: both are exact
+    for right-hand sides that differ by A (x - x_ref).  Their forward gap is at
+    most the condition number of A times this.
+    """
+    A = entries + shift * np.eye(entries.shape[0])
+    return np.linalg.norm(A @ (x - x_ref)) / (
+        np.linalg.norm(A) * np.linalg.norm(x_ref) + np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-5, 1e-1])
+@pytest.mark.parametrize("m", [9, 12, 20, 44])
+def test_direct_solve_matches_the_scipy_cholesky_reference(m, lam):
+    system, y = _study_system(m)
+    K, base = system.entries, system.base_jitter()
+    ref = _outcome(solve_spd_with_jitter_reference, K, lam, y, base)
+    got = _outcome(solve_spd_with_jitter, K, lam, y, base)
+    assert (got is None) == (ref is None)
+    if ref is None:  # from 144 pairs up, lambda 1e-10 fails on every rung
+        assert m > 9 and lam == 1e-10
+        return
+    assert got[1] == ref[1]
+    assert _gap(K, lam + ref[1], got[0], ref[0], y) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [9, 12, 20])
+def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m):
+    system, y = _study_system(m)
+    configs = [KrrConfig(lam) for lam in DEFAULT_REG_GRID + (1e-10,)]
+    spectrum = shared_spectrum(system, configs)
+    assert spectrum is not None
+    failed = []
+    for config in configs:
+        alone = _outcome(fit_krr, system, y, config)
+        shared = _outcome(fit_krr, system, y, config, spectrum=spectrum)
+        assert (shared is None) == (alone is None), config
+        if alone is None:
+            failed.append(config.lam)
+            continue
+        assert shared.jitter_applied == alone.jitter_applied
+        shift = config.lam + alone.jitter_applied
+        assert _gap(system.entries, shift, shared.values, alone.values, y) <= 1e-12
+    # only the row below the grid fails, and only from 144 pairs up
+    assert failed == ([] if m == 9 else [1e-10])
+
+
+def test_shared_spectrum_is_taken_only_for_enough_direct_ridge_solves(monkeypatch):
+    system, _ = _study_system(4)
+    few = [KrrConfig(lam) for lam in DEFAULT_REG_GRID[: krr.SPECTRUM_MIN_SOLVES - 1]]
+    assert shared_spectrum(system, few) is None
+    assert shared_spectrum(system, few + [KrrConfig(1.0)]) is not None
+    _solve_path(monkeypatch, solver="cg")
+    assert shared_spectrum(system, few + [KrrConfig(1.0)]) is None
+
+
+def test_a_non_positive_shifted_eigenvalue_fails_that_rung():
+    # w + shift = -1, then 0 on the first jitter rung, then positive
+    spectrum = (np.array([-2.0, 3.0]), np.eye(2))
+    entries = np.diag(spectrum[0])
+    x, jitter = solve_spd_with_jitter(entries, 1.0, np.ones(2), 1.0, spectrum=spectrum)
+    assert jitter == 10.0
+    np.testing.assert_allclose(x, [1 / 9, 1 / 14], rtol=1e-14)
+    with pytest.raises(NumericalFailure, match="factorization failed and jitter is disabled"):
+        solve_spd_with_jitter(entries, 1.0, np.ones(2), 1.0, retries=0, spectrum=spectrum)
+
+
+def test_direct_solve_that_overflows_fails_without_a_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure, match="norm of the responses overflows"):
+            solve_spd_with_jitter(np.eye(3), 1.0, np.array([1e308, 1.0, 1.0]), 1e-10)
+        # a subnormal shifted eigenvalue overflows the solution
+        spectrum = (np.full(2, 1e-310), np.eye(2))
+        with pytest.raises(NumericalFailure, match="residual is not finite"):
+            solve_spd_with_jitter(np.zeros((2, 2)), 0.0, np.ones(2), 0.0, retries=0,
+                                  spectrum=spectrum)

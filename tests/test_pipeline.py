@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,15 @@ def test_rmse_values():
     assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(3.5355339059327378)
 
 
+def test_rmse_that_overflows_fails_without_a_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure, match="rmse is not finite"):
+            rmse([1e200, 0.0], [-1e200, 0.0])  # the square overflows
+        with pytest.raises(NumericalFailure, match="rmse is not finite"):
+            rmse([1e308], [-1e308])  # the difference overflows
+
+
 def test_rmse_rejects_mismatch():
     with pytest.raises(InvalidInput):
         rmse([1.0], [1.0, 2.0])
@@ -190,12 +200,12 @@ def test_cross_validate_scores_nan_only_where_a_fold_fit_fails(rng, monkeypatch)
     real = scaling.fit_krr
     seen = []  # the fits at (sigma_h2 = s2, lam = 0.1), one per fold
 
-    def second_fold_fails(gram, responses, config):
+    def second_fold_fails(gram, responses, config, spectrum=None):
         if gram.params.sigma_h2 == 1.0 * s2 and config.lam == 1e-1:
             seen.append(gram)
             if len(seen) == 2:
                 raise NumericalFailure("forced failure")
-        return real(gram, responses, config)
+        return real(gram, responses, config, spectrum=spectrum)
 
     monkeypatch.setattr(scaling, "fit_krr", second_fold_fails)
     _, failed = cross_validate(X, Y, "krr", cfg)
@@ -205,6 +215,33 @@ def test_cross_validate_scores_nan_only_where_a_fold_fit_fails(rng, monkeypatch)
     seen.clear()
     _, reference = cross_validate_reference(X, Y, "krr", cfg)
     np.testing.assert_array_equal(np.array(failed), np.array(reference))
+
+
+def test_cross_validate_on_the_default_grid_solves_from_one_eigh_per_fold(rng, monkeypatch):
+    import hklearn.krr as krr
+    import hklearn.scaling as scaling
+
+    X = rng.standard_normal((10, 2))
+    Y = np.exp(-0.5 * ((X[:, None] - X[None]) ** 2).sum(-1))
+    cfg = ExperimentConfig(seed=2, sigma_h2_grid=(0.5, 1.0))
+    real = scaling.fit_krr
+    shared = []
+
+    def recording(gram, responses, config, spectrum=None):
+        shared.append(spectrum is not None)
+        return real(gram, responses, config, spectrum=spectrum)
+
+    monkeypatch.setattr(scaling, "fit_krr", recording)
+    selected, table = cross_validate(X, Y, "krr", cfg)
+    assert len(shared) == 2 * 5 * 11 and all(shared)
+    # each solve on its own Cholesky: the same scores to roundoff, the same choice
+    monkeypatch.setattr(krr, "SPECTRUM_MIN_SOLVES", len(cfg.reg_grid) + 1)
+    shared.clear()
+    selected_alone, alone = cross_validate(X, Y, "krr", cfg)
+    assert not any(shared)
+    assert selected.pop("score") == pytest.approx(selected_alone.pop("score"), rel=1e-9)
+    assert selected == selected_alone
+    np.testing.assert_allclose(np.array(table), np.array(alone), rtol=1e-9)
 
 
 def test_svm_two_points_identity_gram():
