@@ -82,7 +82,6 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     return out + lk.bias
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
     """Evaluate k* on every pair of A x B, as a (len(A), len(B)) matrix.
 
@@ -91,34 +90,45 @@ def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
     in blocks of ``_QUERY_CHUNK``, so temporaries stay at block size.  A value
     that overflows raises ``NumericalFailure``.
     """
-    params = lk.hyper_params
+    G = eval_all_pairs_stack([lk], A, B)[0]
+    if not np.isfinite(G).all():
+        raise NumericalFailure("the learned kernel overflows on these points")
+    return G
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
+    """:func:`eval_all_pairs` of kernels sharing points, pair list and scales.
+
+    Returns a (len(kernels), len(A), len(B)) stack, from one set of pair and
+    point factors.  Values that overflow are left inf or nan.
+    """
+    params = kernels[0].hyper_params
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sym = B is None
     B = A if sym else np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != params.dim or B.shape[1] != params.dim:
         raise InvalidInput(f"query arrays must both be (q, {params.dim})")
-    P = lk.points[lk.coefficients.pair_list]
+    P = kernels[0].points[kernels[0].coefficients.pair_list]
     g, mids = pair_factors(params, P[:, 0], P[:, 1])
-    w = lk.coefficients.values * g
+    W = [lk.coefficients.values * g for lk in kernels]
     na, nb = A.shape[0], B.shape[0]
-    G = np.empty((na, nb))
+    G = np.empty((len(kernels), na, nb))
     for a in range(0, na, _QUERY_CHUNK):
         a2 = min(a + _QUERY_CHUNK, na)
         phi_a = point_factors(params, A[a:a2], mids)
-        wphi_a = phi_a * w
         for c in range(a if sym else 0, nb, _QUERY_CHUNK):
             c2 = min(c + _QUERY_CHUNK, nb)
             phi_b = phi_a if sym and c == a else point_factors(params, B[c:c2], mids)
             cross = cross_factor(params, sq_dists(A[a:a2], B[c:c2]))
-            block = cross * (wphi_a @ phi_b.T)
-            if sym and c == a:
-                block = np.triu(block) + np.triu(block, 1).T
-            G[a:a2, c:c2] = block
-            if sym:
-                G[c:c2, a:a2] = block.T
-    G += lk.bias
-    if not np.isfinite(G).all():
-        raise NumericalFailure("the learned kernel overflows on these points")
+            for Gk, w in zip(G, W):
+                block = cross * ((phi_a * w) @ phi_b.T)
+                if sym and c == a:
+                    block = np.triu(block) + np.triu(block, 1).T
+                Gk[a:a2, c:c2] = block
+                if sym:
+                    Gk[c:c2, a:a2] = block.T
+    G += np.array([lk.bias for lk in kernels])[:, None, None]
     return G
 
 

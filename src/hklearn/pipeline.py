@@ -10,6 +10,7 @@ target matrix over labeled pairs, then classify with an SVM over the learned
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .hyper import HyperKernelParams, PairSystem
 from .krr import CoefficientField, KrrConfig, shared_spectrum
-from .learned import LearnedKernel, eval_all_pairs, eval_pairs
+from .learned import LearnedKernel, eval_all_pairs_stack, eval_pairs
 from .scaling import solve_pair_system
 from .svr import SMO_MAX_ITER, SMO_MAX_PASSES, SvrConfig, smo
 
@@ -191,10 +192,14 @@ def heldout_pair_rmse(G, Y, holdout) -> float:
     ``G`` is ``eval_all_pairs(lk, X)`` over the m points Y is given on; the
     pairs are taken in row-major order.
     """
-    in_val = np.zeros(Y.shape[0], dtype=bool)
-    in_val[holdout] = True
-    mask = (in_val[:, None] | in_val[None, :]).ravel()
+    mask = _heldout_mask(Y.shape[0], holdout)
     return rmse(G.ravel()[mask], Y.ravel()[mask])
+
+
+def _heldout_mask(m, holdout):
+    """Row-major mask of the m x m pairs with an endpoint in ``holdout``."""
+    in_val = np.isin(np.arange(m), holdout)
+    return (in_val[:, None] | in_val[None, :]).ravel()
 
 
 def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=None,
@@ -234,10 +239,19 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         for val in np.array_split(rng.permutation(m), config.cv_folds)
     ]
 
-    def fold_score(G, train, val, c):
+    def fold_scores(Gs, train, val, cs):
+        """Scores of a fold's (k, m, m) Gram stack at each C of ``cs``; NaN if one fails."""
+        out = np.full((len(Gs), len(cs)), np.nan)
+        ok = np.flatnonzero(np.isfinite(Gs).all(axis=(1, 2)))
         if labels is None:
-            return heldout_pair_rmse(G, Y, val)
-        return ovr_accuracies(G, labels, train, [val], c, spectrum_fix)[0]
+            mask = _heldout_mask(m, val)
+            for k in ok:
+                with suppress(HklearnError):
+                    out[k] = rmse(Gs[k].ravel()[mask], Y.ravel()[mask])
+            return out
+        with suppress(HklearnError):  # a training fold of one class scores NaN
+            out[ok] = _ovr_table(Gs[ok], labels, train, [val], cs, spectrum_fix)[..., 0]
+        return out
 
     def rank(row):
         mult, reg, score = row
@@ -245,32 +259,37 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         reg_key = reg if method == "svr" else -reg  # prefer stronger smoothing
         return (score_key, reg_key, mult)
 
-    # One pair system per (sigma_h2, fold) serves every reg; its dense Gram
-    # is assembled once, and its eigendecomposition is taken once when enough
-    # direct ridge solves share it.  The fold Grams of the best row so far are
-    # kept for the c_svm pass.
+    # One pair system per (sigma_h2, fold) serves every reg: its dense Gram is
+    # assembled once, its eigendecomposition taken once when enough direct
+    # ridge solves share it, and the learned Grams of all regs are evaluated
+    # and scored as one stack.  The best row's fold Grams serve the c_svm pass.
     table, best, best_grams = [], None, None
     for mult in config.sigma_h2_grid:
         params = HyperKernelParams(s2, mult * s2, X.shape[1])
-        scores = [[] for _ in regs]  # per reg; None once a fold fails
+        scores = [[] for _ in regs]  # per reg; ends in NaN once a fold fails
         grams = [[] for _ in regs]
         for train, val in folds:
             X_train = X[train]
             system = PairSystem(params, X_train)
             responses = Y[np.ix_(train, train)].ravel()
-            live = [k for k in range(len(regs)) if scores[k] is not None]
+            live = [k for k in range(len(regs)) if not np.isnan(scores[k]).any()]
             spectrum = shared_spectrum(system, [bases[k] for k in live])
+            fits = {}
             for k in live:
                 try:
                     coeffs, bias = solve_pair_system(system, responses, bases[k],
                                                      spectrum=spectrum)
-                    G = eval_all_pairs(LearnedKernel(X_train, coeffs, bias, params), X)
-                    scores[k].append(fold_score(G, train, val, c_svm))
-                    grams[k].append(G)
+                    fits[k] = LearnedKernel(X_train, coeffs, bias, params)
                 except HklearnError:
-                    scores[k] = None
-        for reg, fold_scores, fold_grams in zip(regs, scores, grams):
-            score = float("nan") if fold_scores is None else float(np.mean(fold_scores))
+                    scores[k].append(np.nan)
+            if not fits:
+                continue
+            Gs = eval_all_pairs_stack(list(fits.values()), X)
+            for k, G, (score,) in zip(fits, Gs, fold_scores(Gs, train, val, [c_svm])):
+                scores[k].append(score)
+                grams[k].append(G)
+        for reg, reg_scores, fold_grams in zip(regs, scores, grams):
+            score = float(np.mean(reg_scores))
             table.append((mult, reg, score))
             if np.isfinite(score) and (best is None or rank(table[-1]) < rank(best)):
                 best, best_grams = table[-1], fold_grams
@@ -289,13 +308,8 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
 
     if labels is not None:
         # only the SVMs depend on c_svm: score each C on the selected fold fits
-        by_c = []
-        for c in regs:
-            try:
-                accs = [fold_score(G, *fold, c) for G, fold in zip(best_grams, folds)]
-                by_c.append((c, float(np.mean(accs))))
-            except HklearnError:
-                continue
+        accs = [fold_scores(G[None], *fold, regs)[0] for G, fold in zip(best_grams, folds)]
+        by_c = [(c, float(np.mean(a))) for c, a in zip(regs, zip(*accs)) if np.isfinite(a).all()]
         if by_c:
             best_c, _ = min(by_c, key=lambda t: (-t[1], t[0]))
             selected["c_svm"] = best_c
@@ -306,30 +320,45 @@ def ovr_accuracies(G, labels, train, groups, c_svm: float, spectrum_fix: str) ->
     """Accuracy on each index group of one-vs-rest SVMs trained once on ``train``.
 
     Indices address the points of the learned Gram ``G`` and of ``labels``,
-    which may be any numbers.  Two classes take one :func:`svm_train` (the
-    larger label is +1); more take one per class, and a point takes the class
-    of the largest decision value.  Their training Gram is clipped once for
-    all of them.
+    which may be any numbers.  Two classes take one binary SVM (the larger
+    label is +1); more take one per class, and a point takes the class of the
+    largest decision value.  Their training Gram is clipped once for all.
     """
-    labels = np.asarray(labels)
+    _check_svm(c_svm, spectrum_fix)
+    table = _ovr_table(G[None], labels, train, groups, [c_svm], spectrum_fix, strict=True)
+    return table[0, 0].tolist()
+
+
+def _ovr_table(Gs, labels, train, groups, cs, spectrum_fix, strict=False):
+    """:func:`ovr_accuracies` of each Gram of a (k, m, m) stack at each C of ``cs``.
+
+    Returns a (k, len(cs), len(groups)) array; classes, boxes and index grids
+    are built once, and the training Grams clipped in one eigh.  A failed SVM
+    leaves NaN in its row, or raises when ``strict``.
+    """
+    labels, train = np.asarray(labels), np.asarray(train)
     y, classes = labels[train], np.unique(labels[train])
     if classes.size < 2:
         raise InvalidInput("classification needs at least two classes")
-    train_gram = G[np.ix_(train, train)]
-    if classes.size > 2 and spectrum_fix == "clip":
-        train_gram, spectrum_fix = _clip_spectrum(train_gram), "none"
-    models = [svm_train(train_gram, np.where(y == c, 1.0, -1.0), c_svm, spectrum_fix)
-              for c in (classes[1:] if classes.size == 2 else classes)]
-    accuracies = []
-    for idx in groups:
-        rows = G[np.ix_(idx, train)]
-        if classes.size == 2:
-            pred = np.where(svm_predict(models[0], rows) == 1, classes[1], classes[0])
-        else:
-            scores = np.column_stack([_decision_values(m, rows) for m in models])
-            pred = classes[np.argmax(scores, axis=1)]
-        accuracies.append(float(np.mean(pred == labels[idx])))
-    return accuracies
+    ys = [np.where(y == c, 1.0, -1.0) for c in (classes[1:] if classes.size == 2 else classes)]
+    boxes = [[(np.where(s > 0, 0.0, -C), np.where(s > 0, C, 0.0)) for s in ys] for C in cs]
+    grids = [np.ix_(idx, train) for idx in groups]
+    T = Gs.take(train, axis=1).take(train, axis=2)
+    T = _clip_spectrum(T) if spectrum_fix == "clip" else T
+    out = np.full((len(Gs), len(cs), len(groups)), np.nan)
+    for k, G in enumerate(Gs):
+        rows = [G[grid] for grid in grids]
+        for j in range(len(cs)):
+            with suppress(() if strict else HklearnError):
+                models = [_smo_svm(T[k], s, *box) for s, box in zip(ys, boxes[j])]
+                for g, (R, idx) in enumerate(zip(rows, groups)):
+                    if len(models) == 1:
+                        pred = np.where(svm_predict(models[0], R) == 1, classes[1], classes[0])
+                    else:
+                        scores = np.column_stack([_decision_values(m, R) for m in models])
+                        pred = classes[np.argmax(scores, axis=1)]
+                    out[k, j, g] = np.mean(pred == labels[idx])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,11 +389,12 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
 
     if spectrum_fix == "clip":
         G = _clip_spectrum(G)
+    return _smo_svm(G, y, np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0), kkt_tol)
 
-    beta, bias = smo(
-        G, y, np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0), 0.0,
-        kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER,
-    )
+
+def _smo_svm(G, y, lo, hi, kkt_tol=SvrConfig.kkt_tol) -> SvmModel:
+    """The signed dual of a binary SVM with +-1 labels ``y`` and box [lo, hi], by SMO."""
+    beta, bias = smo(G, y, lo, hi, 0.0, kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER)
     return SvmModel(y * beta, y, bias)
 
 
@@ -376,10 +406,10 @@ def _check_svm(c_svm, spectrum_fix):
 
 
 def _clip_spectrum(G):
-    """G with its negative eigenvalues set to zero, exactly symmetric."""
+    """G with negative eigenvalues zeroed, exactly symmetric; a stack takes one eigh."""
     evals, vecs = eigh(G)
-    G = (vecs * np.maximum(evals, 0.0)) @ vecs.T
-    return 0.5 * (G + G.T)
+    G = (vecs * np.maximum(evals, 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def svm_predict(model: SvmModel, kernel_row_values):

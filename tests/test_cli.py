@@ -407,43 +407,41 @@ def test_tuned_fit_classifies_three_libsvm_classes(tmp_path):
 
 
 def test_three_classes_clip_each_training_gram_once(tmp_path, monkeypatch):
-    import hklearn.cli as cli
     import hklearn.pipeline as pipeline
 
-    counts = {"eigh": 0, "blocks": 0}
-    real_eigh, real_ovr, real_svm = pipeline.eigh, pipeline.ovr_accuracies, pipeline.svm_train
+    counts = {"eigh": 0, "clipped": 0, "svms": 0}
+    real_eigh, real_clip, real_smo_svm = pipeline.eigh, pipeline._clip_spectrum, pipeline._smo_svm
 
-    def counting_eigh(*args, **kwargs):
+    def counting_eigh(G):
         counts["eigh"] += 1
-        return real_eigh(*args, **kwargs)
+        counts["clipped"] += G.size // G.shape[-1] ** 2  # one or a stack of Grams
+        return real_eigh(G)
 
-    def per_class_clip(G, labels, train, groups, c_svm, spectrum_fix):
-        # the former arithmetic: every per-class SVM clips the raw Gram itself
-        assert spectrum_fix == "clip"
-        return real_ovr(G, labels, train, groups, c_svm, "none")
-
-    def run(name, ovr):
-        def counting_ovr(*args):
-            counts["blocks"] += 1
-            return ovr(*args)
-
-        for module in (pipeline, cli):  # CV folds, and the final fit's groups
-            monkeypatch.setattr(module, "ovr_accuracies", counting_ovr)
-        counts.update(eigh=0, blocks=0)
+    def run(name):
+        counts.update(eigh=0, clipped=0, svms=0)
         code, out = _three_class_fit(tmp_path, name)
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        del report["timestamp"]
-        return report, (out / "cv_scores.csv").read_bytes(), dict(counts)
+        return _fit_artifacts(out)[:2], dict(counts)
 
     monkeypatch.setattr(pipeline, "eigh", counting_eigh)
-    once = run("once", real_ovr)
-    assert once[2]["eigh"] == once[2]["blocks"] > 0
-    monkeypatch.setattr(pipeline, "svm_train",
-                        lambda G, y, c, _fix, *a: real_svm(G, y, c, "clip", *a))
-    per_class = run("per_class", per_class_clip)
-    assert per_class[2]["eigh"] == 3 * per_class[2]["blocks"]
-    assert once[:2] == per_class[:2]
+    once = run("once")
+    # 2 sigma_h2 x 5 folds, each clipping its 2 regs' training Grams in one
+    # eigh; then one Gram per fold in the c_svm pass, and the final fit's
+    assert once[1]["eigh"] == 2 * 5 + 5 + 1
+    assert once[1]["clipped"] == 2 * 5 * 2 + 5 + 1
+
+    def per_class_clip(G, y, *args):
+        # the former arithmetic: every per-class SVM clips the raw Gram itself
+        counts["svms"] += 1
+        return real_smo_svm(real_clip(G), y, *args)
+
+    monkeypatch.setattr(pipeline, "_clip_spectrum", lambda G: G)
+    monkeypatch.setattr(pipeline, "_smo_svm", per_class_clip)
+    per_class = run("per_class")
+    # three classes: an SVM per class for every (Gram, C) of the grid pass
+    # (20), the c_svm pass (5 folds x 2 C) and the final fit
+    assert per_class[1]["eigh"] == per_class[1]["svms"] == 3 * (20 + 10 + 1)
+    assert once[0] == per_class[0]
 
 
 def _fit_artifacts(out):
@@ -492,17 +490,43 @@ def test_tuned_fit_assembles_one_gram_per_sigma_h2_and_fold(tmp_path, monkeypatc
     assert len(calls) == len(DEFAULTS["sigma_h2_grid"]) * DEFAULTS["cv_folds"] + 1 == 26
 
 
+def test_tuned_fit_shares_point_factors_and_clips_once_per_fold_system(tmp_path, monkeypatch):
+    import hklearn.learned as learned
+    import hklearn.pipeline as pipeline
+
+    counts = {"point_factors": 0, "eigh": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(learned, "point_factors", counting("point_factors", learned.point_factors))
+    monkeypatch.setattr(pipeline, "eigh", counting("eigh", pipeline.eigh))
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=30)
+    assert main(["fit", data, "--output-dir", str(tmp_path / "out")]) == 0
+    systems = len(DEFAULTS["sigma_h2_grid"]) * DEFAULTS["cv_folds"]
+    # all 11 regs of a fold system share one set of point factors; the final
+    # fit's eval_all_pairs takes one more
+    assert counts["point_factors"] == systems + 1 == 26
+    # one stacked clip per fold system, one per fold for all 11 C of the c_svm
+    # pass, and the final classifier's
+    assert counts["eigh"] == systems + DEFAULTS["cv_folds"] + 1 == 31
+
+
 def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypatch):
     import hklearn.pipeline as pipeline
 
-    real = pipeline.svm_train
-    calls = []
+    real = pipeline.smo
+    calls, clips = [], []
 
-    def recording(gram, labels, C_svm, spectrum_fix="clip", **kwargs):
-        calls.append((C_svm, spectrum_fix))
-        return real(gram, labels, C_svm, spectrum_fix, **kwargs)
+    def recording(K, y, lo, hi, *args):
+        calls.append(float(hi.max()))  # C, the upper bound of the +1 class
+        return real(K, y, lo, hi, *args)
 
-    monkeypatch.setattr(pipeline, "svm_train", recording)
+    monkeypatch.setattr(pipeline, "smo", recording)
+    monkeypatch.setattr(pipeline, "_clip_spectrum", lambda G: clips.append(G) or G)
     config = _write(
         tmp_path / "cfg.json",
         json.dumps({"c_svm": 2.5, "sigma_h2_grid": [1.0], "reg_grid": [1.0]}),
@@ -513,8 +537,9 @@ def test_tuned_fit_classifies_folds_with_the_run_svm_settings(tmp_path, monkeypa
     )
     assert code == 0
     # 5 grid folds at the run's c_svm, 5 c_svm folds at the reg_grid value,
-    # then the final classifier at the selected c_svm
-    assert calls == [(2.5, "none")] * 5 + [(1.0, "none")] * 6
+    # then the final classifier at the selected c_svm, none of them clipped
+    assert calls == [2.5] * 5 + [1.0] * 6
+    assert clips == []
 
 
 def test_flags_override_config_which_overrides_defaults(tmp_path):

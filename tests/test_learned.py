@@ -12,6 +12,7 @@ from hklearn import (
     HyperKernelParams,
     InvalidInput,
     LearnedKernel,
+    NumericalFailure,
     TL1,
     assemble_hyper_gram,
     data_sigma2,
@@ -260,6 +261,26 @@ def test_all_pairs_symmetric_case_spans_several_blocks(rng):
         G[np.ix_(rows, rows)], _oracle_all_pairs(lk, A[rows], A[rows]),
         rtol=1e-12, atol=1e-15,
     )
+
+
+def test_a_stack_of_kernels_equals_each_kernel_alone_across_blocks(rng, monkeypatch):
+    import hklearn.learned as learned
+
+    monkeypatch.setattr(learned, "_QUERY_CHUNK", 4)  # 10 query rows take 3 blocks
+    lk, _, _ = _fitted(rng)
+    pairs = lk.coefficients.pair_list
+    values = [lk.coefficients.values, -3.0 * lk.coefficients.values, np.full(16, 1e308)]
+    scaled = [LearnedKernel(lk.points, CoefficientField(v, pairs, 4), bias, lk.hyper_params)
+              for v, bias in zip(values, (0.25, -1.0, 1.79e308))]
+    A, B = rng.standard_normal((10, 2)), rng.standard_normal((7, 2))
+    for B_arg in (None, B):
+        stack = learned.eval_all_pairs_stack(scaled, A, B_arg)
+        for G, k in zip(stack[:2], scaled):
+            assert np.array_equal(G, eval_all_pairs(k, A, B_arg))
+        # the kernel that overflows is left non-finite for its caller
+        assert not np.isfinite(stack[2]).all()
+        with pytest.raises(NumericalFailure):
+            eval_all_pairs(scaled[2], A, B_arg)
 
 
 def test_all_pairs_zero_coefficients_give_the_bias_exactly(rng):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hklearn import (
+    ConvergenceFailure,
     ExperimentConfig,
     HyperKernelParams,
     InvalidInput,
@@ -242,6 +243,78 @@ def test_cross_validate_on_the_default_grid_solves_from_one_eigh_per_fold(rng, m
     assert selected.pop("score") == pytest.approx(selected_alone.pop("score"), rel=1e-9)
     assert selected == selected_alone
     np.testing.assert_allclose(np.array(table), np.array(alone), rtol=1e-9)
+
+
+def _labeled_blobs(n_classes, m=10, seed=5):
+    """m points around n_classes centres, their labels and the ideal target."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(m) % n_classes
+    X = rng.standard_normal((m, 2)) + 1.5 * np.eye(3, 2)[labels]
+    return X, np.where(labels[:, None] == labels[None, :], 1.0, -1.0), labels
+
+
+def _solve_each_reg_alone(monkeypatch, cfg):
+    """Give each ridge solve its own Cholesky, as the reference's fit_extend does.
+
+    The shared eigendecomposition of the default grid moves ridge fits at
+    roundoff (see the test above), which RMSE scores show.
+    """
+    import hklearn.krr as krr
+
+    monkeypatch.setattr(krr, "SPECTRUM_MIN_SOLVES", len(cfg.reg_grid) + 1)
+
+
+@pytest.mark.parametrize("case", ["clip", "none", "three-classes", "svr", "no-labels"])
+def test_cross_validate_matches_the_reference_on_the_default_reg_grid(case, monkeypatch):
+    X, Y, labels = _labeled_blobs(3 if case == "three-classes" else 2)
+    # SVR fits at C up to 1e5 are slow: one sigma_h2 for them
+    cfg = ExperimentConfig(seed=3, sigma_h2_grid=(1.0,) if case == "svr" else (0.5, 2.0))
+    assert len(cfg.reg_grid) == 11
+    _solve_each_reg_alone(monkeypatch, cfg)
+    method = "svr" if case == "svr" else "krr"
+    kwargs = {"labels": None if case == "no-labels" else labels,
+              "spectrum_fix": "none" if case == "none" else "clip"}
+    selected, table = cross_validate(X, Y, method, cfg, **kwargs)
+    assert ("c_svm" in selected) == (case != "no-labels")
+    reference = cross_validate_reference(X, Y, method, cfg, **kwargs)
+    assert selected == reference[0]
+    np.testing.assert_array_equal(np.array(table), np.array(reference[1]))
+
+
+def test_cross_validate_isolates_a_failed_svm_to_its_row_and_its_c(monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    X, Y, labels = _labeled_blobs(2)
+    cfg = ExperimentConfig(seed=3, sigma_h2_grid=(0.5, 2.0))
+    _solve_each_reg_alone(monkeypatch, cfg)  # the same training Grams as the reference's
+    real = pipeline.smo
+    grams = []
+
+    def recording(K, y, lo, hi, *args):
+        grams.append(K.copy())
+        return real(K, y, lo, hi, *args)
+
+    monkeypatch.setattr(pipeline, "smo", recording)
+    clean_selected, clean = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    # a grid-pass SVM, keyed on its training Gram, and the selected C of the
+    # c_svm pass, keyed on its box; the grid pass runs at C = 0.5 only
+    target, failing_c = grams[7], clean_selected["c_svm"]
+
+    def failing(K, y, lo, hi, *args):
+        if np.array_equal(K, target) or hi.max() == failing_c:
+            raise ConvergenceFailure("forced failure", violation=1.0)
+        return real(K, y, lo, hi, *args)
+
+    monkeypatch.setattr(pipeline, "smo", failing)
+    selected, table = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    failed = [i for i, row in enumerate(table) if np.isnan(row[2])]
+    assert len(failed) == 1 and not np.isnan(clean[failed[0]][2])
+    assert [r for i, r in enumerate(table) if i not in failed] == \
+        [r for i, r in enumerate(clean) if i not in failed]
+    assert "c_svm" in selected and selected["c_svm"] != failing_c
+    reference = cross_validate_reference(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    assert selected == reference[0]
+    np.testing.assert_array_equal(np.array(table), np.array(reference[1]))
 
 
 def test_svm_two_points_identity_gram():
