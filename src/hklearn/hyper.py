@@ -14,10 +14,13 @@ expansion pair; :func:`eval_hyper_kernel` is the scalar reference.
 
 The same form gives the product of the hyper-Gram with a vector without the
 matrix: with Phi the point factors of the u sample points a pair list uses
-at its n pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
-:class:`PairSystem` is the one type of a pair system: it holds g, cross and
-Phi, applies K through them, and :func:`assemble_hyper_gram` fills its dense
-matrix from the same factors.
+at its pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
+The hyper-kernel is swap-symmetric, so a pair and its swap (and a repeated
+pair) have one midpoint and one g: Phi holds one column per distinct
+unordered pair (:func:`unordered_pairs`), and v is summed onto those columns
+first.  :class:`PairSystem` is the one type of a pair system: it holds g,
+cross and Phi, applies K through them, and :func:`assemble_hyper_gram` fills
+its dense matrix from the same factors.
 """
 
 from __future__ import annotations
@@ -34,15 +37,11 @@ from .errors import InvalidInput, ResourceLimit
 # floats.
 _CHUNK = 256
 
-# Column-block size of PairSystem.column_sum; its temporaries hold
-# u * _COLUMN_BLOCK floats.
-_COLUMN_BLOCK = 4096
-
 # Row-block size of sq_dists, in floats: its one temporary holds at most
 # max(_SQ_BLOCK, len(B)) of them.
 _SQ_BLOCK = 65_536
 
-# Cap on the n^2 entries of an assembled hyper-Gram, and on the u * n point
+# Cap on the n^2 entries of an assembled hyper-Gram, and on the u * c point
 # factors of a PairSystem.
 MAX_ENTRIES = 100_000_000
 
@@ -117,6 +116,19 @@ def full_pair_list(m: int) -> np.ndarray:
     """
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     return np.column_stack([ii.ravel(), jj.ravel()])
+
+
+def unordered_pairs(pairs, m: int):
+    """The distinct unordered pairs {min, max} of a pair list over m points.
+
+    Returns (distinct, col): ``distinct`` holds (min, max) rows in
+    lexicographic order, and pair k of ``pairs`` is row ``col[k]`` of it, so a
+    pair, its swap and its repeats share one row.
+    """
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keys, col = np.unique(lo * m + hi, return_inverse=True)
+    return np.column_stack(np.divmod(keys, m)), col
 
 
 def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
@@ -200,8 +212,10 @@ def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> PairSystem:
             f"hyper-Gram would hold {n * n} entries (cap {MAX_ENTRIES}); "
             "restrict pairs or use the scaling module"
         )
-    g, cross, phi, flat = system._factors
+    g, cross, phi, flat, col = system._factors
     rows, cols = np.divmod(flat, phi.shape[0])
+    # one column per pair: an O(u n) gather against the O(n^2) fill
+    phi, g = phi[:, col], g[col]
     K = np.empty((n, n), dtype=float)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
@@ -221,8 +235,10 @@ class PairSystem:
     """The hyper-Gram K over a pair list, as an operator and as a dense matrix.
 
     Both read one set of pair-separable factors over the u points the list
-    uses.  ``matvec`` applies K without the matrix: one GEMM of
-    Phi diag(g * v) Phi' and a gather of its u x u result.  Phi holds u * n
+    uses and its c distinct unordered pairs: a pair and its swap have equal
+    columns of K, and Phi holds one column per unordered pair.  ``matvec``
+    applies K without the matrix: v summed onto the c columns, one GEMM of
+    Phi diag(g * v) Phi' and a gather of its u x u result.  Phi holds u * c
     floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
     ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
     first access (direct solves and the SVR factor or index it); ``diag``
@@ -261,45 +277,51 @@ class PairSystem:
 
     @cached_property
     def _factors(self):
-        """g, cross, Phi over the used points, and each pair's flat index in u x u."""
+        """g over the distinct unordered pairs, cross per pair, Phi over the
+        used points and the distinct pairs, each pair's flat index in u x u
+        and its column of Phi."""
         used, local = np.unique(self.pair_list, return_inverse=True)
-        u, n = used.size, self.n
-        if u * n > MAX_ENTRIES:
+        local = local.reshape(self.n, 2)
+        u = used.size
+        distinct, col = unordered_pairs(local, u)
+        c = distinct.shape[0]
+        if u * c > MAX_ENTRIES:
             raise ResourceLimit(
-                f"point factors would hold {u * n} entries (cap {MAX_ENTRIES}); "
+                f"point factors would hold {u * c} entries (cap {MAX_ENTRIES}); "
                 "restrict pairs or use the scaling module"
             )
-        local = local.reshape(n, 2)
         X = self.points[used]
-        A, B = X[local[:, 0]], X[local[:, 1]]
+        A, B = X[distinct[:, 0]], X[distinct[:, 1]]
         g, mids = pair_factors(self.params, A, B)
-        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))
-        return g, cross, point_factors(self.params, X, mids), local[:, 0] * u + local[:, 1]
+        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))[col]
+        phi = point_factors(self.params, X, mids)
+        return g, cross, phi, local[:, 0] * u + local[:, 1], col
 
     def matvec(self, v) -> np.ndarray:
-        g, cross, phi, flat = self._factors
-        W = (phi * (g * np.ravel(v))) @ phi.T
+        g, cross, phi, flat, col = self._factors
+        w = np.bincount(col, weights=np.ravel(v), minlength=g.size)
+        W = (phi * (g * w)) @ phi.T
         return cross * W.ravel()[flat]
 
     def column(self, s: int) -> np.ndarray:
-        """Column s of K in O(u^2 + n): cross_r * Phi[i_r, s] * Phi[j_r, s] * g[s]."""
-        g, cross, phi, flat = self._factors
-        c = phi[:, s]
-        return cross * np.outer(c, c * g[s]).ravel()[flat]
+        """Column s of K in O(u^2 + n): cross_r * Phi[i_r, k] * Phi[j_r, k] * g[k],
+        with k the unordered pair of pair s."""
+        g, cross, phi, flat, col = self._factors
+        k = col[s]
+        c = phi[:, k]
+        return cross * np.outer(c, c * g[k]).ravel()[flat]
 
     def column_sum(self, cols) -> np.ndarray:
         """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n).
 
-        (K 1_S)_r = cross_r * W[i_r, j_r] with W = Phi[:, S] diag(g[S]) Phi[:, S]',
-        summed over blocks of ``_COLUMN_BLOCK`` columns.
+        (K 1_S)_r = cross_r * W[i_r, j_r] with W = Phi_T diag(g_T * w) Phi_T',
+        over the distinct unordered pairs T of S, w counting the columns of S
+        on each.
         """
-        g, cross, phi, flat = self._factors
-        cols = np.asarray(cols, dtype=np.intp)
-        W = np.zeros((phi.shape[0], phi.shape[0]))
-        for a in range(0, cols.size, _COLUMN_BLOCK):
-            block = cols[a : a + _COLUMN_BLOCK]
-            sub = phi[:, block]
-            W += (sub * g[block]) @ sub.T
+        g, cross, phi, flat, col = self._factors
+        T, w = np.unique(col[np.asarray(cols, dtype=np.intp)], return_counts=True)
+        sub = phi[:, T]
+        W = (sub * (g[T] * w)) @ sub.T
         return cross * W.ravel()[flat]
 
     def diag(self) -> np.ndarray:

@@ -305,26 +305,32 @@ def nystrom_preconditioner(gram: PairSystem, lam: float):
     with the largest residual diagonal as its pivot, so the choice is
     deterministic, and reads that column of K through ``gram.column``.  It
     stops when the largest residual diagonal falls to lam / 100 or r reaches
-    ``PRECONDITIONER_RANK`` (and r * n ``MAX_ENTRIES``).  The two orders of a
-    pair have equal columns, so once one is a pivot the other's residual
-    diagonal drops to roundoff and the stopping rule passes it over.
+    ``PRECONDITIONER_RANK`` (and r * n ``MAX_ENTRIES``), and at the latest
+    when it falls to ``PRECONDITIONER_RANK * eps`` times the largest
+    diagonal: below that the residual is the roundoff of its updates, and a
+    pivot on it would add a column of noise that leaves F without full
+    numerical rank.  The two orders of a pair have equal columns, so once
+    one is a pivot the other's residual diagonal drops to roundoff and the
+    stopping rule passes it over.
 
     With F = QR and RR' = VSV', U = QV and the preconditioner is
     (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam.  It is
     applied times lam, as v - U diag(S / (S + lam)) U'v, which leaves the CG
-    iterates unchanged and divides by nothing small.  Returns (apply, rank),
-    where apply(v) is that product; at rank 0, or lam 0, apply is None: CG
-    runs unpreconditioned.
+    iterates unchanged and divides by nothing small.  Q and R come from
+    :func:`_cholesky_qr3`: GEMMs and r x r factorizations, no Householder QR
+    of the n x r factor.  Returns (apply, rank), where apply(v) is that
+    product; at rank 0, or lam 0, apply is None: CG runs unpreconditioned.
     """
     n = gram.n
     cap = min(PRECONDITIONER_RANK, n, MAX_ENTRIES // max(n, 1)) if lam > 0 else 0
     # rows of F'; np.empty leaves the rows past the rank reached unwritten
     Ft = np.empty((cap, n))
     d = gram.diag()
+    tol = max(lam / 100.0, PRECONDITIONER_RANK * np.finfo(float).eps * d.max(initial=0.0))
     r = 0
     while r < cap:
         s = int(np.argmax(d))
-        if not d[s] > lam / 100.0:
+        if not d[s] > tol:
             break
         col = gram.column(s) - Ft[:r].T @ Ft[:r, s]
         col /= math.sqrt(d[s])
@@ -335,8 +341,33 @@ def nystrom_preconditioner(gram: PairSystem, lam: float):
         r += 1
     if r == 0:
         return None, 0
-    Q, R = np.linalg.qr(Ft[:r].T)
-    S, V = np.linalg.eigh(R @ R.T)
-    U = Q @ V
+    Qt, L = _cholesky_qr3(Ft[:r])
+    S, V = np.linalg.eigh(L.T @ L)
+    Ut = V.T @ Qt
     damp = S / (S + lam)
-    return (lambda v: v - U @ (damp * (U.T @ v))), r
+    return (lambda v: v - Ut.T @ (damp * (Ut @ v))), r
+
+
+def _cholesky_qr3(Ft):
+    """F = QR of the n x r factor F = Ft' by shifted CholeskyQR3, as (Q', R').
+
+    Each pass factors the Gram of the current rows, C C' = Q'Q (+ s I), and
+    replaces Q' by C^-1 Q'.  The first is shifted by
+    s = 11 (n r + r (r + 1)) eps tr(F'F), so its Cholesky cannot break down,
+    and leaves Q conditioned well enough for two plain passes to make it
+    orthonormal to roundoff, as long as F itself has full numerical rank
+    (Fukaya et al., "Shifted Cholesky QR for computing the QR factorization
+    of ill-conditioned matrices", SIAM J. Sci. Comput. 2020).  R' is the
+    product of the three factors C.
+    """
+    r, n = Ft.shape
+    shift = 11.0 * (n * r + r * (r + 1)) * np.finfo(float).eps
+    Qt, L = Ft, np.eye(r)
+    for first in (True, False, False):
+        G = Qt @ Qt.T
+        if first:
+            G[np.diag_indices(r)] += shift * np.trace(G)
+        C = np.linalg.cholesky(G)
+        Qt = np.linalg.inv(C) @ Qt
+        L = L @ C
+    return Qt, L

@@ -4,7 +4,9 @@ k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b.  Both evaluators go
 through the pair-separable form of the hyper-kernel (see
 :mod:`hklearn.hyper`): :func:`eval_pairs` takes row-aligned query pairs,
 :func:`eval_all_pairs` every pair of two point sets as one matrix product
-Phi_A diag(w) Phi_B' over (len(A) + len(B)) * n exponentials.
+Phi_A diag(w) Phi_B'.  A pair and its swap share a midpoint, so the
+coefficients are first summed onto the c distinct unordered pairs, and the
+evaluation takes (len(A) + len(B)) * c exponentials.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .hyper import (
     pair_factors,
     point_factors,
     sq_dists,
+    unordered_pairs,
 )
 from .krr import CoefficientField
 
 SCHEMA_VERSION = 1
 _QUERY_CHUNK = 512
+# Floats of the temporary that eval_all_pairs_stack batches kernels into
+_STACK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,7 @@ def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
     if A.shape != B.shape or A.shape[1] != d:
         raise InvalidInput(f"query arrays must both be (q, {d})")
     params = lk.hyper_params
-    P = lk.points[lk.coefficients.pair_list]
-    g, mids = pair_factors(params, P[:, 0], P[:, 1])
-    w = lk.coefficients.values * g
+    (w,), mids = _merged_weights([lk])
     out = np.empty(A.shape[0])
     for a in range(0, A.shape[0], _QUERY_CHUNK):
         b = min(a + _QUERY_CHUNK, A.shape[0])
@@ -101,7 +104,8 @@ def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
     """:func:`eval_all_pairs` of kernels sharing points, pair list and scales.
 
     Returns a (len(kernels), len(A), len(B)) stack, from one set of pair and
-    point factors.  Values that overflow are left inf or nan.
+    point factors; each block takes one batched product for as many kernels
+    as fit ``_STACK_FLOATS``.  Values that overflow are left inf or nan.
     """
     params = kernels[0].hyper_params
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -109,10 +113,10 @@ def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
     B = A if sym else np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != params.dim or B.shape[1] != params.dim:
         raise InvalidInput(f"query arrays must both be (q, {params.dim})")
-    P = kernels[0].points[kernels[0].coefficients.pair_list]
-    g, mids = pair_factors(params, P[:, 0], P[:, 1])
-    W = [lk.coefficients.values * g for lk in kernels]
+    W, mids = _merged_weights(kernels)
     na, nb = A.shape[0], B.shape[0]
+    # kernels per batched product, whose temporary holds group * rows * c floats
+    group = max(1, _STACK_FLOATS // (min(na, _QUERY_CHUNK) * len(mids) or 1))
     G = np.empty((len(kernels), na, nb))
     for a in range(0, na, _QUERY_CHUNK):
         a2 = min(a + _QUERY_CHUNK, na)
@@ -121,15 +125,33 @@ def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
             c2 = min(c + _QUERY_CHUNK, nb)
             phi_b = phi_a if sym and c == a else point_factors(params, B[c:c2], mids)
             cross = cross_factor(params, sq_dists(A[a:a2], B[c:c2]))
-            for Gk, w in zip(G, W):
-                block = cross * ((phi_a * w) @ phi_b.T)
+            for k in range(0, len(W), group):
+                block = cross * ((phi_a * W[k : k + group, None, :]) @ phi_b.T)
                 if sym and c == a:
-                    block = np.triu(block) + np.triu(block, 1).T
-                Gk[a:a2, c:c2] = block
+                    block = np.triu(block) + np.swapaxes(np.triu(block, 1), 1, 2)
+                G[k : k + group, a:a2, c:c2] = block
                 if sym:
-                    Gk[c:c2, a:a2] = block.T
+                    G[k : k + group, c:c2, a:a2] = np.swapaxes(block, 1, 2)
     G += np.array([lk.bias for lk in kernels])[:, None, None]
     return G
+
+
+def _merged_weights(kernels):
+    """Weights and midpoints of kernels sharing points, pair list and scales,
+    over the distinct unordered pairs of that list.
+
+    Returns ((len(kernels), c) weights, (c, dim) midpoints): the
+    coefficients of a pair, its swap and its repeats are summed, for all
+    kernels in one ``np.bincount``, and scaled by their g.
+    """
+    points = kernels[0].points
+    distinct, col = unordered_pairs(kernels[0].coefficients.pair_list, len(points))
+    P = points[distinct]
+    g, mids = pair_factors(kernels[0].hyper_params, P[:, 0], P[:, 1])
+    k, c = len(kernels), g.size
+    values = np.concatenate([lk.coefficients.values for lk in kernels])
+    index = (col + c * np.arange(k)[:, None]).ravel()
+    return np.bincount(index, weights=values, minlength=k * c).reshape(k, c) * g, mids
 
 
 def definiteness(G) -> DefinitenessReport:

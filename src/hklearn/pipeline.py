@@ -393,7 +393,13 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
 
 
 def _smo_svm(G, y, lo, hi, kkt_tol=SvrConfig.kkt_tol) -> SvmModel:
-    """The signed dual of a binary SVM with +-1 labels ``y`` and box [lo, hi], by SMO."""
+    """The signed dual of a binary SVM with +-1 labels ``y`` and box [lo, hi], by SMO.
+
+    A training Gram that is not finite (see :func:`_clip_spectrum`) raises
+    ``NumericalFailure``.
+    """
+    if not np.isfinite(G).all():
+        raise NumericalFailure("the SVM training Gram is not finite: its spectrum overflows")
     beta, bias = smo(G, y, lo, hi, 0.0, kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER)
     return SvmModel(y * beta, y, bias)
 
@@ -406,10 +412,17 @@ def _check_svm(c_svm, spectrum_fix):
 
 
 def _clip_spectrum(G):
-    """G with negative eigenvalues zeroed, exactly symmetric; a stack takes one eigh."""
-    evals, vecs = eigh(G)
-    G = (vecs * np.maximum(evals, 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    """G with negative eigenvalues zeroed, exactly symmetric; a stack takes one eigh.
+
+    A Gram whose spectrum overflows comes back all NaN: clipping an
+    eigenvalue of -inf would otherwise leave a finite, meaningless result.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        evals, vecs = eigh(G)
+        G = (vecs * np.maximum(evals, 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    G[~np.isfinite(evals).all(axis=-1)] = np.nan
+    return G
 
 
 def svm_predict(model: SvmModel, kernel_row_values):

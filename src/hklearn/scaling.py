@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .errors import HklearnError, InvalidInput
-from .hyper import HyperKernelParams, PairSystem, full_pair_list
+from .hyper import HyperKernelParams, PairSystem, full_pair_list, unordered_pairs
 from .krr import CoefficientField, KrrConfig, fit_krr
 from .learned import LearnedKernel
 from .svr import SvrConfig, fit_svr
@@ -174,7 +174,7 @@ def decomposition_bound(
     q_pi is the sum of |K| over entries whose pairs lie in different groups.
     Every entry of K is a product of positive factors, so it is the sum over
     groups c of the rows outside c of K 1_c, read from the factors one group
-    at a time (``PairSystem.column_sum``): u^2 n work in all, and no n x n
+    at a time (``PairSystem.column_sum``): u^2 c work in all, and no n x n
     array.  Two pairs over the same two points, such as (i, j) and (j, i),
     give K two equal rows; K is positive semi-definite, so then sigma_min is
     exactly 0 and no eigen-solve runs.  Only a list without such a pair
@@ -191,8 +191,7 @@ def decomposition_bound(
     for c in np.unique(clusters):
         inside = clusters == c
         q_pi += float(system.column_sum(np.flatnonzero(inside))[~inside].sum())
-    lo, hi = np.sort(system.pair_list, axis=1).T
-    if np.unique(lo * system.points.shape[0] + hi).size < system.n:
+    if len(unordered_pairs(system.pair_list, len(system.points))[0]) < system.n:
         sigma_min = 0.0
     else:
         sigma_min = float(eigvalsh(system.entries)[0])

@@ -1206,6 +1206,24 @@ def test_a_kernel_matrix_whose_solve_overflows_exits_3_without_a_runtime_warning
     assert "norm of the responses overflows" in err and err.count("\n") == 1
 
 
+def test_eval_of_a_model_whose_learned_gram_overflows_exits_3(tmp_path, capsys):
+    # a bias of 1e308 makes every learned Gram entry 1e308: finite, but the
+    # spectrum of the SVM training Gram overflows
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+    assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
+    model = tmp_path / "fit" / "model.json"
+    doc = json.loads(model.read_text())
+    doc["bias"] = 1e308
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["eval", data, "--model", str(model), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "not finite" in err and err.count("\n") == 1
+
+
 def test_svr_caught_in_a_cycle_exits_3_within_a_second(tmp_path, capsys):
     # sigma2 1e-30 puts hyper-Gram entries near 1e57 on some pairs and zero rows
     # on the rest; SMO cycles with the zero-row coefficients drifting 1e-58 per

@@ -206,11 +206,12 @@ def test_pair_system_matches_assembly(d):
 
 
 def test_column_sum_spans_column_blocks():
-    # 4,225 pairs: more columns than one block of column_sum
+    # all 4,225 columns summed at once, merged onto 65 * 66 / 2 = 2,145
+    # unordered pairs (column_sum once took them in blocks of 4,096)
     m = 65
     X = np.random.default_rng(1).standard_normal((m, 2))
     system = PairSystem(HyperKernelParams(1.0, 2.0, 2), X)
-    assert system.n > hyper._COLUMN_BLOCK
+    assert system.n == 4225 and system._factors[2].shape == (65, 2145)
     full = system.matvec(np.ones(system.n))
     assert np.all(np.abs(system.column_sum(np.arange(system.n)) - full) <= 1e-12 * full)
 
@@ -245,22 +246,59 @@ def test_pair_system_validates_like_assembly():
 
 
 def test_pair_system_caps_its_point_factors():
-    # 465 points use 465 * 465^2 = 100,544,625 factor entries, above the 1e8 cap
-    X = np.random.default_rng(0).standard_normal((465, 2))
+    # 585 points use 585 * (585 * 586 / 2) = 100,271,925 factor entries, one
+    # column per unordered pair, above the 1e8 cap (584 points use 99,758,880)
+    X = np.random.default_rng(0).standard_normal((585, 2))
     system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X)
     with pytest.raises(ResourceLimit):
         system.matvec(np.zeros(system.n))
 
 
 def test_pair_system_factors_cover_only_the_points_it_uses():
-    # pairs among 3 of 300 points: the factors hold 3 rows, not 300
+    # pairs among 3 of 300 points: the factors hold 3 rows, not 300, and one
+    # column per unordered pair: {5, 9} serves both of its orders
     X = np.random.default_rng(1).standard_normal((300, 2))
     pairs = np.array([[5, 5], [5, 9], [9, 5], [9, 9], [5, 200]])
     system = PairSystem(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     v = np.arange(1.0, 6.0)
     K = hyper_gram_reference(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
-    assert system._factors[2].shape == (3, 5)
+    assert system._factors[2].shape == (3, 4)
+
+
+# swapped pairs, pairs without their swap, diagonal pairs and repeated pairs
+MIXED_PAIRS = np.array([[0, 1], [1, 0], [2, 3], [4, 4], [5, 5], [0, 1], [3, 5], [5, 3],
+                        [1, 4], [4, 4], [2, 0], [5, 3]])
+
+
+def test_unordered_pairs_merge_swaps_and_repeats():
+    distinct, col = hyper.unordered_pairs(MIXED_PAIRS, 6)
+    assert distinct.tolist() == [[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 4], [5, 5]]
+    assert np.array_equal(distinct[col], np.sort(MIXED_PAIRS, axis=1))
+    empty, col = hyper.unordered_pairs(np.empty((0, 2), dtype=int), 6)
+    assert empty.shape == (0, 2) and col.shape == (0,)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_pair_system_on_merged_columns_matches_the_midpoint_reference(d):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((6, d))
+    params = HyperKernelParams(0.6, 1.4, d)
+    system = PairSystem(params, X, MIXED_PAIRS)
+    ref = hyper_gram_reference(params, X, MIXED_PAIRS)
+    assert system._factors[2].shape == (6, 7)
+    for v in (rng.standard_normal(system.n), np.ones(system.n)):
+        err = np.abs(system.matvec(v) - ref @ v)
+        assert np.all(err <= 1e-12 * (ref @ np.abs(v)))
+    for s in range(system.n):
+        np.testing.assert_allclose(system.column(s), ref[:, s], rtol=1e-12, atol=0.0)
+    for cols in ([0, 1, 5], [3, 4, 9], np.arange(system.n), [7, 7, 2]):
+        np.testing.assert_allclose(system.column_sum(cols), ref[:, cols].sum(axis=1),
+                                   rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(system.entries, ref, rtol=1e-12, atol=0.0)
+    # a pair and its swap read one column of Phi, so their columns agree bitwise
+    assert np.array_equal(system.column(0), system.column(1))
+    assert np.array_equal(system.entries[:, 6], system.entries[:, 7])
 
 
 def _point_factors_reference(params, X, mids):

@@ -24,6 +24,7 @@ from hklearn.pipeline import DEFAULT_REG_GRID
 from hklearn.scaling import nystrom_restrict
 from cholesky_reference import solve_spd_with_jitter_reference
 from midpoint_reference import hyper_gram_reference
+from nystrom_reference import nystrom_preconditioner_reference
 
 
 def _solve_path(monkeypatch, **constants):
@@ -285,6 +286,57 @@ def test_columns_match_the_midpoint_reference(rng):
     K = hyper_gram_reference(params, X, pairs)
     for s in range(system.n):
         np.testing.assert_allclose(system.column(s), K[:, s], rtol=1e-12, atol=0.0)
+
+
+def _record_cholesky_qr3(monkeypatch):
+    """A list that receives (F', Q', R') of each basis the preconditioner builds."""
+    bases, real = [], krr._cholesky_qr3
+
+    def recording(Ft):
+        Qt, L = real(Ft)
+        bases.append((Ft.copy(), Qt, L))
+        return Qt, L
+
+    monkeypatch.setattr(krr, "_cholesky_qr3", recording)
+    return bases
+
+
+@pytest.mark.parametrize("lam, rank", [(1e-1, 22), (1e-3, 36), (1e-7, 67), (1e-10, 92),
+                                       (1e-300, 100)])
+def test_preconditioner_equals_the_householder_reference(lam, rank, monkeypatch):
+    # shifted CholeskyQR3 and Householder QR give one operator at equal rank;
+    # at lam 1e-300 the factor is far too ill-conditioned for plain CholeskyQR
+    system, _ = _tl1_system(46)
+    bases = _record_cholesky_qr3(monkeypatch)
+    precond, got_rank = krr.nystrom_preconditioner(system, lam)
+    expected, ref_rank = nystrom_preconditioner_reference(system, lam)
+    assert got_rank == ref_rank == rank
+    block = np.random.default_rng(5).standard_normal((system.n, 6))
+    got = np.column_stack([precond(v) for v in block.T])
+    ref = np.column_stack([expected(v) for v in block.T])
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    (Ft, Qt, L), = bases
+    Ut = np.linalg.eigh(L.T @ L)[1].T @ Qt  # U = QV, as the preconditioner forms it
+    assert np.linalg.norm(Ut @ Ut.T - np.eye(rank)) <= 1e-12
+    assert np.linalg.norm(L @ Qt - Ft) <= 1e-12 * np.linalg.norm(Ft)
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-100, 1e-300])
+def test_preconditioner_stops_at_the_roundoff_of_its_residual_diagonal(lam, monkeypatch):
+    # narrow bumps on 12 spread points: the diagonal spans many decades, and
+    # pivots on residuals below rank * eps * max(diag) would be columns of
+    # roundoff that CholeskyQR cannot orthonormalize
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (12, 1))
+    system = PairSystem(HyperKernelParams(1e-5, 1e-7, 1), X)
+    bases = _record_cholesky_qr3(monkeypatch)
+    precond, rank = krr.nystrom_preconditioner(system, lam)
+    floor = krr.PRECONDITIONER_RANK * np.finfo(float).eps * system.diag().max()
+    _, ref_rank = nystrom_preconditioner_reference(system, floor * 100.0)
+    assert 0 < rank == ref_rank < krr.PRECONDITIONER_RANK
+    (_, Qt, _), = bases
+    assert np.linalg.norm(Qt @ Qt.T - np.eye(rank)) <= 1e-12
+    v = np.random.default_rng(1).standard_normal(system.n)
+    assert np.all(np.isfinite(precond(v)))
 
 
 @pytest.mark.parametrize("m", [24, 46])

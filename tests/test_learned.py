@@ -27,6 +27,7 @@ from hklearn import (
     load_learned,
     save_learned,
 )
+from hklearn import learned
 from midpoint_reference import eval_pairs_reference
 
 
@@ -273,14 +274,39 @@ def test_a_stack_of_kernels_equals_each_kernel_alone_across_blocks(rng, monkeypa
     scaled = [LearnedKernel(lk.points, CoefficientField(v, pairs, 4), bias, lk.hyper_params)
               for v, bias in zip(values, (0.25, -1.0, 1.79e308))]
     A, B = rng.standard_normal((10, 2)), rng.standard_normal((7, 2))
+    # all three kernels in one batched product, then in batches of 2 and 1:
+    # a block of 4 rows over 10 unordered pairs holds 40 floats per kernel
+    for stack_floats in (learned._STACK_FLOATS, 80):
+        monkeypatch.setattr(learned, "_STACK_FLOATS", stack_floats)
+        for B_arg in (None, B):
+            stack = learned.eval_all_pairs_stack(scaled, A, B_arg)
+            for G, k in zip(stack[:2], scaled):
+                assert np.array_equal(G, eval_all_pairs(k, A, B_arg))
+            # the kernel that overflows is left non-finite for its caller
+            assert not np.isfinite(stack[2]).all()
+            with pytest.raises(NumericalFailure):
+                eval_all_pairs(scaled[2], A, B_arg)
+
+
+def test_evaluators_on_merged_pairs_match_the_midpoint_reference(rng):
+    # swapped pairs, pairs without their swap, diagonal pairs and a repeated
+    # pair: their coefficients are summed onto 7 unordered pairs
+    pairs = np.array([[0, 1], [1, 0], [2, 3], [4, 4], [5, 5], [0, 1], [3, 5], [5, 3],
+                      [1, 4], [4, 4], [2, 0], [5, 3]])
+    X = rng.standard_normal((6, 2))
+    params = HyperKernelParams(0.6, 1.4, 2)
+    kernels = [LearnedKernel(X, CoefficientField(rng.uniform(0.5, 2.0, 12), pairs, 6),
+                             0.0, params) for _ in range(3)]
+    A, B = X[[0, 2, 4, 1]] + 0.3 * rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
     for B_arg in (None, B):
-        stack = learned.eval_all_pairs_stack(scaled, A, B_arg)
-        for G, k in zip(stack[:2], scaled):
-            assert np.array_equal(G, eval_all_pairs(k, A, B_arg))
-        # the kernel that overflows is left non-finite for its caller
-        assert not np.isfinite(stack[2]).all()
-        with pytest.raises(NumericalFailure):
-            eval_all_pairs(scaled[2], A, B_arg)
+        Q = A if B_arg is None else B_arg
+        stack = learned.eval_all_pairs_stack(kernels, A, B_arg)
+        for G, lk in zip(stack, kernels):
+            np.testing.assert_allclose(G, _oracle_all_pairs(lk, A, Q), rtol=1e-12, atol=0.0)
+    ii, jj = np.divmod(np.arange(20), 5)
+    for lk in kernels:
+        np.testing.assert_allclose(eval_pairs(lk, A[ii], B[jj]),
+                                   eval_pairs_reference(lk, A[ii], B[jj]), rtol=1e-12, atol=0.0)
 
 
 def test_all_pairs_zero_coefficients_give_the_bias_exactly(rng):

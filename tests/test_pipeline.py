@@ -317,6 +317,40 @@ def test_cross_validate_isolates_a_failed_svm_to_its_row_and_its_c(monkeypatch):
     np.testing.assert_array_equal(np.array(table), np.array(reference[1]))
 
 
+def test_a_learned_gram_whose_spectrum_overflows_scores_its_row_nan(monkeypatch):
+    import hklearn.pipeline as pipeline
+
+    X, Y, labels = _labeled_blobs(2)
+    cfg = ExperimentConfig(seed=3, sigma_h2_grid=(0.5,), reg_grid=(1e-3, 1e-1, 10.0))
+    _, clean = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    real, calls = pipeline.eval_all_pairs_stack, []
+
+    def overflowing(kernels, A, B=None):
+        Gs = real(kernels, A, B)
+        if not calls:  # the first fold's Gram of the second reg
+            Gs[1] = 1e308  # finite, but its largest eigenvalue is about m * 1e308
+        calls.append(len(kernels))
+        return Gs
+
+    monkeypatch.setattr(pipeline, "eval_all_pairs_stack", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, table = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    assert np.isnan(table[1][2]) and not np.isnan(clean[1][2])
+    assert table[::2] == clean[::2]
+    assert calls == [3] + [2] * (cfg.cv_folds - 1)  # the failed reg is fitted no further
+
+
+@pytest.mark.parametrize("entry", [1e308, -1e308])
+def test_svm_on_a_gram_whose_spectrum_overflows_fails(entry):
+    # -1e308 gives an eigenvalue of -inf, which clipping alone would zero
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            svm_train(np.full((4, 4), entry), y, 1.0, "clip")
+
+
 def test_svm_two_points_identity_gram():
     model = svm_train(np.eye(2), np.array([1.0, -1.0]), 1.0, "none")
     pred = svm_predict(model, np.eye(2))
