@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .hyper import MAX_ENTRIES, PairSystem
+from .hyper import MAX_ENTRIES, PairSystem, unordered_pairs
 
 DIRECT_RESIDUAL_TOL = 1e-8
 CG_MAX_ITER = 20_000
@@ -151,13 +151,25 @@ def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
 
 
 def _factor(entries, shift, spectrum):
-    """A solver of ``(entries + shift I) x = b``, or None where its factorization fails."""
+    """A solver of ``(entries + shift I) x = b``, or None where its factorization fails.
+
+    A ``spectrum`` (w, V) whose n x c V has fewer columns than rows leaves
+    the rest of the space to K's null space, whose shifted eigenvalue is
+    ``shift`` itself.
+    """
     if spectrum is not None:
         w, V = spectrum
         d = w + shift
-        if not d.min() > 0:
+        null = V.shape[1] < V.shape[0]
+        if not (d.min() > 0 and (shift > 0 or not null)):
             return None
-        return lambda b: V @ ((V.T @ b) / d)
+
+        def solve(b):
+            p = V.T @ b
+            x = V @ (p / d)
+            return x + (b - V @ p) / shift if null else x
+
+        return solve
     try:
         L = np.linalg.cholesky(entries + shift * np.eye(entries.shape[0]))
     except np.linalg.LinAlgError:
@@ -193,19 +205,31 @@ def _solver(gram: PairSystem, config: KrrConfig) -> str:
 
 
 def shared_spectrum(gram: PairSystem, configs):
-    """``np.linalg.eigh(gram.entries)`` when at least ``SPECTRUM_MIN_SOLVES`` of
-    ``configs`` are direct ridge solves of ``gram``, else None.
+    """An eigendecomposition (w, V) of ``gram.entries`` when at least
+    ``SPECTRUM_MIN_SOLVES`` of ``configs`` are direct ridge solves of
+    ``gram``, else None.
 
+    A pair, its swap and its repeats have equal rows of K (to roundoff where
+    the assembly mirrors), so K = P B P', with P the n x c indicator of the
+    c distinct unordered pairs (:func:`unordered_pairs`) and B the block of K
+    over one member of each.
+    With s the member counts, the eigendecomposition U diag(w) U' of
+    B * sqrt(s) sqrt(s)' gives K = V diag(w) V' for V = P U / sqrt(s), whose
+    c orthonormal columns span the range of K: one eigh of order c, not n.
     A grid of ridge weights on one system passes it to :func:`fit_krr` as
     ``spectrum``, so that one eigendecomposition serves all of them.
     """
     direct = sum(isinstance(c, KrrConfig) and _solver(gram, c) == "direct" for c in configs)
     if direct < SPECTRUM_MIN_SOLVES:
         return None
+    _, col = unordered_pairs(gram.pair_list, gram.points.shape[0])
+    _, first, size = np.unique(col, return_index=True, return_counts=True)
+    root = np.sqrt(size)
     try:
-        return np.linalg.eigh(gram.entries)
+        w, U = np.linalg.eigh(gram.entries[np.ix_(first, first)] * np.outer(root, root))
     except np.linalg.LinAlgError:  # each solve then factors on its own
         return None
+    return w, U[col] / root[col, None]
 
 
 def fit_krr(gram: PairSystem, responses, config: KrrConfig,

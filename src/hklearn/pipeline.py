@@ -35,6 +35,8 @@ DEFAULT_REG_GRID = tuple(10.0 ** k for k in range(-5, 6))
 # Ridge weights of the learning-rate study, for noiseless and noisy responses
 STUDY_REG_NOISELESS = 1e-10
 STUDY_REG_NOISY = 1e-2
+# The failure of an SVM training Gram that is not finite (see _clip_spectrum)
+_OVERFLOWING_GRAM = "the SVM training Gram is not finite: its spectrum overflows"
 
 
 @dataclass(frozen=True)
@@ -333,8 +335,11 @@ def _ovr_table(Gs, labels, train, groups, cs, spectrum_fix, strict=False):
     """:func:`ovr_accuracies` of each Gram of a (k, m, m) stack at each C of ``cs``.
 
     Returns a (k, len(cs), len(groups)) array; classes, boxes and index grids
-    are built once, and the training Grams clipped in one eigh.  A failed SVM
-    leaves NaN in its row, or raises when ``strict``.
+    are built once, and the training Grams clipped in one eigh and checked
+    for finiteness once each.  A class's SVM that never touched its bound C
+    serves every larger C of ``cs`` on the same Gram, which :func:`smo`
+    would solve with the same iterates.  A failed SVM leaves NaN in its row,
+    or raises when ``strict``.
     """
     labels, train = np.asarray(labels), np.asarray(train)
     y, classes = labels[train], np.unique(labels[train])
@@ -345,12 +350,24 @@ def _ovr_table(Gs, labels, train, groups, cs, spectrum_fix, strict=False):
     grids = [np.ix_(idx, train) for idx in groups]
     T = Gs.take(train, axis=1).take(train, axis=2)
     T = _clip_spectrum(T) if spectrum_fix == "clip" else T
+    finite = np.isfinite(T).all(axis=(1, 2))
     out = np.full((len(Gs), len(cs), len(groups)), np.nan)
     for k, G in enumerate(Gs):
         rows = [G[grid] for grid in grids]
-        for j in range(len(cs)):
+        free = [None] * len(ys)  # per class: (C, model) of a solve below its bound
+        for j, C in enumerate(cs):
             with suppress(() if strict else HklearnError):
-                models = [_smo_svm(T[k], s, *box) for s, box in zip(ys, boxes[j])]
+                if not finite[k]:
+                    raise NumericalFailure(_OVERFLOWING_GRAM)
+                models = []
+                for c, (s, box) in enumerate(zip(ys, boxes[j])):
+                    if free[c] is not None and free[c][0] < C:
+                        models.append(free[c][1])
+                        continue
+                    model, peak = _smo_svm(T[k], s, *box)
+                    if free[c] is None and peak < C:
+                        free[c] = C, model
+                    models.append(model)
                 for g, (R, idx) in enumerate(zip(rows, groups)):
                     if len(models) == 1:
                         pred = np.where(svm_predict(models[0], R) == 1, classes[1], classes[0])
@@ -389,19 +406,19 @@ def svm_train(gram, labels, C_svm: float, spectrum_fix: str = "clip",
 
     if spectrum_fix == "clip":
         G = _clip_spectrum(G)
-    return _smo_svm(G, y, np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0), kkt_tol)
+    if not np.isfinite(G).all():
+        raise NumericalFailure(_OVERFLOWING_GRAM)
+    lo, hi = np.where(y > 0, 0.0, -C_svm), np.where(y > 0, C_svm, 0.0)
+    return _smo_svm(G, y, lo, hi, kkt_tol)[0]
 
 
-def _smo_svm(G, y, lo, hi, kkt_tol=SvrConfig.kkt_tol) -> SvmModel:
+def _smo_svm(G, y, lo, hi, kkt_tol=SvrConfig.kkt_tol):
     """The signed dual of a binary SVM with +-1 labels ``y`` and box [lo, hi], by SMO.
 
-    A training Gram that is not finite (see :func:`_clip_spectrum`) raises
-    ``NumericalFailure``.
+    Returns the model and the peak |alpha| of :func:`smo`'s iterates.
     """
-    if not np.isfinite(G).all():
-        raise NumericalFailure("the SVM training Gram is not finite: its spectrum overflows")
-    beta, bias = smo(G, y, lo, hi, 0.0, kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER)
-    return SvmModel(y * beta, y, bias)
+    beta, bias, peak = smo(G, y, lo, hi, 0.0, kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER)
+    return SvmModel(y * beta, y, bias), peak
 
 
 def _check_svm(c_svm, spectrum_fix):

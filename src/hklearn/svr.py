@@ -20,12 +20,13 @@ The downstream SVM dual is its eps = 0 case with responses y and the boxes
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput
+from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
 from .hyper import PairSystem
 from .krr import CoefficientField
 
@@ -91,19 +92,6 @@ def dual_objective(gram: PairSystem, beta_hat, beta_check, responses,
     return float(-0.5 * d @ (K @ d) + d @ y - eps * (bh + bc).sum())
 
 
-def _kkt_state(beta: np.ndarray, F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               eps: float):
-    """Ascent slopes for growing/shrinking each coefficient, and feasibility masks.
-
-    ``g_up[k]`` is the objective slope for increasing beta_k (the l1 subgradient
-    uses +1 at zero), ``g_dn[k]`` the slope sign-flipped for decreasing it.  At
-    an optimum there is a bias b with g_up <= b <= g_dn over the movable sets.
-    """
-    g_up = np.where(beta >= 0, F - eps, F + eps)
-    g_dn = np.where(beta <= 0, F + eps, F - eps)
-    return g_up, g_dn, beta < hi, beta > lo
-
-
 def _line_search(beta_i, beta_j, slope0, eta, t_box, eps):
     """Maximize along +t e_i, -t e_j for t in [0, t_box].
 
@@ -132,65 +120,83 @@ def _line_search(beta_i, beta_j, slope0, eta, t_box, eps):
     return t_box
 
 
+def _gradient(K, y, beta):
+    """F = y - K beta, refreshed exactly; not finite raises ``NumericalFailure``."""
+    F = y - K @ beta
+    if not np.isfinite(F).all():
+        raise NumericalFailure("SMO gradient is not finite: the Gram or the responses overflow")
+    return F
+
+
 def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int,
         trace_path=None):
     """Maximize -1/2 b'Kb + b'y - eps |b|_1 over lo <= b <= hi, sum(b) = 0.
 
     SMO with maximal-violating-pair selection until the KKT gap closes; the
     bounds are per coordinate, so the SVR box [-C, C] and the signed SVM boxes
-    [0, C] / [-C, 0] are both instances.  Returns (beta, bias).  Raises
-    ConvergenceFailure (carrying the worst violation) if the iteration budget
-    runs out first, or as soon as :func:`_cycles_past_budget` shows that it
-    would.  ``trace_path``, when given, receives one CSV row per update:
-    iteration, dual objective, worst KKT violation.
+    [0, C] / [-C, 0] are both instances.  Returns (beta, bias, peak): peak is
+    the largest |b_k| of any iterate, or inf when a stall check found the
+    gradient back at its mark.  A solve whose peak is below the C of its box
+    never touched it, so it has the same iterates, result and update count
+    at every larger C.  Raises ConvergenceFailure (carrying the worst
+    violation) if the iteration budget runs out first, or as soon as
+    :func:`_cycles_past_budget` shows that it would, and ``NumericalFailure``
+    when a step's curvature, a slope or a refreshed gradient is not finite.
+    ``trace_path``, when given, receives one CSV row per update: iteration,
+    dual objective, worst KKT violation.
     """
     n = y.size
-    diag = np.diag(K).copy()
+    diag = np.diag(K).tolist()
+    lo_l, hi_l = lo.tolist(), hi.tolist()
+    KT = K.T  # KT[i] is column i of K
 
+    # F + off_up is the objective slope for increasing each coefficient (the
+    # l1 subgradient uses +1 at zero), -inf where it sits at its upper bound;
+    # F + off_dn is the slope, sign-flipped, for decreasing it, +inf at its
+    # lower bound.  At an optimum a bias b has F + off_up <= b <= F + off_dn.
     beta = np.zeros(n)
-    mark, stalled = None, False
+    off_up = np.where(hi > 0.0, -eps, -math.inf)
+    off_dn = np.where(lo < 0.0, eps, math.inf)
+    peak, mark, stalled = 0.0, None, False
     trace_file = open(trace_path, "w", newline="") if trace_path else nullcontext()
-    with trace_file:
+    with trace_file, np.errstate(over="ignore", invalid="ignore"):
         trace = csv.writer(trace_file) if trace_path else None
         if trace is not None:
             trace.writerow(["iteration", "dual_objective", "kkt_violation"])
         iteration = 0
-        violation = np.inf
+        violation = math.inf
         for _ in range(max_passes):
-            F = y - K @ beta  # full refresh guards against drift in the cache
+            F = _gradient(K, y, beta)  # guards against drift in the update
             while iteration < max_iter:
-                if eps:
-                    g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, lo, hi, eps)
-                else:  # both slopes are F itself
-                    g_up = g_dn = F
-                    up_ok, dn_ok = beta < hi, beta > lo
                 # first maximal violator of each movable set; with one set
                 # empty the violation is -inf and the pass ends
-                up = np.where(up_ok, g_up, -np.inf)
-                dn = np.where(dn_ok, g_dn, np.inf)
+                up, dn = F + off_up, F + off_dn
                 i, j = int(up.argmax()), int(dn.argmin())
-                violation = float(up[i] - dn[j])
+                violation = up.item(i) - dn.item(j)
                 if violation <= kkt_tol:
                     break
-
-                hi_i, lo_j = hi[i], lo[j]
-                eta = diag[i] + diag[j] - 2.0 * K[i, j]
+                b_i, b_j, hi_i, lo_j = beta.item(i), beta.item(j), hi_l[i], lo_l[j]
+                eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
+                if not (math.isfinite(eta) and math.isfinite(violation)):
+                    raise NumericalFailure(
+                        "SMO step is not finite: the Gram or the responses overflow")
                 eta = max(eta, 1e-12 * max(diag[i] + diag[j], 1.0))
-                t_box = min(hi_i - beta[i], beta[j] - lo_j)
-                t = _line_search(beta[i], beta[j], violation, eta, t_box, eps)
+                t_box = min(hi_i - b_i, b_j - lo_j)
+                t = _line_search(b_i, b_j, violation, eta, t_box, eps)
                 if t <= 0:
                     break  # blocked at machine precision; refresh and retry
-                hit_box = t == t_box
-                cap_i = t == hi_i - beta[i]
-                cap_j = t == beta[j] - lo_j
-                beta[i] += t
-                beta[j] -= t
-                if hit_box:
-                    if cap_i:
-                        beta[i] = hi_i
-                    if cap_j:
-                        beta[j] = lo_j
-                F -= t * (K[:, i] - K[:, j])
+                if t == t_box:  # the step ends on a bound of one of them, or both
+                    b_i = hi_i if t == hi_i - b_i else b_i + t
+                    b_j = lo_j if t == b_j - lo_j else b_j - t
+                else:
+                    b_i, b_j = b_i + t, b_j - t
+                peak = max(peak, abs(b_i), abs(b_j))
+                beta[i], beta[j] = b_i, b_j
+                off_up[i] = (-eps if b_i >= 0 else eps) if b_i < hi_i else -math.inf
+                off_dn[i] = (eps if b_i <= 0 else -eps) if b_i > lo_l[i] else math.inf
+                off_up[j] = (-eps if b_j >= 0 else eps) if b_j < hi_l[j] else -math.inf
+                off_dn[j] = (eps if b_j <= 0 else -eps) if b_j > lo_j else math.inf
+                F -= t * (KT[i] - KT[j])
                 iteration += 1
                 if trace is not None:
                     # the dual objective from the maintained F = y - K beta
@@ -199,45 +205,44 @@ def smo(K, y, lo, hi, eps: float, kkt_tol: float, max_passes: int, max_iter: int
                         [iteration, repr(objective), repr(max(violation, 0.0))]
                     )
                 if iteration % SMO_STALL_WINDOW == 0:
-                    stalled = mark is not None and _cycles_past_budget(
-                        beta, F, *mark, lo, hi, (max_iter - iteration) / SMO_STALL_WINDOW
-                    )
-                    if stalled:
-                        break
+                    if mark is not None and np.array_equal(F, mark[1]):
+                        peak = math.inf  # the cycle's verdict reads the box
+                        stalled = _cycles_past_budget(
+                            beta, mark[0], lo, hi, (max_iter - iteration) / SMO_STALL_WINDOW
+                        )
+                        if stalled:
+                            break
                     mark = beta.copy(), F.copy()
             if violation <= kkt_tol or iteration >= max_iter or stalled:
                 break
 
-    # final verdict from an exactly recomputed gradient
-    F = y - K @ beta
-    g_up, g_dn, up_ok, dn_ok = _kkt_state(beta, F, lo, hi, eps)
-    if up_ok.any() and dn_ok.any():
-        final_violation = float(g_up[up_ok].max() - g_dn[dn_ok].min())
-    else:
-        final_violation = 0.0
+        # final verdict from an exactly recomputed gradient
+        F = _gradient(K, y, beta)
+        # -inf and +inf when a movable set is empty
+        b_lo, b_hi = float((F + off_up).max()), float((F + off_dn).min())
+    final_violation = b_lo - b_hi
     if final_violation > kkt_tol:
         raise ConvergenceFailure(
             f"KKT violation {final_violation:.3e} above {kkt_tol:g} "
             f"after {iteration} updates",
             violation=final_violation,
         )
-    return beta, _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok)
+    return beta, _recover_bias(beta, F, lo, hi, eps, b_lo, b_hi), peak
 
 
-def _cycles_past_budget(beta, F, beta0, F0, lo, hi, windows_left) -> bool:
-    """Whether the window of updates from (beta0, F0) to (beta, F) is a cycle
-    that the remaining budget cannot leave.
+def _cycles_past_budget(beta, beta0, lo, hi, windows_left) -> bool:
+    """Whether a window of updates from beta0 to beta that returned the
+    gradient F bitwise to where it started is a cycle that the remaining
+    budget cannot leave.
 
-    A window that returns F bitwise to F0 leaves every slope, and so the KKT
-    violation, where it was; if no coefficient changed sign, the next window
-    repeats it, drifting beta by the same amount.  Only a coefficient
-    reaching its bound or zero (the kink of the eps term) can end the cycle,
-    so when none would within ``windows_left`` more windows the budget runs
-    out first.  Hyper-Gram entries near 1e57 (``sigma2`` 1e-30) give such a
-    cycle: coefficients whose rows are zero drift by 1e-58 per update.
+    Such a window leaves every slope, and so the KKT violation, where it was;
+    if no coefficient changed sign, the next window repeats it, drifting beta
+    by the same amount.  Only a coefficient reaching its bound or zero (the
+    kink of the eps term) can end the cycle, so when none would within
+    ``windows_left`` more windows the budget runs out first.  Hyper-Gram
+    entries near 1e57 (``sigma2`` 1e-30) give such a cycle: coefficients whose
+    rows are zero drift by 1e-58 per update.
     """
-    if not np.array_equal(F, F0):
-        return False
     drift = beta - beta0
     moving = drift != 0.0
     b, d = beta[moving], drift[moving]
@@ -254,7 +259,7 @@ def fit_svr(gram: PairSystem, responses, config: SvrConfig,
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
     C, eps = config.C, config.epsilon
-    beta, bias = smo(
+    beta, bias, _ = smo(
         gram.entries, y, np.full(gram.n, -C), np.full(gram.n, C), eps,
         config.kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER, trace_path,
     )
@@ -264,12 +269,13 @@ def fit_svr(gram: PairSystem, responses, config: SvrConfig,
     return SvrModel(coeffs, bias, support, obj, config)
 
 
-def _recover_bias(beta, F, lo, hi, eps, g_up, g_dn, up_ok, dn_ok) -> float:
+def _recover_bias(beta, F, lo, hi, eps, b_lo, b_hi) -> float:
+    """The bias at the optimum beta: the mean slope over the interior
+    coefficients, else the midpoint of the bracket [b_lo, b_hi] that the
+    largest growing and smallest shrinking slope give."""
     interior = (beta != 0.0) & (lo < beta) & (beta < hi)
     if interior.any():
         return float(np.mean(F[interior] - eps * np.sign(beta[interior])))
-    b_lo = g_up[up_ok].max() if up_ok.any() else -np.inf
-    b_hi = g_dn[dn_ok].min() if dn_ok.any() else np.inf
-    if np.isfinite(b_lo) and np.isfinite(b_hi):
-        return float(0.5 * (b_lo + b_hi))
-    return float(b_lo if np.isfinite(b_lo) else (b_hi if np.isfinite(b_hi) else 0.0))
+    if math.isfinite(b_lo) and math.isfinite(b_hi):
+        return 0.5 * (b_lo + b_hi)
+    return b_lo if math.isfinite(b_lo) else (b_hi if math.isfinite(b_hi) else 0.0)

@@ -1,8 +1,11 @@
-"""The SVR solver's SMO loop before its eps = 0 fast path, kept as a test oracle.
+"""The SVR solver's SMO loop as it recomputed both slope arrays and both
+movable sets at every update, kept as a test oracle.
 
-``smo`` and its helpers are copied verbatim from ``hklearn.svr``, so tests
-can require the package's solver to return bitwise the same coefficients,
-bias and convergence failures on every dual.
+``smo`` and its helpers are copied verbatim from an earlier ``hklearn.svr``.
+The package's solver keeps the slopes' offsets from F and rewrites only the
+two updated entries per step, with its scalar work on Python floats; tests
+require it to return bitwise the same coefficients, bias and convergence
+failures as this loop on every dual, for every eps.
 """
 
 from __future__ import annotations

@@ -473,9 +473,10 @@ def test_direct_solve_matches_the_scipy_cholesky_reference(m, lam):
     assert _gap(K, lam + ref[1], got[0], ref[0], y) <= 1e-12
 
 
-@pytest.mark.parametrize("m", [9, 12, 20])
-def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m):
-    system, y = _study_system(m)
+def _grid_failures_of_shared_solves(system, y):
+    """The lambdas of the default grid and 1e-10 that fail; the solves from one
+    shared eigendecomposition must fail where per-lambda fits fail, and match
+    them elsewhere in jitter rung and to 1e-12 normwise."""
     configs = [KrrConfig(lam) for lam in DEFAULT_REG_GRID + (1e-10,)]
     spectrum = shared_spectrum(system, configs)
     assert spectrum is not None
@@ -490,8 +491,36 @@ def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m):
         assert shared.jitter_applied == alone.jitter_applied
         shift = config.lam + alone.jitter_applied
         assert _gap(system.entries, shift, shared.values, alone.values, y) <= 1e-12
+    return failed
+
+
+@pytest.mark.parametrize("m", [9, 12, 20])
+def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m):
+    system, y = _study_system(m)
+    # m(m + 1)/2 unordered pairs: an eigh of 45 for 81 pairs
+    assert shared_spectrum(system, [KrrConfig(1.0)] * 11)[1].shape == (m * m, m * (m + 1) // 2)
     # only the row below the grid fails, and only from 144 pairs up
-    assert failed == ([] if m == 9 else [1e-10])
+    assert _grid_failures_of_shared_solves(system, y) == ([] if m == 9 else [1e-10])
+
+
+@pytest.mark.parametrize("kind", ["landmarks", "half", "repeats"])
+@pytest.mark.parametrize("m", [9, 12, 20])
+def test_grid_solves_on_a_partial_pair_list_match_per_lambda_fits(m, kind):
+    # a landmark list is swap-closed, half of the ordered pairs drawn at random
+    # is not, and repeated pairs have equal rows of K
+    full, y = _study_system(m)
+    rng = np.random.default_rng(m)
+    pairs = full.pair_list
+    if kind == "landmarks":
+        pairs = nystrom_restrict(m, m // 2, m)[1]
+    elif kind == "half":
+        pairs = pairs[np.sort(rng.choice(pairs.shape[0], pairs.shape[0] // 2, replace=False))]
+    else:
+        pairs = np.vstack([pairs, pairs[rng.choice(pairs.shape[0], m, replace=False)]])
+    system = PairSystem(full.params, full.points, pairs)
+    c = np.unique(np.sort(pairs, axis=1), axis=0).shape[0]
+    assert shared_spectrum(system, [KrrConfig(1.0)] * 11)[1].shape == (pairs.shape[0], c)
+    _grid_failures_of_shared_solves(system, y.reshape(m, m)[pairs[:, 0], pairs[:, 1]])
 
 
 def test_shared_spectrum_is_taken_only_for_enough_direct_ridge_solves(monkeypatch):

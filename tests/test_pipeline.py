@@ -22,6 +22,7 @@ from hklearn import (
     eval_pairs,
     fit_extend,
     learning_rate_study,
+    ovr_accuracies,
     rmse,
     split_dataset,
     svm_predict,
@@ -299,14 +300,19 @@ def test_cross_validate_isolates_a_failed_svm_to_its_row_and_its_c(monkeypatch):
     # a grid-pass SVM, keyed on its training Gram, and the selected C of the
     # c_svm pass, keyed on its box; the grid pass runs at C = 0.5 only
     target, failing_c = grams[7], clean_selected["c_svm"]
+    fired = []
 
     def failing(K, y, lo, hi, *args):
         if np.array_equal(K, target) or hi.max() == failing_c:
+            fired.append(float(hi.max()))
             raise ConvergenceFailure("forced failure", violation=1.0)
         return real(K, y, lo, hi, *args)
 
     monkeypatch.setattr(pipeline, "smo", failing)
     selected, table = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    # the c_svm pass solves the selected C in every fold: a C reused from a
+    # smaller one in all folds would tie with it, and the tie picks the smaller
+    assert fired.count(failing_c) == cfg.cv_folds
     failed = [i for i, row in enumerate(table) if np.isnan(row[2])]
     assert len(failed) == 1 and not np.isnan(clean[failed[0]][2])
     assert [r for i, r in enumerate(table) if i not in failed] == \
@@ -315,6 +321,64 @@ def test_cross_validate_isolates_a_failed_svm_to_its_row_and_its_c(monkeypatch):
     reference = cross_validate_reference(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
     assert selected == reference[0]
     np.testing.assert_array_equal(np.array(table), np.array(reference[1]))
+
+
+def _recording_smo(monkeypatch):
+    """Record the C (upper bound of the +1 class) of every SVM solve."""
+    import hklearn.pipeline as pipeline
+
+    real, calls = pipeline.smo, []
+
+    def recording(K, y, lo, hi, *args):
+        calls.append(float(hi.max()))
+        return real(K, y, lo, hi, *args)
+
+    monkeypatch.setattr(pipeline, "smo", recording)
+    return calls
+
+
+def test_an_svm_whose_iterates_touched_c_is_not_reused_at_a_larger_c(monkeypatch):
+    from hklearn.pipeline import _ovr_table
+    from hklearn.svr import smo
+
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((4, 2))
+    y = np.where(X[:, 0] + rng.standard_normal(4) > 0, 1.0, -1.0)
+    G = np.exp(-((X[:, None] - X[None]) ** 2).sum(-1) / 2.0)
+
+    def solve(C):
+        return smo(G, y, np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0), 0.0,
+                   1e-3, 1000, 500_000)
+
+    # at C = 1 an iterate reaches C and the solve ends inside the box, at
+    # other coefficients than at C = 10; from C = 10 on the box never binds
+    touched, free = solve(1.0), solve(10.0)
+    assert touched[2] == 1.0 and np.abs(touched[0]).max() < 1.0
+    assert not np.array_equal(touched[0], free[0])
+    assert free[2] < 10.0
+    calls = _recording_smo(monkeypatch)
+    cs = [0.1, 1.0, 10.0, 100.0, 1e3]
+    labels, idx = np.where(y > 0, 7, 3), np.arange(4)
+    table = _ovr_table(G[None], labels, idx, [idx, idx[::-1]], cs, "none")
+    assert calls == [0.1, 1.0, 10.0]
+    for j, C in enumerate(cs):
+        assert table[0, j].tolist() == ovr_accuracies(G, labels, idx, [idx, idx[::-1]], C, "none")
+
+
+def test_the_default_c_svm_pass_reuses_solves_below_their_bound(monkeypatch):
+    # test_cross_validate_matches_the_reference_on_the_default_reg_grid holds
+    # the reused solves bitwise to the reference's, which solves every C
+    X, Y, labels = _labeled_blobs(2)
+    cfg = ExperimentConfig(seed=3, sigma_h2_grid=(0.5, 2.0))
+    _solve_each_reg_alone(monkeypatch, cfg)
+    calls = _recording_smo(monkeypatch)
+    selected, table = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
+    grid_pass = len(cfg.sigma_h2_grid) * cfg.cv_folds * len(cfg.reg_grid)
+    assert calls[:grid_pass] == [0.5] * grid_pass
+    c_pass = calls[grid_pass:]
+    # 37 of the 5 x 11 solves; no fold solves a C above 100
+    assert len(c_pass) == 37 < cfg.cv_folds * len(cfg.reg_grid)
+    assert max(c_pass) == 100.0 and c_pass.count(selected["c_svm"]) == cfg.cv_folds
 
 
 def test_a_learned_gram_whose_spectrum_overflows_scores_its_row_nan(monkeypatch):

@@ -10,6 +10,7 @@ from hklearn import (
     GaussianRBF,
     HyperKernelParams,
     InvalidInput,
+    NumericalFailure,
     SvrConfig,
     TL1,
     assemble_hyper_gram,
@@ -211,7 +212,7 @@ def _smo_outcome(solver, dual, kkt_tol=1e-3, max_iter=500_000):
 @pytest.mark.parametrize("kind", ["svm", "svr-0.01", "svr-0.1", "svr-0"])
 def test_smo_is_bitwise_the_reference_loop(kind, C):
     for dual in _smo_duals(kind, C):
-        beta, bias = _smo_outcome(smo, dual)
+        beta, bias, _ = _smo_outcome(smo, dual)
         ref_beta, ref_bias = _smo_outcome(smo_reference.smo, dual)
         assert np.array_equal(beta, ref_beta)
         assert bias == ref_bias
@@ -224,7 +225,7 @@ def test_smo_with_large_gram_entries_and_box_is_the_reference_loop():
     duals = [(K * 1e12, y, lo, hi, eps) for K, y, lo, hi, eps in _smo_duals("svm", 1e5)]
     assert isinstance(_smo_outcome(smo, duals[1], 1e-6, svr.SMO_STALL_WINDOW)[0], str)
     for dual in duals:
-        beta, bias = _smo_outcome(smo, dual, kkt_tol=1e-6)
+        beta, bias, _ = _smo_outcome(smo, dual, kkt_tol=1e-6)
         ref_beta, ref_bias = _smo_outcome(smo_reference.smo, dual, kkt_tol=1e-6)
         assert np.array_equal(beta, ref_beta)
         assert bias == ref_bias
@@ -236,6 +237,41 @@ def test_smo_runs_out_of_updates_as_the_reference_loop(kind):
         failure = _smo_outcome(smo, dual, kkt_tol=1e-12, max_iter=3)
         assert isinstance(failure[0], str) and failure[1] > 1e-12
         assert failure == _smo_outcome(smo_reference.smo, dual, kkt_tol=1e-12, max_iter=3)
+
+
+def _svm_box(C, y):
+    return np.where(y > 0, 0.0, -C), np.where(y > 0, C, 0.0)
+
+
+def test_a_solve_below_its_bound_is_the_solve_at_every_larger_c(tmp_path):
+    # the peak |beta| stays below C = 1e4 (47 to 3,219), so the box never
+    # binds: the same updates, coefficients and bias at C = 1e6
+    for K, y, *_ in _smo_duals("svm", 1.0):
+        paths = [tmp_path / "small.csv", tmp_path / "large.csv"]
+        small = smo(K, y, *_svm_box(1e4, y), 0.0, 1e-3, 1000, 500_000, paths[0])
+        large = smo(K, y, *_svm_box(1e6, y), 0.0, 1e-3, 1000, 500_000, paths[1])
+        assert np.abs(small[0]).max() <= small[2] < 1e4
+        assert np.array_equal(small[0], large[0]) and small[1:] == large[1:]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_peak_is_void_once_the_gradient_returns_to_its_mark(monkeypatch):
+    # with K = 0 every update leaves F = y; a stall check after each update
+    # then sees F back at its mark, whose cycle verdict reads the box
+    K, y = np.zeros((4, 4)), np.array([1.0, -1.0, 1.0, -1.0])
+    assert smo(K, y, *_svm_box(1.0, y), 0.0, 1e-3, 1000, 500_000)[2] == 1.0
+    monkeypatch.setattr(svr, "SMO_STALL_WINDOW", 1)
+    beta, _, peak = smo(K, y, *_svm_box(1.0, y), 0.0, 1e-3, 1000, 500_000)
+    assert peak == np.inf and np.abs(beta).max() == 1.0
+
+
+@pytest.mark.parametrize("K, y", [
+    (np.full((4, 4), 1e308), np.array([1.0, -1.0, 1.0, -1.0])),  # eta = inf - inf
+    (np.eye(4), np.array([1.0, -1.0, np.inf, -1.0])),  # the first refresh of F
+])
+def test_smo_that_overflows_fails_without_a_runtime_warning(K, y):
+    with pytest.raises(NumericalFailure, match="not finite"):
+        smo(K, y, *_svm_box(1.0, np.sign(y)), 0.0, 1e-3, 1000, 500_000)
 
 
 def test_config_validation():
