@@ -20,7 +20,9 @@ pair) have one midpoint and one g: Phi holds one column per distinct
 unordered pair (:func:`unordered_pairs`), and v is summed onto those columns
 first.  :class:`PairSystem` is the one type of a pair system: it holds g,
 cross and Phi, applies K through them, and :func:`assemble_hyper_gram` fills
-its dense matrix from the same factors.
+its dense matrix from the same factors.  The same equal rows make the dense
+matrix's eigendecomposition one of order c, the system's ``spectrum``, which
+every direct ridge solve of it uses.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, NumericalFailure, ResourceLimit
 
 # Row-block size of the assembly; its temporaries hold a few _CHUNK * n
 # floats.
@@ -241,9 +243,10 @@ class PairSystem:
     Phi diag(g * v) Phi' and a gather of its u x u result.  Phi holds u * c
     floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
     ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
-    first access (direct solves and the SVR factor or index it); ``diag``
-    costs O(n) and returns a fresh array, ``column`` reads one column of K
-    and ``column_sum`` the sum of a set of columns from the factors.
+    first access (the SVR indexes it), and ``spectrum`` its eigendecomposition,
+    taken on first access (direct ridge solves use it); ``diag`` costs O(n)
+    and returns a fresh array, ``column`` reads one column of K and
+    ``column_sum`` the sum of a set of columns from the factors.
 
     ``pairs`` None stands for all m^2 ordered pairs in row-major order.
     """
@@ -336,10 +339,31 @@ class PairSystem:
         sh = self.params.sigma2 + self.params.sigma_h2
         return cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh))
 
+    @cached_property
     def base_jitter(self) -> float:
-        """First rung of the jitter ladder: 1e-10 * trace / n, computed once per system."""
-        return self._base_jitter
+        """First rung of the jitter ladder: 1e-10 * trace / n."""
+        return 1e-10 * float(np.sum(self.diag())) / max(self.n, 1)
 
     @cached_property
-    def _base_jitter(self) -> float:
-        return 1e-10 * float(np.sum(self.diag())) / max(self.n, 1)
+    def spectrum(self):
+        """An eigendecomposition (w, V) of ``entries``: K = V diag(w) V'.
+
+        A pair, its swap and its repeats have equal rows of K (to roundoff
+        where the assembly mirrors), so K = P B P', with P the n x c indicator
+        of the c distinct unordered pairs (:func:`unordered_pairs`) and B the
+        block of K over one member of each.  With s the member counts, the
+        eigendecomposition U diag(w) U' of B * sqrt(s) sqrt(s)' gives
+        V = P U / sqrt(s), whose c orthonormal columns span the range of K:
+        one eigh of order c, not n.  Every direct ridge solve of the system
+        solves with it, so a grid of ridge weights shares one eigh.  An eigh
+        that does not converge raises ``NumericalFailure``.
+        """
+        _, col = unordered_pairs(self.pair_list, self.points.shape[0])
+        _, first, size = np.unique(col, return_index=True, return_counts=True)
+        root = np.sqrt(size)
+        try:
+            w, U = np.linalg.eigh(self.entries[np.ix_(first, first)] * np.outer(root, root))
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(
+                "eigendecomposition of the hyper-Gram did not converge") from None
+        return w, U[col] / root[col, None]

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .hyper import MAX_ENTRIES, PairSystem, unordered_pairs
+from .hyper import MAX_ENTRIES, PairSystem
 
 DIRECT_RESIDUAL_TOL = 1e-8
 CG_MAX_ITER = 20_000
@@ -26,12 +26,6 @@ CG_RESTARTS = 3
 PRECONDITIONER_RANK = 100
 # Rungs of the diagonal jitter ladder of a direct solve (base, 10x, 100x)
 JITTER_RUNGS = 3
-# Rows of the diagonal blocks of the direct solve's substitution
-SOLVE_BLOCK = 64
-# Direct solves of one system that share its eigendecomposition.  One eigh
-# costs 2-6 Cholesky solves from 81 to 1,936 pairs, and a solve with it about a
-# tenth of one, so it pays from 3 solves at 81 pairs and from 7 at 1,936.
-SPECTRUM_MIN_SOLVES = 7
 
 
 @dataclass(frozen=True)
@@ -41,9 +35,9 @@ class KrrConfig:
     ``lam`` must be positive for the SPD factorization guarantee; zero is
     accepted so that deliberately singular systems surface as
     ``NumericalFailure`` (on the CG path, before it iterates).  The class
-    constant ``solver`` is ``direct`` (a numpy Cholesky, or one shared
-    eigendecomposition across a grid of ``lam``), ``cg`` (conjugate gradient,
-    to ``cg_tol``), or ``auto``, which takes CG above ``direct_limit`` unknowns.
+    constant ``solver`` is ``direct`` (with the system's eigendecomposition,
+    which every ``lam`` on one system shares), ``cg`` (conjugate gradient, to
+    ``cg_tol``), or ``auto``, which takes CG above ``direct_limit`` unknowns.
     """
 
     # read by fit_krr, and on an instance by hkbench/spans.py's residual check
@@ -98,21 +92,21 @@ class CoefficientField:
         return self.values.size
 
 
-def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
-                          base_jitter: float, retries: int = JITTER_RUNGS, spectrum=None):
+def solve_spd_with_jitter(entries: np.ndarray, spectrum, shift: float, rhs: np.ndarray,
+                          base_jitter: float, retries: int = JITTER_RUNGS):
     """Solve ``(entries + shift I) x = rhs``, escalating a diagonal jitter
-    (base, 10x, 100x) when the factorization fails or the solve is too
-    inaccurate (relative residual above ``DIRECT_RESIDUAL_TOL``).
+    (base, 10x, 100x) when the shifted matrix is not positive definite or the
+    solve is too inaccurate (relative residual above ``DIRECT_RESIDUAL_TOL``).
 
-    Each rung factors the shifted matrix by Cholesky.  With ``spectrum``, the
-    eigendecomposition (w, V) of ``entries``, it solves with
-    V diag(1 / (w + shift + jitter)) V' instead, and a non-positive shifted
-    eigenvalue counts as a failed factorization.  A couple of
-    iterative-refinement steps follow each factorization so the residual
-    contract holds on ill-conditioned systems too.  Returns
-    ``(x, jitter_applied)``; the residual is measured against the jittered
-    system actually solved.  A right-hand side whose norm overflows, or a last
-    residual that is not finite, raises ``NumericalFailure``.
+    ``spectrum`` is an eigendecomposition (w, V) of ``entries`` (see
+    :attr:`PairSystem.spectrum`); each rung solves with
+    V diag(1 / (w + shift + jitter)) V', and a shifted eigenvalue that is not
+    positive fails that rung.  A couple of iterative-refinement steps on
+    ``entries`` follow each rung's solve so the residual contract holds on
+    ill-conditioned systems too.  Returns ``(x, jitter_applied)``; the
+    residual is measured against the jittered system actually solved.  A
+    right-hand side whose norm overflows, or a last residual that is not
+    finite, raises ``NumericalFailure``.
     """
     ladder = [0.0] + [base_jitter * 10.0 ** k for k in range(retries)]
     worst = None
@@ -122,7 +116,7 @@ def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
             raise NumericalFailure("the norm of the responses overflows")
         for jitter in ladder:
             total = shift + jitter
-            solve = _factor(entries, total, spectrum)
+            solve = _factor(spectrum, total)
             if solve is None:
                 continue
             x = solve(rhs)
@@ -150,101 +144,40 @@ def solve_spd_with_jitter(entries: np.ndarray, shift: float, rhs: np.ndarray,
     raise NumericalFailure("factorization failed and jitter is disabled")
 
 
-def _factor(entries, shift, spectrum):
-    """A solver of ``(entries + shift I) x = b``, or None where its factorization fails.
+def _factor(spectrum, shift):
+    """A solver of ``(V diag(w) V' + shift I) x = b``, or None where that
+    matrix is not positive definite.
 
     A ``spectrum`` (w, V) whose n x c V has fewer columns than rows leaves
     the rest of the space to K's null space, whose shifted eigenvalue is
     ``shift`` itself.
     """
-    if spectrum is not None:
-        w, V = spectrum
-        d = w + shift
-        null = V.shape[1] < V.shape[0]
-        if not (d.min() > 0 and (shift > 0 or not null)):
-            return None
-
-        def solve(b):
-            p = V.T @ b
-            x = V @ (p / d)
-            return x + (b - V @ p) / shift if null else x
-
-        return solve
-    try:
-        L = np.linalg.cholesky(entries + shift * np.eye(entries.shape[0]))
-    except np.linalg.LinAlgError:
+    w, V = spectrum
+    d = w + shift
+    null = V.shape[1] < V.shape[0]
+    if not (d.min() > 0 and (shift > 0 or not null)):
         return None
-    return lambda b: _cholesky_solve(L, b)
+
+    def solve(b):
+        p = V.T @ b
+        x = V @ (p / d)
+        return x + (b - V @ p) / shift if null else x
+
+    return solve
 
 
-def _cholesky_solve(L, b):
-    """x with L L' x = b, by block forward and back substitution.
-
-    numpy has no triangular solve, so each diagonal block of ``SOLVE_BLOCK``
-    rows is solved by ``np.linalg.solve`` and the rest are matrix-vector
-    products.  Solving the blocks, rather than multiplying by their inverses,
-    keeps the substitution backward stable.
-    """
-    n = L.shape[0]
-    z = np.empty_like(b)
-    for a in range(0, n, SOLVE_BLOCK):
-        e = min(a + SOLVE_BLOCK, n)
-        z[a:e] = np.linalg.solve(L[a:e, a:e], b[a:e] - L[a:e, :a] @ z[:a])
-    x = np.empty_like(b)
-    for a in range((n - 1) // SOLVE_BLOCK * SOLVE_BLOCK, -1, -SOLVE_BLOCK):
-        e = min(a + SOLVE_BLOCK, n)
-        x[a:e] = np.linalg.solve(L[a:e, a:e].T, z[a:e] - L[e:, a:e].T @ x[e:])
-    return x
-
-
-def _solver(gram: PairSystem, config: KrrConfig) -> str:
-    """``direct`` or ``cg``: the solver that ``fit_krr`` takes for ``config``."""
-    if config.solver == "auto":
-        return "direct" if gram.n <= config.direct_limit else "cg"
-    return config.solver
-
-
-def shared_spectrum(gram: PairSystem, configs):
-    """An eigendecomposition (w, V) of ``gram.entries`` when at least
-    ``SPECTRUM_MIN_SOLVES`` of ``configs`` are direct ridge solves of
-    ``gram``, else None.
-
-    A pair, its swap and its repeats have equal rows of K (to roundoff where
-    the assembly mirrors), so K = P B P', with P the n x c indicator of the
-    c distinct unordered pairs (:func:`unordered_pairs`) and B the block of K
-    over one member of each.
-    With s the member counts, the eigendecomposition U diag(w) U' of
-    B * sqrt(s) sqrt(s)' gives K = V diag(w) V' for V = P U / sqrt(s), whose
-    c orthonormal columns span the range of K: one eigh of order c, not n.
-    A grid of ridge weights on one system passes it to :func:`fit_krr` as
-    ``spectrum``, so that one eigendecomposition serves all of them.
-    """
-    direct = sum(isinstance(c, KrrConfig) and _solver(gram, c) == "direct" for c in configs)
-    if direct < SPECTRUM_MIN_SOLVES:
-        return None
-    _, col = unordered_pairs(gram.pair_list, gram.points.shape[0])
-    _, first, size = np.unique(col, return_index=True, return_counts=True)
-    root = np.sqrt(size)
-    try:
-        w, U = np.linalg.eigh(gram.entries[np.ix_(first, first)] * np.outer(root, root))
-    except np.linalg.LinAlgError:  # each solve then factors on its own
-        return None
-    return w, U[col] / root[col, None]
-
-
-def fit_krr(gram: PairSystem, responses, config: KrrConfig,
-            spectrum=None) -> CoefficientField:
+def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     """Fit ridge coefficients for the given hyper-Gram and response vector.
 
     The returned coefficients satisfy
     ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
     ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
-    is raised.  Direct solves factor ``gram.entries`` by a numpy Cholesky, or,
-    given ``spectrum`` (see :func:`shared_spectrum`), solve with that
-    eigendecomposition of it; see :func:`solve_spd_with_jitter`.  Conjugate
-    gradient is the numpy loop :func:`_pcg`: it only multiplies by K through
-    ``gram.matvec``, so it never forms the n x n matrix, and it is
-    preconditioned by :func:`nystrom_preconditioner`.  It stops on its
+    is raised.  Direct solves use the system's eigendecomposition
+    ``gram.spectrum``, taken once per system and shared by every ``lam``; see
+    :func:`solve_spd_with_jitter`.  Conjugate gradient is the numpy loop
+    :func:`_pcg`: it only multiplies by K through ``gram.matvec``, so it never
+    forms the n x n matrix, and it is preconditioned by
+    :func:`nystrom_preconditioner`.  It stops on its
     recursive residual at ``min(cg_tol, 1e-12)`` relative to ||y||; the true
     residual is then measured on the same operator, and CG restarts from its
     iterate (up to ``CG_RESTARTS`` times) while that residual misses
@@ -256,10 +189,13 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig,
     lam = config.lam
     m = gram.points.shape[0]
 
-    if _solver(gram, config) == "direct":
+    solver = config.solver
+    if solver == "auto":
+        solver = "direct" if gram.n <= config.direct_limit else "cg"
+    if solver == "direct":
         beta, jitter = solve_spd_with_jitter(
-            gram.entries, lam, y, gram.base_jitter(),
-            retries=JITTER_RUNGS if config.jitter else 0, spectrum=spectrum,
+            gram.entries, gram.spectrum, lam, y, gram.base_jitter,
+            retries=JITTER_RUNGS if config.jitter else 0,
         )
         return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
                                 solver="direct")

@@ -26,7 +26,7 @@ from .errors import (
     StratificationWarning,
 )
 from .hyper import HyperKernelParams, PairSystem
-from .krr import CoefficientField, KrrConfig, shared_spectrum
+from .krr import CoefficientField, KrrConfig
 from .learned import LearnedKernel, eval_all_pairs_stack, eval_pairs
 from .scaling import solve_pair_system
 from .svr import SMO_MAX_ITER, SMO_MAX_PASSES, SvrConfig, smo
@@ -262,9 +262,9 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         return (score_key, reg_key, mult)
 
     # One pair system per (sigma_h2, fold) serves every reg: its dense Gram is
-    # assembled once, its eigendecomposition taken once when enough direct
-    # ridge solves share it, and the learned Grams of all regs are evaluated
-    # and scored as one stack.  The best row's fold Grams serve the c_svm pass.
+    # assembled once, the eigendecomposition of direct ridge solves is cached
+    # on it, and the learned Grams of all regs are evaluated and scored as one
+    # stack.  The best row's fold Grams serve the c_svm pass.
     table, best, best_grams = [], None, None
     for mult in config.sigma_h2_grid:
         params = HyperKernelParams(s2, mult * s2, X.shape[1])
@@ -275,12 +275,10 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
             system = PairSystem(params, X_train)
             responses = Y[np.ix_(train, train)].ravel()
             live = [k for k in range(len(regs)) if not np.isnan(scores[k]).any()]
-            spectrum = shared_spectrum(system, [bases[k] for k in live])
             fits = {}
             for k in live:
                 try:
-                    coeffs, bias = solve_pair_system(system, responses, bases[k],
-                                                     spectrum=spectrum)
+                    coeffs, bias = solve_pair_system(system, responses, bases[k])
                     fits[k] = LearnedKernel(X_train, coeffs, bias, params)
                 except HklearnError:
                     scores[k].append(np.nan)

@@ -202,16 +202,15 @@ def decomposition_bound(
     return DecompositionDiagnostics(q_pi, sigma_min, bound, observed_gap)
 
 
-def solve_pair_system(gram: PairSystem, responses, base, trace_path=None, spectrum=None):
+def solve_pair_system(gram: PairSystem, responses, base, trace_path=None):
     """Fit one pair system with a KRR or SVR base; returns (CoefficientField, bias).
 
     The system is solved without its dense matrix when the ridge solve takes
     conjugate gradient; direct ridge solves and the SVR use ``gram.entries``.
     ``trace_path`` records the SVR convergence trace; ridge fits write none.
-    ``spectrum`` is passed to a ridge fit (see :func:`fit_krr`).
     """
     if isinstance(base, KrrConfig):
-        return fit_krr(gram, responses, base, spectrum=spectrum), 0.0
+        return fit_krr(gram, responses, base), 0.0
     model = fit_svr(gram, responses, base, trace_path=trace_path)
     return model.beta, model.bias
 

@@ -3,8 +3,8 @@
 ``solve_spd_with_jitter_reference`` is ``hklearn.krr.solve_spd_with_jitter``
 as it was when the package factored with ``scipy.linalg.cho_factor`` and
 solved with ``cho_solve``: the same jitter ladder, refinement steps and
-residual test.  Tests require the package's numpy solve, and its solve from a
-shared eigendecomposition, to pick the same jitter rung, fail on the same
+residual test.  Tests require the package's direct solve, from the pair
+system's eigendecomposition, to pick the same jitter rung, fail on the same
 systems and agree with it to roundoff.
 """
 

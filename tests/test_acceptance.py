@@ -140,7 +140,7 @@ def test_criterion_4_decomposition_bound():
         _, pairs = nystrom_restrict(m, m, k)
         clusters = pair_partition(plan, pairs)
         gram = assemble_hyper_gram(params, X, pairs)
-        jittered = gram.entries + gram.base_jitter() * np.eye(gram.n)
+        jittered = gram.entries + gram.base_jitter * np.eye(gram.n)
         finite = dense_decomposition_bound(jittered, clusters, base.C, diag.observed_gap)
         assert np.isfinite(finite.bound)
         assert diag.observed_gap <= finite.bound

@@ -336,9 +336,9 @@ def test_tuned_fit_cross_validates_with_the_run_settings(tmp_path, monkeypatch):
     real = pipeline.solve_pair_system
     calls = []
 
-    def recording(system, responses, base, trace_path=None, spectrum=None):
+    def recording(system, responses, base, trace_path=None):
         calls.append((system.params, base))
-        return real(system, responses, base, trace_path=trace_path, spectrum=spectrum)
+        return real(system, responses, base, trace_path=trace_path)
 
     monkeypatch.setattr(pipeline, "solve_pair_system", recording)
     config = _write(
@@ -938,6 +938,25 @@ def test_fit_and_extend_report_their_solver(tmp_path):
         assert solver == {"path": path, "cg_iterations": None, "preconditioner_rank": None}
 
 
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+def test_only_the_cg_preconditioner_calls_numpy_cholesky(tmp_path, monkeypatch, solver):
+    callers, real = [], np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    monkeypatch.setattr(KrrConfig, "solver", solver)
+    data, _, _ = _write_blobs(tmp_path / "d.csv")
+    out = tmp_path / "out"
+    assert main(["extend", data, "--output-dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["solver"]["path"] == solver
+    # direct solves use the system's eigendecomposition; CG's preconditioner
+    # orthonormalizes its factor by CholeskyQR3
+    assert callers == ([] if solver == "direct" else ["_cholesky_qr3"] * 3)
+
+
 def test_fit_without_dataset_exits_2(tmp_path, capsys):
     code = main(["fit", "--output-dir", str(tmp_path / "out")])
     assert code == 2
@@ -1204,6 +1223,20 @@ def test_a_kernel_matrix_whose_solve_overflows_exits_3_without_a_runtime_warning
     err = capsys.readouterr().err
     assert code == 3
     assert "norm of the responses overflows" in err and err.count("\n") == 1
+
+
+def test_an_eigendecomposition_that_fails_exits_3(tmp_path, monkeypatch, capsys):
+    data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    capsys.readouterr()
+    code = main(["extend", data, "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numerical failure: eigendecomposition of the hyper-Gram did not converge\n"
 
 
 def test_eval_of_a_model_whose_learned_gram_overflows_exits_3(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_pair_system_matches_assembly(d):
             d_ref = np.diag(ref)
             assert np.all(np.abs(system.diag() - d_ref) <= 1e-12 * d_ref), case
             base_ref = 1e-10 * np.trace(ref) / len(pairs)
-            assert system.base_jitter() == pytest.approx(base_ref, rel=1e-12)
+            assert system.base_jitter == pytest.approx(base_ref, rel=1e-12)
             assert np.all(np.abs(system.entries - ref) <= 1e-12 * ref), case
 
 
@@ -228,10 +228,10 @@ def test_base_jitter_reads_the_diagonal_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(PairSystem, "diag", counting)
-    jitter = system.base_jitter()
+    jitter = system.base_jitter
     d = system.diag()
     d[:] = 1e9  # callers such as the preconditioner write into diag()
-    assert system.base_jitter() == jitter
+    assert system.base_jitter == jitter
     assert len(calls) == 2
     assert np.array_equal(system.diag(), PairSystem(params, X).diag())
 

@@ -19,7 +19,7 @@ from hklearn import (
 )
 from hklearn import krr
 from hklearn.base_kernels import TL1, gram_matrix
-from hklearn.krr import CG_MAX_ITER, shared_spectrum, solve_spd_with_jitter
+from hklearn.krr import CG_MAX_ITER, solve_spd_with_jitter
 from hklearn.pipeline import DEFAULT_REG_GRID
 from hklearn.scaling import nystrom_restrict
 from cholesky_reference import solve_spd_with_jitter_reference
@@ -48,7 +48,7 @@ def _random_gram(rng, m, d=2):
 
 def test_identity_gram_closed_form(rng):
     y = rng.standard_normal(4)
-    beta, jitter = solve_spd_with_jitter(np.eye(4), 1.0, y, 1e-10)
+    beta, jitter = solve_spd_with_jitter(np.eye(4), (np.ones(4), np.eye(4)), 1.0, y, 1e-10)
     np.testing.assert_allclose(beta, y / 2.0, rtol=1e-12)
     assert jitter == 0.0
 
@@ -458,49 +458,51 @@ def _gap(entries, shift, x, x_ref, y):
         np.linalg.norm(A) * np.linalg.norm(x_ref) + np.linalg.norm(y))
 
 
+def _fails_where_the_reference_fails(system, y, lam):
+    """Whether the direct fit at ``lam`` fails; it must fail where the scipy
+    Cholesky reference fails, and elsewhere take its jitter rung and match it
+    to 1e-12 normwise."""
+    K = system.entries
+    ref = _outcome(solve_spd_with_jitter_reference, K, lam, y, system.base_jitter)
+    got = _outcome(fit_krr, system, y, KrrConfig(lam))
+    assert (got is None) == (ref is None), lam
+    if ref is None:
+        return True
+    assert got.solver == "direct" and got.jitter_applied == ref[1], lam
+    assert _gap(K, lam + ref[1], got.values, ref[0], y) <= 1e-12, lam
+    return False
+
+
 @pytest.mark.parametrize("lam", [1e-10, 1e-5, 1e-1])
 @pytest.mark.parametrize("m", [9, 12, 20, 44])
 def test_direct_solve_matches_the_scipy_cholesky_reference(m, lam):
     system, y = _study_system(m)
-    K, base = system.entries, system.base_jitter()
-    ref = _outcome(solve_spd_with_jitter_reference, K, lam, y, base)
-    got = _outcome(solve_spd_with_jitter, K, lam, y, base)
-    assert (got is None) == (ref is None)
-    if ref is None:  # from 144 pairs up, lambda 1e-10 fails on every rung
-        assert m > 9 and lam == 1e-10
-        return
-    assert got[1] == ref[1]
-    assert _gap(K, lam + ref[1], got[0], ref[0], y) <= 1e-12
+    # from 144 pairs up, lambda 1e-10 fails on every rung
+    assert _fails_where_the_reference_fails(system, y, lam) == (m > 9 and lam == 1e-10)
 
 
-def _grid_failures_of_shared_solves(system, y):
-    """The lambdas of the default grid and 1e-10 that fail; the solves from one
-    shared eigendecomposition must fail where per-lambda fits fail, and match
-    them elsewhere in jitter rung and to 1e-12 normwise."""
-    configs = [KrrConfig(lam) for lam in DEFAULT_REG_GRID + (1e-10,)]
-    spectrum = shared_spectrum(system, configs)
-    assert spectrum is not None
-    failed = []
-    for config in configs:
-        alone = _outcome(fit_krr, system, y, config)
-        shared = _outcome(fit_krr, system, y, config, spectrum=spectrum)
-        assert (shared is None) == (alone is None), config
-        if alone is None:
-            failed.append(config.lam)
-            continue
-        assert shared.jitter_applied == alone.jitter_applied
-        shift = config.lam + alone.jitter_applied
-        assert _gap(system.entries, shift, shared.values, alone.values, y) <= 1e-12
-    return failed
+def _grid_failures(system, y):
+    """The lambdas of the default grid and 1e-10 whose direct fits fail (see
+    :func:`_fails_where_the_reference_fails`)."""
+    lams = DEFAULT_REG_GRID + (1e-10,)
+    return [lam for lam in lams if _fails_where_the_reference_fails(system, y, lam)]
 
 
 @pytest.mark.parametrize("m", [9, 12, 20])
-def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m):
+def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m, monkeypatch):
     system, y = _study_system(m)
-    # m(m + 1)/2 unordered pairs: an eigh of 45 for 81 pairs
-    assert shared_spectrum(system, [KrrConfig(1.0)] * 11)[1].shape == (m * m, m * (m + 1) // 2)
+    orders, real = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     # only the row below the grid fails, and only from 144 pairs up
-    assert _grid_failures_of_shared_solves(system, y) == ([] if m == 9 else [1e-10])
+    assert _grid_failures(system, y) == ([] if m == 9 else [1e-10])
+    # one eigh of the m(m + 1)/2 unordered pairs serves the whole grid: 45 for 81 pairs
+    assert orders == [m * (m + 1) // 2]
+    assert system.spectrum[1].shape == (m * m, m * (m + 1) // 2)
 
 
 @pytest.mark.parametrize("kind", ["landmarks", "half", "repeats"])
@@ -519,37 +521,28 @@ def test_grid_solves_on_a_partial_pair_list_match_per_lambda_fits(m, kind):
         pairs = np.vstack([pairs, pairs[rng.choice(pairs.shape[0], m, replace=False)]])
     system = PairSystem(full.params, full.points, pairs)
     c = np.unique(np.sort(pairs, axis=1), axis=0).shape[0]
-    assert shared_spectrum(system, [KrrConfig(1.0)] * 11)[1].shape == (pairs.shape[0], c)
-    _grid_failures_of_shared_solves(system, y.reshape(m, m)[pairs[:, 0], pairs[:, 1]])
-
-
-def test_shared_spectrum_is_taken_only_for_enough_direct_ridge_solves(monkeypatch):
-    system, _ = _study_system(4)
-    few = [KrrConfig(lam) for lam in DEFAULT_REG_GRID[: krr.SPECTRUM_MIN_SOLVES - 1]]
-    assert shared_spectrum(system, few) is None
-    assert shared_spectrum(system, few + [KrrConfig(1.0)]) is not None
-    _solve_path(monkeypatch, solver="cg")
-    assert shared_spectrum(system, few + [KrrConfig(1.0)]) is None
+    assert system.spectrum[1].shape == (pairs.shape[0], c)
+    _grid_failures(system, y.reshape(m, m)[pairs[:, 0], pairs[:, 1]])
 
 
 def test_a_non_positive_shifted_eigenvalue_fails_that_rung():
     # w + shift = -1, then 0 on the first jitter rung, then positive
     spectrum = (np.array([-2.0, 3.0]), np.eye(2))
     entries = np.diag(spectrum[0])
-    x, jitter = solve_spd_with_jitter(entries, 1.0, np.ones(2), 1.0, spectrum=spectrum)
+    x, jitter = solve_spd_with_jitter(entries, spectrum, 1.0, np.ones(2), 1.0)
     assert jitter == 10.0
     np.testing.assert_allclose(x, [1 / 9, 1 / 14], rtol=1e-14)
     with pytest.raises(NumericalFailure, match="factorization failed and jitter is disabled"):
-        solve_spd_with_jitter(entries, 1.0, np.ones(2), 1.0, retries=0, spectrum=spectrum)
+        solve_spd_with_jitter(entries, spectrum, 1.0, np.ones(2), 1.0, retries=0)
 
 
 def test_direct_solve_that_overflows_fails_without_a_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalFailure, match="norm of the responses overflows"):
-            solve_spd_with_jitter(np.eye(3), 1.0, np.array([1e308, 1.0, 1.0]), 1e-10)
+            solve_spd_with_jitter(np.eye(3), (np.ones(3), np.eye(3)), 1.0,
+                                  np.array([1e308, 1.0, 1.0]), 1e-10)
         # a subnormal shifted eigenvalue overflows the solution
         spectrum = (np.full(2, 1e-310), np.eye(2))
         with pytest.raises(NumericalFailure, match="residual is not finite"):
-            solve_spd_with_jitter(np.zeros((2, 2)), 0.0, np.ones(2), 0.0, retries=0,
-                                  spectrum=spectrum)
+            solve_spd_with_jitter(np.zeros((2, 2)), spectrum, 0.0, np.ones(2), 0.0, retries=0)

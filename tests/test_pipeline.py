@@ -202,12 +202,12 @@ def test_cross_validate_scores_nan_only_where_a_fold_fit_fails(rng, monkeypatch)
     real = scaling.fit_krr
     seen = []  # the fits at (sigma_h2 = s2, lam = 0.1), one per fold
 
-    def second_fold_fails(gram, responses, config, spectrum=None):
+    def second_fold_fails(gram, responses, config):
         if gram.params.sigma_h2 == 1.0 * s2 and config.lam == 1e-1:
             seen.append(gram)
             if len(seen) == 2:
                 raise NumericalFailure("forced failure")
-        return real(gram, responses, config, spectrum=spectrum)
+        return real(gram, responses, config)
 
     monkeypatch.setattr(scaling, "fit_krr", second_fold_fails)
     _, failed = cross_validate(X, Y, "krr", cfg)
@@ -220,30 +220,29 @@ def test_cross_validate_scores_nan_only_where_a_fold_fit_fails(rng, monkeypatch)
 
 
 def test_cross_validate_on_the_default_grid_solves_from_one_eigh_per_fold(rng, monkeypatch):
-    import hklearn.krr as krr
     import hklearn.scaling as scaling
 
     X = rng.standard_normal((10, 2))
     Y = np.exp(-0.5 * ((X[:, None] - X[None]) ** 2).sum(-1))
     cfg = ExperimentConfig(seed=2, sigma_h2_grid=(0.5, 1.0))
-    real = scaling.fit_krr
-    shared = []
+    real_fit, real_eigh = scaling.fit_krr, np.linalg.eigh
+    systems, orders = [], []
 
-    def recording(gram, responses, config, spectrum=None):
-        shared.append(spectrum is not None)
-        return real(gram, responses, config, spectrum=spectrum)
+    def recording_fit(gram, responses, config):
+        systems.append(gram)  # held, so that no two systems share an id
+        return real_fit(gram, responses, config)
 
-    monkeypatch.setattr(scaling, "fit_krr", recording)
-    selected, table = cross_validate(X, Y, "krr", cfg)
-    assert len(shared) == 2 * 5 * 11 and all(shared)
-    # each solve on its own Cholesky: the same scores to roundoff, the same choice
-    monkeypatch.setattr(krr, "SPECTRUM_MIN_SOLVES", len(cfg.reg_grid) + 1)
-    shared.clear()
-    selected_alone, alone = cross_validate(X, Y, "krr", cfg)
-    assert not any(shared)
-    assert selected.pop("score") == pytest.approx(selected_alone.pop("score"), rel=1e-9)
-    assert selected == selected_alone
-    np.testing.assert_allclose(np.array(table), np.array(alone), rtol=1e-9)
+    def recording_eigh(a, *args, **kwargs):
+        orders.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "fit_krr", recording_fit)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    cross_validate(X, Y, "krr", cfg)
+    # 2 sigma_h2 x 5 folds: 11 direct fits on each system of 8 training
+    # points, and one eigh of its 36 unordered pairs
+    assert len(systems) == 2 * 5 * 11 and len({id(s) for s in systems}) == 2 * 5
+    assert orders == [8 * 9 // 2] * (2 * 5)
 
 
 def _labeled_blobs(n_classes, m=10, seed=5):
@@ -254,24 +253,12 @@ def _labeled_blobs(n_classes, m=10, seed=5):
     return X, np.where(labels[:, None] == labels[None, :], 1.0, -1.0), labels
 
 
-def _solve_each_reg_alone(monkeypatch, cfg):
-    """Give each ridge solve its own Cholesky, as the reference's fit_extend does.
-
-    The shared eigendecomposition of the default grid moves ridge fits at
-    roundoff (see the test above), which RMSE scores show.
-    """
-    import hklearn.krr as krr
-
-    monkeypatch.setattr(krr, "SPECTRUM_MIN_SOLVES", len(cfg.reg_grid) + 1)
-
-
 @pytest.mark.parametrize("case", ["clip", "none", "three-classes", "svr", "no-labels"])
-def test_cross_validate_matches_the_reference_on_the_default_reg_grid(case, monkeypatch):
+def test_cross_validate_matches_the_reference_on_the_default_reg_grid(case):
     X, Y, labels = _labeled_blobs(3 if case == "three-classes" else 2)
     # SVR fits at C up to 1e5 are slow: one sigma_h2 for them
     cfg = ExperimentConfig(seed=3, sigma_h2_grid=(1.0,) if case == "svr" else (0.5, 2.0))
     assert len(cfg.reg_grid) == 11
-    _solve_each_reg_alone(monkeypatch, cfg)
     method = "svr" if case == "svr" else "krr"
     kwargs = {"labels": None if case == "no-labels" else labels,
               "spectrum_fix": "none" if case == "none" else "clip"}
@@ -287,7 +274,6 @@ def test_cross_validate_isolates_a_failed_svm_to_its_row_and_its_c(monkeypatch):
 
     X, Y, labels = _labeled_blobs(2)
     cfg = ExperimentConfig(seed=3, sigma_h2_grid=(0.5, 2.0))
-    _solve_each_reg_alone(monkeypatch, cfg)  # the same training Grams as the reference's
     real = pipeline.smo
     grams = []
 
@@ -370,7 +356,6 @@ def test_the_default_c_svm_pass_reuses_solves_below_their_bound(monkeypatch):
     # the reused solves bitwise to the reference's, which solves every C
     X, Y, labels = _labeled_blobs(2)
     cfg = ExperimentConfig(seed=3, sigma_h2_grid=(0.5, 2.0))
-    _solve_each_reg_alone(monkeypatch, cfg)
     calls = _recording_smo(monkeypatch)
     selected, table = cross_validate(X, Y, "krr", cfg, labels=labels, c_svm=0.5)
     grid_pass = len(cfg.sigma_h2_grid) * cfg.cv_folds * len(cfg.reg_grid)

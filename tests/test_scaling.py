@@ -334,7 +334,7 @@ def test_bound_covers_observed_gap_with_jitter(rng):
 
     plan = kmeans_partition(X, 2, seed=0)
     clusters = pair_partition(plan, full_pair_list(8))
-    jittered = gram.entries + gram.base_jitter() * np.eye(gram.n)
+    jittered = gram.entries + gram.base_jitter * np.eye(gram.n)
     diag = dense_decomposition_bound(jittered, clusters, C=cfg.C, observed_gap=gap)
     assert diag.bound >= gap
 
