@@ -71,7 +71,6 @@ from .scaling import (
 from .svr import (
     SvrConfig,
     SvrModel,
-    dual_objective,
     fit_svr,
 )
 

@@ -16,13 +16,9 @@ The same form gives the product of the hyper-Gram with a vector without the
 matrix: with Phi the point factors of the u sample points a pair list uses
 at its pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
 The hyper-kernel is swap-symmetric, so a pair and its swap (and a repeated
-pair) have one midpoint and one g: Phi holds one column per distinct
-unordered pair (:func:`unordered_pairs`), and v is summed onto those columns
-first.  :class:`PairSystem` is the one type of a pair system: it holds g,
-cross and Phi, applies K through them, and :func:`assemble_hyper_gram` fills
-its dense matrix from the same factors.  The same equal rows make the dense
-matrix's eigendecomposition one of order c, the system's ``spectrum``, which
-every direct ridge solve of it uses.
+pair) have one midpoint, one g and equal rows of K: Phi holds one column per
+distinct unordered pair (:func:`unordered_pairs`), and every solver of a
+:class:`PairSystem`, the one type of a pair system, works over those c pairs.
 """
 
 from __future__ import annotations
@@ -35,16 +31,15 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, ResourceLimit
 
-# Row-block size of the assembly; its temporaries hold a few _CHUNK * n
-# floats.
+# Row-block size of _fill; its temporaries hold a few _CHUNK * k floats.
 _CHUNK = 256
 
 # Row-block size of sq_dists, in floats: its one temporary holds at most
 # max(_SQ_BLOCK, len(B)) of them.
 _SQ_BLOCK = 65_536
 
-# Cap on the n^2 entries of an assembled hyper-Gram, and on the u * c point
-# factors of a PairSystem.
+# Cap on the floats of one array: the n^2 of an assembled hyper-Gram, the
+# c^2 of a block over distinct pairs, the u * c point factors.
 MAX_ENTRIES = 100_000_000
 
 
@@ -189,66 +184,59 @@ def cross_factor(params: HyperKernelParams, sq):
     return p * np.exp(sq * -kappa)
 
 
+def cap_entries(count: int, what: str) -> None:
+    """Raise ``ResourceLimit`` where ``count`` floats would pass ``MAX_ENTRIES``."""
+    if count > MAX_ENTRIES:
+        raise ResourceLimit(f"{what} would hold {count} entries (cap {MAX_ENTRIES}); "
+                            "restrict pairs or use the scaling module")
+
+
 def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> PairSystem:
     """The pair system over the given (or all) ordered pairs, its dense Gram filled.
 
     Entry (r, s) of ``entries`` is cross_factor of pair r times g[s] times the
-    point factors of both points of pair r at midpoint s, read from the
-    system's own factors.  Each row block is filled from the diagonal on and
-    mirrored, so the matrix is exactly symmetric; it is positive semi-definite
-    up to roundoff.
-
-    Parameters
-    ----------
-    params : HyperKernelParams
-    X : array-like, shape (m, dim)
-        Sample points.
-    pairs : array-like of 0-based (i, j) rows, optional
-        Explicit pair subset.  Omitted: all m^2 ordered pairs in row-major
-        order.  A list with n^2 above ``MAX_ENTRIES`` raises ``ResourceLimit``.
+    point factors of both points of pair r at midpoint s, from the system's
+    factors, exactly symmetric (:func:`_fill`) and positive semi-definite up
+    to roundoff.  No solver reads it: it is the oracle that tests and the
+    benchmark's residual check read.  ``pairs`` (0-based (i, j) rows) omitted
+    stands for all m^2 ordered pairs in row-major order; n^2 above
+    ``MAX_ENTRIES`` raises ``ResourceLimit``.
     """
     system = PairSystem(params, X, pairs)
-    n = system.n
-    if n * n > MAX_ENTRIES:
-        raise ResourceLimit(
-            f"hyper-Gram would hold {n * n} entries (cap {MAX_ENTRIES}); "
-            "restrict pairs or use the scaling module"
-        )
-    g, cross, phi, flat, col = system._factors
-    rows, cols = np.divmod(flat, phi.shape[0])
-    # one column per pair: an O(u n) gather against the O(n^2) fill
-    phi, g = phi[:, col], g[col]
-    K = np.empty((n, n), dtype=float)
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        # rows a:b from column a on; columns before a mirror earlier blocks
-        block = phi[rows[a:b], a:] * phi[cols[a:b], a:]
-        block *= cross[a:b, None]
-        block *= g[a:]
-        diag = block[:, : b - a]
-        block[:, : b - a] = np.triu(diag) + np.triu(diag, 1).T
-        K[a:b, a:] = block
-        K[a:, a:b] = block.T
-    system.entries = K
+    g, cross, phi, lo, hi, col = system._factors[:6]
+    system.entries = _fill(phi[:, col], lo[col], hi[col], cross[col], g[col])
     return system
 
 
+def _fill(phi, lo, hi, rows, cols) -> np.ndarray:
+    """The k x k matrix rows_a Phi[lo_a, b] Phi[hi_a, b] cols_b, in O(u k^2);
+    each row block is filled from the diagonal on and mirrored, so it is
+    exactly symmetric."""
+    k = phi.shape[1]
+    cap_entries(k * k, "hyper-Gram")
+    M = np.empty((k, k))
+    for a in range(0, k, _CHUNK):
+        b = min(a + _CHUNK, k)
+        block = phi[lo[a:b], a:] * phi[hi[a:b], a:]
+        block *= rows[a:b, None]
+        block *= cols[a:]
+        diag = block[:, : b - a]
+        block[:, : b - a] = np.triu(diag) + np.triu(diag, 1).T
+        M[a:b, a:] = block
+        M[a:, a:b] = block.T
+    return M
+
+
 class PairSystem:
-    """The hyper-Gram K over a pair list, as an operator and as a dense matrix.
+    """The hyper-Gram K over a pair list (None: all m^2 ordered pairs in
+    row-major order), as an operator over its c distinct unordered pairs.
 
-    Both read one set of pair-separable factors over the u points the list
-    uses and its c distinct unordered pairs: a pair and its swap have equal
-    columns of K, and Phi holds one column per unordered pair.  ``matvec``
-    applies K without the matrix: v summed onto the c columns, one GEMM of
-    Phi diag(g * v) Phi' and a gather of its u x u result.  Phi holds u * c
-    floats; above ``MAX_ENTRIES`` of them the factors raise ``ResourceLimit``.
-    ``entries`` is the dense matrix, formed by :func:`assemble_hyper_gram` on
-    first access (the SVR indexes it), and ``spectrum`` its eigendecomposition,
-    taken on first access (direct ridge solves use it); ``diag`` costs O(n)
-    and returns a fresh array, ``column`` reads one column of K and
-    ``column_sum`` the sum of a set of columns from the factors.
-
-    ``pairs`` None stands for all m^2 ordered pairs in row-major order.
+    A pair, its swap and its repeats have equal rows of K, so K = P B P' with
+    P the n x c indicator of the distinct pairs (``members``) and B their
+    ``block``.  Ridge solves work on M = S^1/2 B S^1/2, S = diag(s), through
+    ``reduce``, ``expand``, ``reduced_*`` and ``spectrum``; ``matvec``,
+    ``column_sum`` and ``diag`` act on K, and ``entries``, the dense K, is
+    formed only by :func:`assemble_hyper_gram`.  All read one set of factors.
     """
 
     def __init__(self, params: HyperKernelParams, X, pairs=None):
@@ -274,58 +262,109 @@ class PairSystem:
     def n(self) -> int:
         return self.pair_list.shape[0]
 
+    @property
+    def c(self) -> int:
+        return self._factors[0].size
+
+    @property
+    def members(self):
+        """(col, s): each pair's distinct pair, and each distinct pair's size."""
+        return self._factors[5], self._factors[7]
+
     @cached_property
     def entries(self) -> np.ndarray:
         return assemble_hyper_gram(self.params, self.points, self.pair_list).entries
 
     @cached_property
     def _factors(self):
-        """g over the distinct unordered pairs, cross per pair, Phi over the
-        used points and the distinct pairs, each pair's flat index in u x u
-        and its column of Phi."""
-        used, local = np.unique(self.pair_list, return_inverse=True)
-        local = local.reshape(self.n, 2)
+        """g, cross, Phi (u used points x c), lo, hi (local indices) of the
+        distinct pairs, ``col``, their first members, counts s and sqrt(s)."""
+        seen = np.zeros(self.points.shape[0], dtype=bool)
+        seen[self.pair_list] = True
+        used = np.flatnonzero(seen)
         u = used.size
-        distinct, col = unordered_pairs(local, u)
-        c = distinct.shape[0]
-        if u * c > MAX_ENTRIES:
-            raise ResourceLimit(
-                f"point factors would hold {u * c} entries (cap {MAX_ENTRIES}); "
-                "restrict pairs or use the scaling module"
-            )
+        local = (np.cumsum(seen) - 1)[self.pair_list]
+        keys, first, col, size = np.unique(
+            local.min(axis=1) * u + local.max(axis=1),
+            return_index=True, return_inverse=True, return_counts=True)
+        cap_entries(u * keys.size, "point factors")
+        lo, hi = np.divmod(keys, u)
         X = self.points[used]
-        A, B = X[distinct[:, 0]], X[distinct[:, 1]]
+        A, B = X[lo], X[hi]
         g, mids = pair_factors(self.params, A, B)
-        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))[col]
+        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))
         phi = point_factors(self.params, X, mids)
-        return g, cross, phi, local[:, 0] * u + local[:, 1], col
+        return g, cross, phi, lo, hi, col, first, size, np.sqrt(size)
+
+    def _apply(self, w) -> np.ndarray:
+        """B w in O(u^2 c): cross_k (Phi diag(g w) Phi')[lo_k, hi_k]."""
+        g, cross, phi, lo, hi = self._factors[:5]
+        return cross * ((phi * (g * w)) @ phi.T)[lo, hi]
 
     def matvec(self, v) -> np.ndarray:
-        g, cross, phi, flat, col = self._factors
-        w = np.bincount(col, weights=np.ravel(v), minlength=g.size)
-        W = (phi * (g * w)) @ phi.T
-        return cross * W.ravel()[flat]
+        """K v: v summed onto the distinct pairs, B applied, and spread back."""
+        col, size = self.members
+        return self._apply(np.bincount(col, weights=np.ravel(v), minlength=size.size))[col]
 
-    def column(self, s: int) -> np.ndarray:
-        """Column s of K in O(u^2 + n): cross_r * Phi[i_r, k] * Phi[j_r, k] * g[k],
-        with k the unordered pair of pair s."""
-        g, cross, phi, flat, col = self._factors
-        k = col[s]
-        c = phi[:, k]
-        return cross * np.outer(c, c * g[k]).ravel()[flat]
+    def reduced_matvec(self, z) -> np.ndarray:
+        root = self._factors[8]
+        return root * self._apply(root * z)
+
+    def reduced_column(self, k: int) -> np.ndarray:
+        """Column k of M in O(c): root_l cross_l Phi[lo_l, k] Phi[hi_l, k] g_k root_k."""
+        g, cross, phi, lo, hi, _, _, _, root = self._factors
+        p = phi[:, k]
+        return (root * cross) * (p[lo] * p[hi]) * (g[k] * root[k])
+
+    def reduced_diag(self) -> np.ndarray:
+        """The diagonal of M, s_k B_kk, in O(c); a fresh array."""
+        g, cross, phi, lo, hi, _, _, size, _ = self._factors
+        return size * cross * g * phi[lo, np.arange(g.size)] * phi[hi, np.arange(g.size)]
+
+    def reduce(self, y):
+        """(S^1/2 ybar, y - ybar[col]) for a right-hand side y of K, ybar its
+        member means (y's value where the members agree).  K maps the second
+        part to 0, so ``expand`` of the solution z of (M + t I) z = S^1/2 ybar
+        solves (K + t I) x = y, with a residual of the same norm.  Each part
+        is a member's deviation from the first member less their mean one,
+        so a pair and its swap get exactly opposite parts."""
+        col, first, size, root = self._factors[5:]
+        head = y[first]
+        dev = y - head[col]
+        if not dev.any():
+            return root * head, dev
+        shift = np.bincount(col, weights=dev, minlength=size.size) / size
+        return root * (head + shift), dev - shift[col]
+
+    def expand(self, z, rest, shift: float) -> np.ndarray:
+        """(z / S^1/2)[col] + rest / shift, the solution of (K + shift I) x = y
+        from that of the reduced system (see ``reduce``).  One that overflows
+        raises ``NumericalFailure``."""
+        x = (z / self._factors[8])[self._factors[5]]
+        if rest.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                x += rest / shift
+            if not np.isfinite(x).all():
+                raise NumericalFailure("solve residual is not finite: the solve overflows")
+        return x
+
+    def _over(self, T, w) -> np.ndarray:
+        """K v, v weighting distinct pair T_i by w_i, by one unmerged GEMM."""
+        g, cross, phi, lo, hi, col = self._factors[:6]
+        sub = phi[:, T]
+        return (cross * ((sub * (g[T] * w)) @ sub.T)[lo, hi])[col]
+
+    def roundoff(self, v) -> float:
+        """||fl(K v)|| for a v that K maps to 0, such as ``reduce``'s rest,
+        taken over the n columns without first summing the members of each
+        distinct pair, as a dense product is: the roundoff such products meet."""
+        return float(np.linalg.norm(self._over(self._factors[5], v))) if v.any() else 0.0
 
     def column_sum(self, cols) -> np.ndarray:
-        """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n).
-
-        (K 1_S)_r = cross_r * W[i_r, j_r] with W = Phi_T diag(g_T * w) Phi_T',
-        over the distinct unordered pairs T of S, w counting the columns of S
-        on each.
-        """
-        g, cross, phi, flat, col = self._factors
-        T, w = np.unique(col[np.asarray(cols, dtype=np.intp)], return_counts=True)
-        sub = phi[:, T]
-        W = (sub * (g[T] * w)) @ sub.T
-        return cross * W.ravel()[flat]
+        """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n),
+        over the distinct pairs of S only, counting S's columns on each."""
+        return self._over(*np.unique(self._factors[5][np.asarray(cols, dtype=np.intp)],
+                                     return_counts=True))
 
     def diag(self) -> np.ndarray:
         """The diagonal of K in O(n).
@@ -345,25 +384,20 @@ class PairSystem:
         return 1e-10 * float(np.sum(self.diag())) / max(self.n, 1)
 
     @cached_property
-    def spectrum(self):
-        """An eigendecomposition (w, V) of ``entries``: K = V diag(w) V'.
+    def block(self) -> np.ndarray:
+        """B, the c x c block of K between the distinct unordered pairs."""
+        g, cross, phi, lo, hi = self._factors[:5]
+        return _fill(phi, lo, hi, cross, g)
 
-        A pair, its swap and its repeats have equal rows of K (to roundoff
-        where the assembly mirrors), so K = P B P', with P the n x c indicator
-        of the c distinct unordered pairs (:func:`unordered_pairs`) and B the
-        block of K over one member of each.  With s the member counts, the
-        eigendecomposition U diag(w) U' of B * sqrt(s) sqrt(s)' gives
-        V = P U / sqrt(s), whose c orthonormal columns span the range of K:
-        one eigh of order c, not n.  Every direct ridge solve of the system
-        solves with it, so a grid of ridge weights shares one eigh.  An eigh
-        that does not converge raises ``NumericalFailure``.
-        """
-        _, col = unordered_pairs(self.pair_list, self.points.shape[0])
-        _, first, size = np.unique(col, return_index=True, return_counts=True)
-        root = np.sqrt(size)
+    @cached_property
+    def spectrum(self):
+        """An eigendecomposition (w, U) of M = S^1/2 B S^1/2, M = U diag(w) U',
+        with M built from the factors for this one eigh of order c; a grid of
+        ridge weights on the system shares it.  An eigh that does not
+        converge raises ``NumericalFailure``."""
+        g, cross, phi, lo, hi, *_, root = self._factors
         try:
-            w, U = np.linalg.eigh(self.entries[np.ix_(first, first)] * np.outer(root, root))
+            return np.linalg.eigh(_fill(phi, lo, hi, cross * root, g * root))
         except np.linalg.LinAlgError:
             raise NumericalFailure(
                 "eigendecomposition of the hyper-Gram did not converge") from None
-        return w, U[col] / root[col, None]

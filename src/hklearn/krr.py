@@ -9,7 +9,7 @@ keeps the factorization well posed without squaring the condition number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -26,6 +26,8 @@ CG_RESTARTS = 3
 PRECONDITIONER_RANK = 100
 # Rungs of the diagonal jitter ladder of a direct solve (base, 10x, 100x)
 JITTER_RUNGS = 3
+# Iterative-refinement steps of each rung of a direct solve
+REFINEMENT_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class CoefficientField:
     was assembled from several solves or loaded), ``cg_iterations``
     counts the conjugate-gradient iterations of a ``cg`` solve and
     ``preconditioner_rank`` is the rank of its Nystrom preconditioner.
+    ``pairs_checked`` skips the index checks of a pair list that a
+    :class:`PairSystem` already made.
     """
 
     values: np.ndarray
@@ -72,17 +76,18 @@ class CoefficientField:
     solver: str | None = None
     cg_iterations: int | None = None
     preconditioner_rank: int | None = None
+    pairs_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, pairs_checked):
         values = np.asarray(self.values, dtype=float).ravel()
-        pairs = np.asarray(self.pair_list, dtype=np.intp)
+        pairs = self.pair_list if pairs_checked else np.asarray(self.pair_list, dtype=np.intp)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] != values.size:
             raise InvalidInput(
                 f"pair_list shape {pairs.shape} does not align with {values.size} values"
             )
         if not np.all(np.isfinite(values)):
             raise InvalidInput("coefficients must be finite")
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.m):
+        if not pairs_checked and pairs.size and (pairs.min() < 0 or pairs.max() >= self.m):
             raise InvalidInput(f"pair indices out of range for m={self.m}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pair_list", pairs)
@@ -92,23 +97,24 @@ class CoefficientField:
         return self.values.size
 
 
-def solve_spd_with_jitter(entries: np.ndarray, spectrum, shift: float, rhs: np.ndarray,
-                          base_jitter: float, retries: int = JITTER_RUNGS):
-    """Solve ``(entries + shift I) x = rhs``, escalating a diagonal jitter
-    (base, 10x, 100x) when the shifted matrix is not positive definite or the
-    solve is too inaccurate (relative residual above ``DIRECT_RESIDUAL_TOL``).
+def solve_spd_with_jitter(matvec, spectrum, shift: float, rhs: np.ndarray,
+                          base_jitter: float, retries: int = JITTER_RUNGS, null=None):
+    """Solve ``(A + shift I) x = rhs``, escalating a diagonal jitter (base,
+    10x, 100x) when the shifted matrix is not positive definite or the solve
+    is too inaccurate (relative residual above ``DIRECT_RESIDUAL_TOL``).
 
-    ``spectrum`` is an eigendecomposition (w, V) of ``entries`` (see
-    :attr:`PairSystem.spectrum`); each rung solves with
-    V diag(1 / (w + shift + jitter)) V', and a shifted eigenvalue that is not
-    positive fails that rung.  A couple of iterative-refinement steps on
-    ``entries`` follow each rung's solve so the residual contract holds on
-    ill-conditioned systems too.  Returns ``(x, jitter_applied)``; the
-    residual is measured against the jittered system actually solved.  A
-    right-hand side whose norm overflows, or a last residual that is not
-    finite, raises ``NumericalFailure``.
+    ``matvec`` multiplies by A, whose eigendecomposition is ``spectrum``
+    (w, U); each rung solves with U diag(1 / (w + shift + jitter)) U' and up
+    to ``REFINEMENT_STEPS`` refinement steps, and a shifted eigenvalue that
+    is not positive fails it.  Unless ``null`` is None, A is the reduced
+    matrix of a K whose null part of the solution is rest / shift
+    (:meth:`PairSystem.reduce`): a zero total shift fails the rung, and the
+    residual counts null / shift, ``null`` being :meth:`PairSystem.roundoff`
+    of rest.  Returns ``(x, jitter_applied)``; a right-hand side whose norm
+    overflows, or a last residual that is not finite, raises ``NumericalFailure``.
     """
     ladder = [0.0] + [base_jitter * 10.0 ** k for k in range(retries)]
+    w, U = spectrum
     worst = None
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -116,72 +122,42 @@ def solve_spd_with_jitter(entries: np.ndarray, spectrum, shift: float, rhs: np.n
             raise NumericalFailure("the norm of the responses overflows")
         for jitter in ladder:
             total = shift + jitter
-            solve = _factor(spectrum, total)
-            if solve is None:
+            d = w + total
+            if not (d.min(initial=math.inf) > 0 and (total > 0 or null is None)):
                 continue
-            x = solve(rhs)
-            r = entries @ x + total * x - rhs
-            worst = float(np.linalg.norm(r)) / scale
-            for _ in range(2):
+            floor = 0.0 if null is None else null / total
+            x, r = 0.0, -rhs
+            for _ in range(REFINEMENT_STEPS + 1):  # the solve, then refinement
+                x = x - U @ ((U.T @ r) / d)
+                r = matvec(x) + total * x - rhs
+                worst = (float(np.linalg.norm(r)) + floor) / scale
                 if worst <= DIRECT_RESIDUAL_TOL:
-                    break
-                x = x - solve(r)
-                r = entries @ x + total * x - rhs
-                worst = float(np.linalg.norm(r)) / scale
-            if worst <= DIRECT_RESIDUAL_TOL:
-                return x, jitter
+                    return x, jitter
     if worst is not None and not math.isfinite(worst):
         raise NumericalFailure("solve residual is not finite: the solve overflows")
     if worst is not None:
-        raise NumericalFailure(
-            f"solve residual {worst:.3e} exceeds tolerance {DIRECT_RESIDUAL_TOL:g}"
-        )
+        raise NumericalFailure(f"solve residual {worst:.3e} exceeds tolerance "
+                               f"{DIRECT_RESIDUAL_TOL:g}")
     if retries:
-        raise NumericalFailure(
-            f"factorization failed after {retries} jitter retries "
-            f"(last jitter {ladder[-1]:g})"
-        )
+        raise NumericalFailure(f"factorization failed after {retries} jitter retries "
+                               f"(last jitter {ladder[-1]:g})")
     raise NumericalFailure("factorization failed and jitter is disabled")
-
-
-def _factor(spectrum, shift):
-    """A solver of ``(V diag(w) V' + shift I) x = b``, or None where that
-    matrix is not positive definite.
-
-    A ``spectrum`` (w, V) whose n x c V has fewer columns than rows leaves
-    the rest of the space to K's null space, whose shifted eigenvalue is
-    ``shift`` itself.
-    """
-    w, V = spectrum
-    d = w + shift
-    null = V.shape[1] < V.shape[0]
-    if not (d.min() > 0 and (shift > 0 or not null)):
-        return None
-
-    def solve(b):
-        p = V.T @ b
-        x = V @ (p / d)
-        return x + (b - V @ p) / shift if null else x
-
-    return solve
 
 
 def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     """Fit ridge coefficients for the given hyper-Gram and response vector.
 
-    The returned coefficients satisfy
-    ``||(K + lam I) beta - y|| / max(1, ||y||) <= 1e-8`` for direct solves and
-    ``<= cg_tol`` for conjugate-gradient solves; otherwise ``NumericalFailure``
-    is raised.  Direct solves use the system's eigendecomposition
-    ``gram.spectrum``, taken once per system and shared by every ``lam``; see
-    :func:`solve_spd_with_jitter`.  Conjugate gradient is the numpy loop
-    :func:`_pcg`: it only multiplies by K through ``gram.matvec``, so it never
-    forms the n x n matrix, and it is preconditioned by
-    :func:`nystrom_preconditioner`.  It stops on its
-    recursive residual at ``min(cg_tol, 1e-12)`` relative to ||y||; the true
-    residual is then measured on the same operator, and CG restarts from its
-    iterate (up to ``CG_RESTARTS`` times) while that residual misses
-    ``cg_tol``.  ``cg_iterations`` sums the iterations of every run.
+    The coefficients satisfy ``||(K + lam I) beta - y|| / max(1, ||y||)``
+    <= 1e-8 (direct) or ``cg_tol`` (CG), else ``NumericalFailure`` is raised.
+    Both solve (M + lam I) z = S^1/2 ybar over the c distinct pairs
+    (``gram.reduce``; the residual norms agree) and map z back
+    (``gram.expand``), so a pair and its swap with equal responses get equal
+    coefficients.  Direct solves use ``gram.spectrum``, one eigh per system
+    (:func:`solve_spd_with_jitter`).  CG is :func:`_pcg` on
+    ``gram.reduced_matvec`` with :func:`nystrom_preconditioner`; it stops on
+    its recursive residual at ``min(cg_tol, 1e-12)``, and restarts from its
+    iterate (up to ``CG_RESTARTS`` times) while the true residual misses
+    ``cg_tol``.  ``cg_iterations`` sums every run's iterations.
     """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
@@ -192,39 +168,39 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     solver = config.solver
     if solver == "auto":
         solver = "direct" if gram.n <= config.direct_limit else "cg"
-    if solver == "direct":
-        beta, jitter = solve_spd_with_jitter(
-            gram.entries, gram.spectrum, lam, y, gram.base_jitter,
-            retries=JITTER_RUNGS if config.jitter else 0,
-        )
-        return CoefficientField(beta, gram.pair_list, m, jitter_applied=jitter,
-                                solver="direct")
-
-    if lam == 0:  # CG on the semidefinite K diverges; fail before iterating
+    if solver == "cg" and lam == 0:  # CG on the semidefinite K diverges
         raise NumericalFailure("conjugate gradient needs lambda > 0, got lambda 0")
+    b, rest = gram.reduce(y)
+    if solver == "direct":
+        z, jitter = solve_spd_with_jitter(
+            gram.reduced_matvec, gram.spectrum, lam, b, gram.base_jitter,
+            retries=JITTER_RUNGS if config.jitter else 0,
+            null=gram.roundoff(rest) if gram.c < gram.n else None,
+        )
+        return CoefficientField(gram.expand(z, rest, lam + jitter), gram.pair_list, m,
+                                jitter_applied=jitter, solver="direct", pairs_checked=True)
 
     def shifted(v):
-        return gram.matvec(v) + lam * v
+        return gram.reduced_matvec(v) + lam * v
 
     precond, rank = nystrom_preconditioner(gram, lam)
     # below machine epsilon rho = r'z can underflow to exactly zero, and
     # _pcg's next step divides by it
     rtol = max(min(config.cg_tol, 1e-12), np.finfo(float).eps)
-    iterations = 0
-    scale = max(1.0, float(np.linalg.norm(y)))
-    beta = None
+    iterations, z, scale = 0, None, max(1.0, float(np.linalg.norm(b)))
     for _ in range(CG_RESTARTS + 1):
-        beta, steps = _pcg(shifted, y, beta, rtol, CG_MAX_ITER, precond)
+        z, steps = _pcg(shifted, b, z, rtol, CG_MAX_ITER, precond)
         iterations += steps
-        residual = float(np.linalg.norm(shifted(beta) - y))
+        residual = float(np.linalg.norm(shifted(z) - b))
         if residual <= config.cg_tol * scale:
             break
     else:
         raise NumericalFailure(
             f"solve residual {residual / scale:.3e} exceeds tolerance {config.cg_tol:g}"
         )
-    return CoefficientField(beta, gram.pair_list, m, solver="cg",
-                            cg_iterations=iterations, preconditioner_rank=rank)
+    return CoefficientField(gram.expand(z, rest, lam), gram.pair_list, m, solver="cg",
+                            cg_iterations=iterations, preconditioner_rank=rank,
+                            pairs_checked=True)
 
 
 def _pcg(matvec, b, x0, rtol, maxiter, precond=None):
@@ -259,40 +235,35 @@ def _pcg(matvec, b, x0, rtol, maxiter, precond=None):
 
 
 def nystrom_preconditioner(gram: PairSystem, lam: float):
-    """A preconditioner for K + lam I from a rank-r Nystrom approximation F F' of K.
+    """A preconditioner for M + lam I from a rank-r Nystrom approximation F F'
+    of M, the system's matrix over its c distinct unordered pairs.
 
-    F comes from a partial pivoted Cholesky of K: each step takes the pair
-    with the largest residual diagonal as its pivot, so the choice is
-    deterministic, and reads that column of K through ``gram.column``.  It
-    stops when the largest residual diagonal falls to lam / 100 or r reaches
-    ``PRECONDITIONER_RANK`` (and r * n ``MAX_ENTRIES``), and at the latest
-    when it falls to ``PRECONDITIONER_RANK * eps`` times the largest
-    diagonal: below that the residual is the roundoff of its updates, and a
-    pivot on it would add a column of noise that leaves F without full
-    numerical rank.  The two orders of a pair have equal columns, so once
-    one is a pivot the other's residual diagonal drops to roundoff and the
-    stopping rule passes it over.
+    F comes from a partial pivoted Cholesky of M, each step pivoting on the
+    largest residual diagonal (so deterministically) and reading that column
+    through ``gram.reduced_column``.  It stops when that diagonal falls to
+    lam / 100 or r reaches ``PRECONDITIONER_RANK`` (and r * c
+    ``MAX_ENTRIES``), and at the latest at ``PRECONDITIONER_RANK * eps``
+    times the largest diagonal, below which a pivot would add a column of
+    roundoff and leave F without full numerical rank.
 
-    With F = QR and RR' = VSV', U = QV and the preconditioner is
-    (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam.  It is
-    applied times lam, as v - U diag(S / (S + lam)) U'v, which leaves the CG
-    iterates unchanged and divides by nothing small.  Q and R come from
-    :func:`_cholesky_qr3`: GEMMs and r x r factorizations, no Householder QR
-    of the n x r factor.  Returns (apply, rank), where apply(v) is that
-    product; at rank 0, or lam 0, apply is None: CG runs unpreconditioned.
+    With F = QR (:func:`_cholesky_qr3`) and RR' = VSV', U = QV and
+    (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam, applied
+    times lam as v - U diag(S / (S + lam)) U'v: the CG iterates are the same
+    and nothing small divides.  Returns (apply, rank); at rank 0, or lam 0,
+    apply is None and CG runs unpreconditioned.
     """
-    n = gram.n
-    cap = min(PRECONDITIONER_RANK, n, MAX_ENTRIES // max(n, 1)) if lam > 0 else 0
+    c = gram.c
+    cap = min(PRECONDITIONER_RANK, c, MAX_ENTRIES // max(c, 1)) if lam > 0 else 0
     # rows of F'; np.empty leaves the rows past the rank reached unwritten
-    Ft = np.empty((cap, n))
-    d = gram.diag()
+    Ft = np.empty((cap, c))
+    d = gram.reduced_diag()
     tol = max(lam / 100.0, PRECONDITIONER_RANK * np.finfo(float).eps * d.max(initial=0.0))
     r = 0
     while r < cap:
         s = int(np.argmax(d))
         if not d[s] > tol:
             break
-        col = gram.column(s) - Ft[:r].T @ Ft[:r, s]
+        col = gram.reduced_column(s) - Ft[:r].T @ Ft[:r, s]
         col /= math.sqrt(d[s])
         Ft[r] = col
         d -= col * col

@@ -261,10 +261,10 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         reg_key = reg if method == "svr" else -reg  # prefer stronger smoothing
         return (score_key, reg_key, mult)
 
-    # One pair system per (sigma_h2, fold) serves every reg: its dense Gram is
-    # assembled once, the eigendecomposition of direct ridge solves is cached
-    # on it, and the learned Grams of all regs are evaluated and scored as one
-    # stack.  The best row's fold Grams serve the c_svm pass.
+    # One pair system per (sigma_h2, fold) serves every reg: its factors and
+    # the eigendecomposition of direct ridge solves are cached on it, and the
+    # learned Grams of all regs are evaluated and scored as one stack.  The
+    # best row's fold Grams serve the c_svm pass.
     table, best, best_grams = [], None, None
     for mult in config.sigma_h2_grid:
         params = HyperKernelParams(s2, mult * s2, X.shape[1])

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import eigvalsh
 
 from .errors import HklearnError, InvalidInput
-from .hyper import HyperKernelParams, PairSystem, full_pair_list, unordered_pairs
+from .hyper import HyperKernelParams, PairSystem, full_pair_list
 from .krr import CoefficientField, KrrConfig, fit_krr
 from .learned import LearnedKernel
 from .svr import SvrConfig, fit_svr
@@ -174,11 +173,10 @@ def decomposition_bound(
     q_pi is the sum of |K| over entries whose pairs lie in different groups.
     Every entry of K is a product of positive factors, so it is the sum over
     groups c of the rows outside c of K 1_c, read from the factors one group
-    at a time (``PairSystem.column_sum``): u^2 c work in all, and no n x n
-    array.  Two pairs over the same two points, such as (i, j) and (j, i),
-    give K two equal rows; K is positive semi-definite, so then sigma_min is
-    exactly 0 and no eigen-solve runs.  Only a list without such a pair
-    factors the dense matrix.
+    at a time (``PairSystem.column_sum``): u^2 c work, no n x n array.  Two
+    pairs over the same two points give K two equal rows, so then sigma_min
+    is exactly 0; otherwise (c = n) it is the smallest eigenvalue of
+    ``system.spectrum``, whose matrix is K with its rows reordered.
     """
     clusters = np.asarray(pair_clusters, dtype=np.intp)
     if clusters.size != system.n:
@@ -191,10 +189,7 @@ def decomposition_bound(
     for c in np.unique(clusters):
         inside = clusters == c
         q_pi += float(system.column_sum(np.flatnonzero(inside))[~inside].sum())
-    if len(unordered_pairs(system.pair_list, len(system.points))[0]) < system.n:
-        sigma_min = 0.0
-    else:
-        sigma_min = float(eigvalsh(system.entries)[0])
+    sigma_min = 0.0 if system.c < system.n else float(system.spectrum[0][0])
     if C is None:
         bound = None
     else:
@@ -205,9 +200,8 @@ def decomposition_bound(
 def solve_pair_system(gram: PairSystem, responses, base, trace_path=None):
     """Fit one pair system with a KRR or SVR base; returns (CoefficientField, bias).
 
-    The system is solved without its dense matrix when the ridge solve takes
-    conjugate gradient; direct ridge solves and the SVR use ``gram.entries``.
-    ``trace_path`` records the SVR convergence trace; ridge fits write none.
+    Both solve over the system's c distinct unordered pairs, with no dense
+    n x n matrix.  ``trace_path`` records the SVR convergence trace.
     """
     if isinstance(base, KrrConfig):
         return fit_krr(gram, responses, base), 0.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
-from .hyper import PairSystem
+from .hyper import PairSystem, cap_entries
 from .krr import CoefficientField
 
 EQUALITY_SLACK = 1e-8  # scaled by C*n in the model invariant
@@ -77,19 +77,6 @@ class SvrModel:
             raise InvalidInput("coefficients outside the [-C, C] box")
         if abs(float(b.sum())) > EQUALITY_SLACK * C * max(b.size, 1):
             raise InvalidInput("equality constraint violated")
-
-
-def dual_objective(gram: PairSystem, beta_hat, beta_check, responses,
-                   eps: float) -> float:
-    """Evaluate the dual objective at a (not necessarily feasible) point."""
-    bh = np.asarray(beta_hat, dtype=float).ravel()
-    bc = np.asarray(beta_check, dtype=float).ravel()
-    y = np.asarray(responses, dtype=float).ravel()
-    K = gram.entries
-    if not (bh.size == bc.size == y.size == gram.n):
-        raise InvalidInput("dual objective operands disagree in length")
-    d = bh - bc
-    return float(-0.5 * d @ (K @ d) + d @ y - eps * (bh + bc).sum())
 
 
 def _line_search(beta_i, beta_j, slope0, eta, t_box, eps):
@@ -254,18 +241,33 @@ def _cycles_past_budget(beta, beta0, lo, hi, windows_left) -> bool:
 
 def fit_svr(gram: PairSystem, responses, config: SvrConfig,
             trace_path=None) -> SvrModel:
-    """Solve the SVR dual over the box [-C, C] with :func:`smo` on ``gram.entries``."""
+    """Solve the SVR dual over the box [-C, C] with :func:`smo` on ``gram.block``.
+
+    Pairs that share a distinct unordered pair and a response have equal
+    rows of K and slopes, so :func:`smo` solves for one sum z_g per such
+    group of s_g pairs, on the block of K between the groups with the boxes
+    [-s_g C, s_g C], and beta = z_g / s_g: an optimum of the full dual, with
+    its objective, bias and KKT violation.  With symmetric responses the
+    groups are the c distinct pairs.
+    """
     y = np.asarray(responses, dtype=float).ravel()
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
     C, eps = config.C, config.epsilon
-    beta, bias, _ = smo(
-        gram.entries, y, np.full(gram.n, -C), np.full(gram.n, C), eps,
-        config.kkt_tol, SMO_MAX_PASSES, SMO_MAX_ITER, trace_path,
-    )
+    col, _ = gram.members
+    key = np.empty(y.size, dtype=complex)  # sorts by distinct pair, then response
+    key.real, key.imag = col, y
+    _, head, group, size = np.unique(key, return_index=True, return_inverse=True,
+                                     return_counts=True)
+    cap_entries(head.size ** 2, "SVR Gram")
+    K = gram.block if head.size == gram.c else gram.block[np.ix_(col[head], col[head])]
+    z, bias, _ = smo(K, y[head], -C * size, C * size, eps, config.kkt_tol,
+                     SMO_MAX_PASSES, SMO_MAX_ITER, trace_path)
+    beta = np.clip(z / size, -C, C)[group]
     support = np.flatnonzero(beta != 0.0)
-    obj = dual_objective(gram, np.maximum(beta, 0.0), np.maximum(-beta, 0.0), y, eps)
-    coeffs = CoefficientField(beta, gram.pair_list, gram.points.shape[0], solver="smo")
+    obj = float(-0.5 * z @ (K @ z) + z @ y[head] - eps * np.abs(z).sum())
+    coeffs = CoefficientField(beta, gram.pair_list, gram.points.shape[0], solver="smo",
+                              pairs_checked=True)
     return SvrModel(coeffs, bias, support, obj, config)
 
 

@@ -16,15 +16,15 @@ from hklearn.krr import PRECONDITIONER_RANK
 
 
 def nystrom_preconditioner_reference(gram: PairSystem, lam: float):
-    """A preconditioner for K + lam I from a rank-r Nystrom approximation F F' of K.
+    """A preconditioner for M + lam I from a rank-r Nystrom approximation F F'
+    of M, the system's matrix over its c distinct unordered pairs.
 
-    F comes from a partial pivoted Cholesky of K: each step takes the pair
-    with the largest residual diagonal as its pivot, so the choice is
-    deterministic, and reads that column of K through ``gram.column``.  It
-    stops when the largest residual diagonal falls to lam / 100 or r reaches
-    ``PRECONDITIONER_RANK`` (and r * n ``MAX_ENTRIES``).  The two orders of a
-    pair have equal columns, so once one is a pivot the other's residual
-    diagonal drops to roundoff and the stopping rule passes it over.
+    F comes from a partial pivoted Cholesky of M: each step takes the
+    distinct pair with the largest residual diagonal as its pivot, so the
+    choice is deterministic, and reads that column of M through
+    ``gram.reduced_column``.  It stops when the largest residual diagonal
+    falls to lam / 100 or r reaches ``PRECONDITIONER_RANK`` (and r * c
+    ``MAX_ENTRIES``).
 
     With F = QR and RR' = VSV', U = QV and the preconditioner is
     (F F' + lam I)^-1 = U diag(1 / (S + lam)) U' + (I - UU') / lam.  It is
@@ -33,17 +33,17 @@ def nystrom_preconditioner_reference(gram: PairSystem, lam: float):
     where apply(v) is that product; at rank 0, or lam 0, apply is None: CG
     runs unpreconditioned.
     """
-    n = gram.n
-    cap = min(PRECONDITIONER_RANK, n, MAX_ENTRIES // max(n, 1)) if lam > 0 else 0
+    c = gram.c
+    cap = min(PRECONDITIONER_RANK, c, MAX_ENTRIES // max(c, 1)) if lam > 0 else 0
     # rows of F'; np.empty leaves the rows past the rank reached unwritten
-    Ft = np.empty((cap, n))
-    d = gram.diag()
+    Ft = np.empty((cap, c))
+    d = gram.reduced_diag()
     r = 0
     while r < cap:
         s = int(np.argmax(d))
         if not d[s] > lam / 100.0:
             break
-        col = gram.column(s) - Ft[:r].T @ Ft[:r, s]
+        col = gram.reduced_column(s) - Ft[:r].T @ Ft[:r, s]
         col /= math.sqrt(d[s])
         Ft[r] = col
         d -= col * col

@@ -1,4 +1,5 @@
-"""Dense QP oracle used to cross-check the SMO solvers.
+"""Dense QP oracle used to cross-check the SMO solvers, and the SVR dual
+objective on the dense hyper-Gram.
 
 Maximizes p'x - 1/2 x'Qx over the box [0, C]^n intersected with {a'x = 0}
 by projected gradient ascent.  The projection onto box-and-hyperplane is
@@ -78,3 +79,13 @@ def solve_svm_dual(K, labels, C, **kw):
     Q = (y[:, None] * y[None, :]) * K
     p = np.ones(y.size)
     return solve_box_qp(Q, p, C, y, **kw)
+
+
+def dual_objective(gram, beta_hat, beta_check, responses, eps: float) -> float:
+    """The SVR dual objective at a (not necessarily feasible) point, on the
+    dense hyper-Gram ``gram.entries``."""
+    bh = np.asarray(beta_hat, dtype=float).ravel()
+    bc = np.asarray(beta_check, dtype=float).ravel()
+    y = np.asarray(responses, dtype=float).ravel()
+    d = bh - bc
+    return float(-0.5 * d @ (gram.entries @ d) + d @ y - eps * (bh + bc).sum())

@@ -23,7 +23,6 @@ from hklearn import (
     TL1,
     assemble_hyper_gram,
     data_sigma2,
-    dual_objective,
     eval_hyper_kernel,
     eval_pairs,
     fit_decomposed,
@@ -45,7 +44,7 @@ from hklearn import (
 )
 from decomposition_reference import decomposition_bound as dense_decomposition_bound
 from hklearn.cli import ingest_dataset, main
-from qp_oracle import solve_svr_dual
+from qp_oracle import dual_objective, solve_svr_dual
 
 
 def test_criterion_1_smo_matches_qp_oracle():

@@ -476,18 +476,25 @@ def test_tuned_fit_matches_the_per_grid_point_cv_loop(tmp_path, monkeypatch, cas
 def test_tuned_fit_assembles_one_gram_per_sigma_h2_and_fold(tmp_path, monkeypatch):
     import hklearn.hyper as hyper
 
-    real = hyper.assemble_hyper_gram
-    calls = []
+    real_assemble, real_fill = hyper.assemble_hyper_gram, hyper._fill
+    assembled, blocks = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_assemble(*args, **kwargs):
+        assembled.append(args)
+        return real_assemble(*args, **kwargs)
 
-    monkeypatch.setattr(hyper, "assemble_hyper_gram", counting)
+    def counting_fill(phi, *args):
+        blocks.append(phi.shape[1])
+        return real_fill(phi, *args)
+
+    monkeypatch.setattr(hyper, "assemble_hyper_gram", counting_assemble)
+    monkeypatch.setattr(hyper, "_fill", counting_fill)
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=30)
     assert main(["fit", data, "--output-dir", str(tmp_path / "out")]) == 0
+    # no dense n x n Gram; one reduced block (the spectrum's) per system:
     # 5 sigma_h2 x 5 folds serve all 11 reg and the c_svm pass, then the final fit
-    assert len(calls) == len(DEFAULTS["sigma_h2_grid"]) * DEFAULTS["cv_folds"] + 1 == 26
+    assert assembled == []
+    assert len(blocks) == len(DEFAULTS["sigma_h2_grid"]) * DEFAULTS["cv_folds"] + 1 == 26
 
 
 def test_tuned_fit_shares_point_factors_and_clips_once_per_fold_system(tmp_path, monkeypatch):

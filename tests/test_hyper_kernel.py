@@ -290,14 +290,19 @@ def test_pair_system_on_merged_columns_matches_the_midpoint_reference(d):
     for v in (rng.standard_normal(system.n), np.ones(system.n)):
         err = np.abs(system.matvec(v) - ref @ v)
         assert np.all(err <= 1e-12 * (ref @ np.abs(v)))
-    for s in range(system.n):
-        np.testing.assert_allclose(system.column(s), ref[:, s], rtol=1e-12, atol=0.0)
+    col, size = system.members
+    _, first = np.unique(col, return_index=True)
+    M = ref[np.ix_(first, first)] * np.sqrt(np.outer(size, size))
+    for k in range(system.c):
+        np.testing.assert_allclose(system.reduced_column(k), M[:, k], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(system.block * np.sqrt(np.outer(size, size)), M,
+                               rtol=1e-12, atol=0.0)
     for cols in ([0, 1, 5], [3, 4, 9], np.arange(system.n), [7, 7, 2]):
         np.testing.assert_allclose(system.column_sum(cols), ref[:, cols].sum(axis=1),
                                    rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(system.entries, ref, rtol=1e-12, atol=0.0)
     # a pair and its swap read one column of Phi, so their columns agree bitwise
-    assert np.array_equal(system.column(0), system.column(1))
+    assert np.array_equal(system.entries[:, 0], system.entries[:, 1])
     assert np.array_equal(system.entries[:, 6], system.entries[:, 7])
 
 

@@ -48,7 +48,7 @@ def _random_gram(rng, m, d=2):
 
 def test_identity_gram_closed_form(rng):
     y = rng.standard_normal(4)
-    beta, jitter = solve_spd_with_jitter(np.eye(4), (np.ones(4), np.eye(4)), 1.0, y, 1e-10)
+    beta, jitter = solve_spd_with_jitter(np.eye(4).dot, (np.ones(4), np.eye(4)), 1.0, y, 1e-10)
     np.testing.assert_allclose(beta, y / 2.0, rtol=1e-12)
     assert jitter == 0.0
 
@@ -169,7 +169,7 @@ def test_cg_restart_meets_cg_tol_and_counts_every_call(monkeypatch):
 def test_cg_that_never_moves_fails_after_every_restart(monkeypatch):
     def run(call, args):
         x0 = args[2]
-        return (np.zeros(576) if x0 is None else x0), 0
+        return (np.zeros_like(args[1]) if x0 is None else x0), 0
 
     counts = _counted_pcg(monkeypatch, run)
     system, y = _restart_system()
@@ -199,12 +199,15 @@ def test_cg_at_lambda_zero_fails_before_iterating(monkeypatch):
 def test_pcg_equals_scipy_cg_bit_for_bit(system_of, lam, maxiter):
     # the numpy loop copies the operation order of scipy.sparse.linalg.cg, so
     # its iterates and iteration counts are scipy's, from zero and from an
-    # iterate; at lam 0 there is no preconditioner and the run ends at maxiter
+    # iterate; at lam 0 there is no preconditioner and the run ends at maxiter.
+    # CG runs on the system over the distinct unordered pairs.
     system, y = system_of()
+    y = system.reduce(y)[0]
     precond, rank = krr.nystrom_preconditioner(system, lam)
     assert (rank > 0) == (lam > 0)
-    n = system.n
-    op = LinearOperator((n, n), dtype=float, matvec=lambda v: system.matvec(v) + lam * v)
+    n = system.c
+    op = LinearOperator((n, n), dtype=float,
+                        matvec=lambda v: system.reduced_matvec(v) + lam * v)
     M = None if precond is None else LinearOperator((n, n), dtype=float, matvec=precond)
     x = None
     for _ in range(2):
@@ -278,14 +281,25 @@ def test_preconditioned_cg_converges_fast_on_the_tl1_extension():
         second.cg_iterations, second.preconditioner_rank)
 
 
+def _reduced_reference(params, X, pairs):
+    """M = S^1/2 B S^1/2 from the midpoint form: B is K over the first member
+    of each distinct unordered pair, s the member counts."""
+    _, first, size = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True,
+                               return_counts=True)
+    K = hyper_gram_reference(params, X, pairs)
+    root = np.sqrt(size)
+    return K[np.ix_(first, first)] * np.outer(root, root)
+
+
 def test_columns_match_the_midpoint_reference(rng):
     X = rng.uniform(0.0, 1.0, (9, 2))
     params = HyperKernelParams(0.3, 0.2, 2)
     _, pairs = nystrom_restrict(9, 4, seed=0)
     system = PairSystem(params, X, pairs)
-    K = hyper_gram_reference(params, X, pairs)
-    for s in range(system.n):
-        np.testing.assert_allclose(system.column(s), K[:, s], rtol=1e-12, atol=0.0)
+    M = _reduced_reference(params, X, pairs)
+    for k in range(system.c):
+        np.testing.assert_allclose(system.reduced_column(k), M[:, k], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(system.reduced_diag(), np.diag(M), rtol=1e-12, atol=0.0)
 
 
 def _record_cholesky_qr3(monkeypatch):
@@ -301,7 +315,7 @@ def _record_cholesky_qr3(monkeypatch):
     return bases
 
 
-@pytest.mark.parametrize("lam, rank", [(1e-1, 22), (1e-3, 36), (1e-7, 67), (1e-10, 92),
+@pytest.mark.parametrize("lam, rank", [(1e-1, 22), (1e-3, 37), (1e-7, 69), (1e-10, 96),
                                        (1e-300, 100)])
 def test_preconditioner_equals_the_householder_reference(lam, rank, monkeypatch):
     # shifted CholeskyQR3 and Householder QR give one operator at equal rank;
@@ -311,7 +325,7 @@ def test_preconditioner_equals_the_householder_reference(lam, rank, monkeypatch)
     precond, got_rank = krr.nystrom_preconditioner(system, lam)
     expected, ref_rank = nystrom_preconditioner_reference(system, lam)
     assert got_rank == ref_rank == rank
-    block = np.random.default_rng(5).standard_normal((system.n, 6))
+    block = np.random.default_rng(5).standard_normal((system.c, 6))
     got = np.column_stack([precond(v) for v in block.T])
     ref = np.column_stack([expected(v) for v in block.T])
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -330,12 +344,12 @@ def test_preconditioner_stops_at_the_roundoff_of_its_residual_diagonal(lam, monk
     system = PairSystem(HyperKernelParams(1e-5, 1e-7, 1), X)
     bases = _record_cholesky_qr3(monkeypatch)
     precond, rank = krr.nystrom_preconditioner(system, lam)
-    floor = krr.PRECONDITIONER_RANK * np.finfo(float).eps * system.diag().max()
+    floor = krr.PRECONDITIONER_RANK * np.finfo(float).eps * system.reduced_diag().max()
     _, ref_rank = nystrom_preconditioner_reference(system, floor * 100.0)
     assert 0 < rank == ref_rank < krr.PRECONDITIONER_RANK
     (_, Qt, _), = bases
     assert np.linalg.norm(Qt @ Qt.T - np.eye(rank)) <= 1e-12
-    v = np.random.default_rng(1).standard_normal(system.n)
+    v = np.random.default_rng(1).standard_normal(system.c)
     assert np.all(np.isfinite(precond(v)))
 
 
@@ -502,7 +516,7 @@ def test_grid_solves_from_one_eigendecomposition_match_per_lambda_fits(m, monkey
     assert _grid_failures(system, y) == ([] if m == 9 else [1e-10])
     # one eigh of the m(m + 1)/2 unordered pairs serves the whole grid: 45 for 81 pairs
     assert orders == [m * (m + 1) // 2]
-    assert system.spectrum[1].shape == (m * m, m * (m + 1) // 2)
+    assert system.spectrum[1].shape == (m * (m + 1) // 2,) * 2
 
 
 @pytest.mark.parametrize("kind", ["landmarks", "half", "repeats"])
@@ -521,28 +535,55 @@ def test_grid_solves_on_a_partial_pair_list_match_per_lambda_fits(m, kind):
         pairs = np.vstack([pairs, pairs[rng.choice(pairs.shape[0], m, replace=False)]])
     system = PairSystem(full.params, full.points, pairs)
     c = np.unique(np.sort(pairs, axis=1), axis=0).shape[0]
-    assert system.spectrum[1].shape == (pairs.shape[0], c)
+    assert system.c == c and system.spectrum[1].shape == (c, c)
     _grid_failures(system, y.reshape(m, m)[pairs[:, 0], pairs[:, 1]])
 
 
 def test_a_non_positive_shifted_eigenvalue_fails_that_rung():
     # w + shift = -1, then 0 on the first jitter rung, then positive
     spectrum = (np.array([-2.0, 3.0]), np.eye(2))
-    entries = np.diag(spectrum[0])
-    x, jitter = solve_spd_with_jitter(entries, spectrum, 1.0, np.ones(2), 1.0)
+    matvec = np.diag(spectrum[0]).dot
+    x, jitter = solve_spd_with_jitter(matvec, spectrum, 1.0, np.ones(2), 1.0)
     assert jitter == 10.0
     np.testing.assert_allclose(x, [1 / 9, 1 / 14], rtol=1e-14)
     with pytest.raises(NumericalFailure, match="factorization failed and jitter is disabled"):
-        solve_spd_with_jitter(entries, spectrum, 1.0, np.ones(2), 1.0, retries=0)
+        solve_spd_with_jitter(matvec, spectrum, 1.0, np.ones(2), 1.0, retries=0)
 
 
 def test_direct_solve_that_overflows_fails_without_a_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalFailure, match="norm of the responses overflows"):
-            solve_spd_with_jitter(np.eye(3), (np.ones(3), np.eye(3)), 1.0,
+            solve_spd_with_jitter(np.eye(3).dot, (np.ones(3), np.eye(3)), 1.0,
                                   np.array([1e308, 1.0, 1.0]), 1e-10)
         # a subnormal shifted eigenvalue overflows the solution
         spectrum = (np.full(2, 1e-310), np.eye(2))
         with pytest.raises(NumericalFailure, match="residual is not finite"):
-            solve_spd_with_jitter(np.zeros((2, 2)), spectrum, 0.0, np.ones(2), 0.0, retries=0)
+            solve_spd_with_jitter(np.zeros((2, 2)).dot, spectrum, 0.0, np.ones(2), 0.0,
+                                  retries=0)
+
+
+# a pair and its swap, pairs without their swap, diagonal pairs and repeats
+_MIXED = np.array([[0, 1], [1, 0], [2, 3], [4, 4], [0, 1], [3, 5], [5, 3], [1, 4], [2, 0],
+                   [5, 3], [3, 2], [5, 5]])
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("responses", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("pairs", ["full", "mixed"])
+def test_reduced_solves_match_the_ordered_system(solver, responses, pairs, monkeypatch):
+    # the solve over the distinct unordered pairs against a dense solve of
+    # the ordered n x n system, to 1e-9 of the largest coefficient
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, 1.0, (6, 2))
+    system = PairSystem(HyperKernelParams(0.1, 0.1, 2), X, None if pairs == "full" else _MIXED)
+    Y = gram_matrix(TL1(1.4), X)
+    if responses == "asymmetric":
+        Y = Y + 0.1 * rng.standard_normal(Y.shape)
+    y = Y[system.pair_list[:, 0], system.pair_list[:, 1]]
+    _solve_path(monkeypatch, solver=solver)
+    for lam in (1e-1, 1e-3):
+        field = fit_krr(system, y, KrrConfig(lam))
+        assert field.solver == solver and field.pair_list is system.pair_list
+        ordered = np.linalg.solve(system.entries + lam * np.eye(system.n), y)
+        assert np.abs(field.values - ordered).max() <= 1e-9 * np.abs(ordered).max()

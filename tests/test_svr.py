@@ -10,17 +10,20 @@ from hklearn import (
     GaussianRBF,
     HyperKernelParams,
     InvalidInput,
+    KrrConfig,
     NumericalFailure,
+    PairSystem,
+    ResourceLimit,
     SvrConfig,
     TL1,
     assemble_hyper_gram,
-    dual_objective,
+    fit_krr,
     fit_svr,
     gram_matrix,
 )
 from hklearn import svr
 from hklearn.svr import smo
-from qp_oracle import solve_svr_dual
+from qp_oracle import dual_objective, solve_svr_dual
 import smo_reference
 
 
@@ -298,3 +301,59 @@ def test_oracle_feasibility_and_stationarity(rng):
     assert bh.min() >= -1e-12 and bc.min() >= -1e-12
     assert bh.max() <= C + 1e-12 and bc.max() <= C + 1e-12
     assert abs(bh.sum() - bc.sum()) <= 1e-9
+
+
+@pytest.mark.parametrize("fit", ["direct", "cg", "svr"])
+def test_a_pair_and_its_swap_get_bitwise_equal_coefficients(fit, monkeypatch):
+    # every solver works over the distinct unordered pairs, so the two orders
+    # of a pair, which have equal rows of K and equal responses, share a value
+    m = 8
+    X = np.random.default_rng(4).uniform(0.0, 1.0, (m, 2))
+    gram = PairSystem(HyperKernelParams(0.2, 0.2, 2), X)
+    y = gram_matrix(TL1(1.4), X).ravel()
+    if fit == "svr":
+        beta = fit_svr(gram, y, SvrConfig(C=10.0, epsilon=0.01)).beta.values
+    else:
+        monkeypatch.setattr(KrrConfig, "solver", fit)
+        beta = fit_krr(gram, y, KrrConfig(1e-3)).values
+    B = beta.reshape(m, m)
+    assert np.array_equal(B, B.T) and np.abs(B).max() > 0.0
+
+
+@pytest.mark.parametrize("responses", ["symmetric", "asymmetric"])
+def test_reduced_svr_dual_matches_the_ordered_qp_oracle(responses):
+    # swapped pairs with equal responses merge into one unknown, pairs whose
+    # responses differ stay apart; either way the dual optimum is the full one
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        gram = _gram(rng, 3)
+        Y = rng.standard_normal((3, 3))
+        y = (Y + Y.T if responses == "symmetric" else Y).ravel()
+        C, eps, tol = 1.0, 0.1, 1e-6
+        model = fit_svr(gram, y, SvrConfig(C=C, epsilon=eps, kkt_tol=tol))
+        bh, bc = solve_svr_dual(gram.entries, y, C, eps)
+        oracle = dual_objective(gram, bh, bc, y, eps)
+        assert abs(model.dual_objective - oracle) <= tol
+        beta = model.beta.values
+        assert abs(dual_objective(gram, np.maximum(beta, 0), np.maximum(-beta, 0), y, eps)
+                   - model.dual_objective) <= 1e-12
+
+
+def test_svr_size_cap_reads_the_distinct_pairs(monkeypatch):
+    # 4 points: 16 ordered pairs (256 Gram entries) but 10 distinct unordered
+    # ones, so the SVR's block holds 100 entries
+    import hklearn.hyper as hyper
+
+    X = np.random.default_rng(2).standard_normal((4, 2))
+    Y = gram_matrix(GaussianRBF(1.0), X)
+    config = SvrConfig(C=1.0, epsilon=0.01)
+    monkeypatch.setattr(hyper, "MAX_ENTRIES", 100)
+    gram = PairSystem(HyperKernelParams(1.0, 1.0, 2), X)
+    assert (gram.n, gram.c) == (16, 10)
+    assert fit_svr(gram, Y.ravel(), config).beta.n == 16
+    # responses that differ between a pair and its swap keep all 16 unknowns
+    with pytest.raises(ResourceLimit, match="256 entries"):
+        fit_svr(gram, (Y + np.triu(np.ones((4, 4)), 1)).ravel(), config)
+    monkeypatch.setattr(hyper, "MAX_ENTRIES", 99)
+    with pytest.raises(ResourceLimit, match="100 entries"):
+        fit_svr(PairSystem(HyperKernelParams(1.0, 1.0, 2), X), Y.ravel(), config)
