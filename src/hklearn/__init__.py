@@ -60,7 +60,6 @@ from .pipeline import (
 )
 from .scaling import (
     DecompositionDiagnostics,
-    PartitionPlan,
     ScalingConfig,
     decomposition_bound,
     fit_decomposed,

@@ -17,8 +17,10 @@ matrix: with Phi the point factors of the u sample points a pair list uses
 at its pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
 The hyper-kernel is swap-symmetric, so a pair and its swap (and a repeated
 pair) have one midpoint, one g and equal rows of K: Phi holds one column per
-distinct unordered pair (:func:`unordered_pairs`), and every solver of a
-:class:`PairSystem`, the one type of a pair system, works over those c pairs.
+distinct unordered pair.  :class:`PairSystem`, the one type of a pair system,
+is the one place that groups a pair list into those c pairs: every solver
+works over them, and a fit's coefficients and learned kernel keep their
+system, so evaluation reuses its grouping, g and midpoints.
 """
 
 from __future__ import annotations
@@ -115,19 +117,6 @@ def full_pair_list(m: int) -> np.ndarray:
     return np.column_stack([ii.ravel(), jj.ravel()])
 
 
-def unordered_pairs(pairs, m: int):
-    """The distinct unordered pairs {min, max} of a pair list over m points.
-
-    Returns (distinct, col): ``distinct`` holds (min, max) rows in
-    lexicographic order, and pair k of ``pairs`` is row ``col[k]`` of it, so a
-    pair, its swap and its repeats share one row.
-    """
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys, col = np.unique(lo * m + hi, return_inverse=True)
-    return np.column_stack(np.divmod(keys, m)), col
-
-
 def pair_factors(params: HyperKernelParams, A: np.ndarray, B: np.ndarray):
     """Within-pair Gaussian factors g and midpoints for the pairs (A[k], B[k])."""
     sq = np.sum((A - B) ** 2, axis=1)
@@ -203,7 +192,7 @@ def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> PairSystem:
     ``MAX_ENTRIES`` raises ``ResourceLimit``.
     """
     system = PairSystem(params, X, pairs)
-    g, cross, phi, lo, hi, col = system._factors[:6]
+    _, lo, hi, col, *_, g, _, cross, phi = system._factors
     system.entries = _fill(phi[:, col], lo[col], hi[col], cross[col], g[col])
     return system
 
@@ -236,7 +225,10 @@ class PairSystem:
     ``block``.  Ridge solves work on M = S^1/2 B S^1/2, S = diag(s), through
     ``reduce``, ``expand``, ``reduced_*`` and ``spectrum``; ``matvec``,
     ``column_sum`` and ``diag`` act on K, and ``entries``, the dense K, is
-    formed only by :func:`assemble_hyper_gram`.  All read one set of factors.
+    formed only by :func:`assemble_hyper_gram`.  Two cached parts serve
+    them all: the grouping into distinct pairs, with their g and midpoints,
+    which a learned kernel's evaluation reads too, and the solver factors,
+    cross and Phi.
     """
 
     def __init__(self, params: HyperKernelParams, X, pairs=None):
@@ -246,8 +238,8 @@ class PairSystem:
         m = X.shape[0]
         if m < 1:
             raise InvalidInput("empty input")
-        if X.shape[1] != params.dim:
-            raise InvalidInput(f"points have dimension {X.shape[1]}, params.dim={params.dim}")
+        if X.ndim != 2 or X.shape[1] != params.dim:
+            raise InvalidInput(f"points must be (m, {params.dim}), got shape {X.shape}")
         if pairs is None:
             pairs = full_pair_list(m)
         else:
@@ -264,41 +256,53 @@ class PairSystem:
 
     @property
     def c(self) -> int:
-        return self._factors[0].size
+        return self._grouping[1].size
 
     @property
     def members(self):
         """(col, s): each pair's distinct pair, and each distinct pair's size."""
-        return self._factors[5], self._factors[7]
+        return self._grouping[3], self._grouping[5]
+
+    @property
+    def midpoints(self):
+        """(g, mids): each distinct pair's within-pair factor and midpoint."""
+        return self._grouping[7:]
 
     @cached_property
     def entries(self) -> np.ndarray:
         return assemble_hyper_gram(self.params, self.points, self.pair_list).entries
 
     @cached_property
-    def _factors(self):
-        """g, cross, Phi (u used points x c), lo, hi (local indices) of the
-        distinct pairs, ``col``, their first members, counts s and sqrt(s)."""
+    def _grouping(self):
+        """The used points, lo and hi (local indices) of the distinct pairs,
+        ``col``, their first members, counts s and sqrt(s), g and midpoints."""
         seen = np.zeros(self.points.shape[0], dtype=bool)
         seen[self.pair_list] = True
         used = np.flatnonzero(seen)
         u = used.size
         local = (np.cumsum(seen) - 1)[self.pair_list]
+        a, b = local[:, 0], local[:, 1]
         keys, first, col, size = np.unique(
-            local.min(axis=1) * u + local.max(axis=1),
+            np.minimum(a, b) * u + np.maximum(a, b),
             return_index=True, return_inverse=True, return_counts=True)
-        cap_entries(u * keys.size, "point factors")
         lo, hi = np.divmod(keys, u)
         X = self.points[used]
-        A, B = X[lo], X[hi]
-        g, mids = pair_factors(self.params, A, B)
-        cross = cross_factor(self.params, np.sum((A - B) ** 2, axis=1))
-        phi = point_factors(self.params, X, mids)
-        return g, cross, phi, lo, hi, col, first, size, np.sqrt(size)
+        return (used, lo, hi, col, first, size, np.sqrt(size),
+                *pair_factors(self.params, X[lo], X[hi]))
+
+    @cached_property
+    def _factors(self):
+        """The grouping, then the solver factors of the distinct pairs: cross
+        and Phi (u used points x c)."""
+        used, lo, hi, *_, mids = self._grouping
+        cap_entries(used.size * lo.size, "point factors")
+        X = self.points[used]
+        cross = cross_factor(self.params, np.sum((X[lo] - X[hi]) ** 2, axis=1))
+        return (*self._grouping, cross, point_factors(self.params, X, mids))
 
     def _apply(self, w) -> np.ndarray:
         """B w in O(u^2 c): cross_k (Phi diag(g w) Phi')[lo_k, hi_k]."""
-        g, cross, phi, lo, hi = self._factors[:5]
+        _, lo, hi, *_, g, _, cross, phi = self._factors
         return cross * ((phi * (g * w)) @ phi.T)[lo, hi]
 
     def matvec(self, v) -> np.ndarray:
@@ -307,18 +311,18 @@ class PairSystem:
         return self._apply(np.bincount(col, weights=np.ravel(v), minlength=size.size))[col]
 
     def reduced_matvec(self, z) -> np.ndarray:
-        root = self._factors[8]
+        root = self._grouping[6]
         return root * self._apply(root * z)
 
     def reduced_column(self, k: int) -> np.ndarray:
         """Column k of M in O(c): root_l cross_l Phi[lo_l, k] Phi[hi_l, k] g_k root_k."""
-        g, cross, phi, lo, hi, _, _, _, root = self._factors
+        _, lo, hi, *_, root, g, _, cross, phi = self._factors
         p = phi[:, k]
         return (root * cross) * (p[lo] * p[hi]) * (g[k] * root[k])
 
     def reduced_diag(self) -> np.ndarray:
         """The diagonal of M, s_k B_kk, in O(c); a fresh array."""
-        g, cross, phi, lo, hi, _, _, size, _ = self._factors
+        _, lo, hi, _, _, size, _, g, _, cross, phi = self._factors
         return size * cross * g * phi[lo, np.arange(g.size)] * phi[hi, np.arange(g.size)]
 
     def reduce(self, y):
@@ -328,7 +332,7 @@ class PairSystem:
         solves (K + t I) x = y, with a residual of the same norm.  Each part
         is a member's deviation from the first member less their mean one,
         so a pair and its swap get exactly opposite parts."""
-        col, first, size, root = self._factors[5:]
+        col, first, size, root = self._grouping[3:7]
         head = y[first]
         dev = y - head[col]
         if not dev.any():
@@ -340,7 +344,7 @@ class PairSystem:
         """(z / S^1/2)[col] + rest / shift, the solution of (K + shift I) x = y
         from that of the reduced system (see ``reduce``).  One that overflows
         raises ``NumericalFailure``."""
-        x = (z / self._factors[8])[self._factors[5]]
+        x = (z / self._grouping[6])[self._grouping[3]]
         if rest.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 x += rest / shift
@@ -350,7 +354,7 @@ class PairSystem:
 
     def _over(self, T, w) -> np.ndarray:
         """K v, v weighting distinct pair T_i by w_i, by one unmerged GEMM."""
-        g, cross, phi, lo, hi, col = self._factors[:6]
+        _, lo, hi, col, *_, g, _, cross, phi = self._factors
         sub = phi[:, T]
         return (cross * ((sub * (g[T] * w)) @ sub.T)[lo, hi])[col]
 
@@ -358,25 +362,30 @@ class PairSystem:
         """||fl(K v)|| for a v that K maps to 0, such as ``reduce``'s rest,
         taken over the n columns without first summing the members of each
         distinct pair, as a dense product is: the roundoff such products meet."""
-        return float(np.linalg.norm(self._over(self._factors[5], v))) if v.any() else 0.0
+        return float(np.linalg.norm(self._over(self._grouping[3], v))) if v.any() else 0.0
 
     def column_sum(self, cols) -> np.ndarray:
         """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n),
         over the distinct pairs of S only, counting S's columns on each."""
-        return self._over(*np.unique(self._factors[5][np.asarray(cols, dtype=np.intp)],
+        return self._over(*np.unique(self._grouping[3][np.asarray(cols, dtype=np.intp)],
                                      return_counts=True))
 
     def diag(self) -> np.ndarray:
-        """The diagonal of K in O(n).
+        """The diagonal of K in O(n), equal on the members of a distinct pair.
 
         A pair's midpoint lies at squared distance sq / 4 from both of its
         points, so K_rr = cross_factor(sq) * g * exp(-sq / (8 (sigma2 + sigma_h2))).
         """
-        A, B = self.points[self.pair_list[:, 0]], self.points[self.pair_list[:, 1]]
-        g, _ = pair_factors(self.params, A, B)
-        sq = np.sum((A - B) ** 2, axis=1)
+        used, lo, hi, col, *_, g, _ = self._grouping
+        X = self.points[used]
+        sq = np.sum((X[lo] - X[hi]) ** 2, axis=1)
         sh = self.params.sigma2 + self.params.sigma_h2
-        return cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh))
+        return (cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh)))[col]
+
+    def release(self) -> None:
+        """Drop the cached solver state; the grouping a learned kernel reads stays."""
+        for name in ("_factors", "block", "spectrum"):
+            self.__dict__.pop(name, None)
 
     @cached_property
     def base_jitter(self) -> float:
@@ -386,7 +395,7 @@ class PairSystem:
     @cached_property
     def block(self) -> np.ndarray:
         """B, the c x c block of K between the distinct unordered pairs."""
-        g, cross, phi, lo, hi = self._factors[:5]
+        _, lo, hi, *_, g, _, cross, phi = self._factors
         return _fill(phi, lo, hi, cross, g)
 
     @cached_property
@@ -395,7 +404,7 @@ class PairSystem:
         with M built from the factors for this one eigh of order c; a grid of
         ridge weights on the system shares it.  An eigh that does not
         converge raises ``NumericalFailure``."""
-        g, cross, phi, lo, hi, *_, root = self._factors
+        _, lo, hi, *_, root, g, _, cross, phi = self._factors
         try:
             return np.linalg.eigh(_fill(phi, lo, hi, cross * root, g * root))
         except np.linalg.LinAlgError:

@@ -4,12 +4,15 @@ Fits expansion coefficients beta by solving the shifted linear system
 ``(K + lam I) beta = y``.  Any solution of that system is stationary for the
 quadratic objective ``||K beta - y||^2 + lam beta' K beta``, and the shift
 keeps the factorization well posed without squaring the condition number.
+The returned :class:`CoefficientField` holds the :class:`PairSystem` it was
+solved on, so the learned kernel built from it evaluates over that system's
+pairs and grouping, with no second record of either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -57,40 +60,36 @@ class KrrConfig:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Expansion coefficients aligned with a hyper-Gram pair enumeration.
+    """Expansion coefficients over the pairs of a :class:`PairSystem`.
 
-    ``values[k]`` attaches to the ordered point pair ``pair_list[k]``; ``m``
-    is the number of underlying sample points.  A fit records how it was
-    solved: ``solver`` is ``direct``, ``cg`` or ``smo`` (None when the field
-    was assembled from several solves or loaded), ``cg_iterations``
-    counts the conjugate-gradient iterations of a ``cg`` solve and
+    ``values[k]`` attaches to the ordered point pair ``pair_list[k]`` of
+    ``system``, which is the one record of the pairs, their grouping into
+    distinct pairs and their points.  A fit records how it was solved:
+    ``solver`` is ``direct``, ``cg`` or ``smo`` (None when the field was
+    assembled from several solves or loaded), ``cg_iterations`` counts the
+    conjugate-gradient iterations of a ``cg`` solve and
     ``preconditioner_rank`` is the rank of its Nystrom preconditioner.
-    ``pairs_checked`` skips the index checks of a pair list that a
-    :class:`PairSystem` already made.
     """
 
     values: np.ndarray
-    pair_list: np.ndarray
-    m: int
+    system: PairSystem
     jitter_applied: float = 0.0
     solver: str | None = None
     cg_iterations: int | None = None
     preconditioner_rank: int | None = None
-    pairs_checked: InitVar[bool] = False
 
-    def __post_init__(self, pairs_checked):
+    def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
-        pairs = self.pair_list if pairs_checked else np.asarray(self.pair_list, dtype=np.intp)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] != values.size:
+        if values.size != self.system.n:
             raise InvalidInput(
-                f"pair_list shape {pairs.shape} does not align with {values.size} values"
-            )
+                f"{values.size} values do not align with {self.system.n} pairs")
         if not np.all(np.isfinite(values)):
             raise InvalidInput("coefficients must be finite")
-        if not pairs_checked and pairs.size and (pairs.min() < 0 or pairs.max() >= self.m):
-            raise InvalidInput(f"pair indices out of range for m={self.m}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pair_list", pairs)
+
+    @property
+    def pair_list(self) -> np.ndarray:
+        return self.system.pair_list
 
     @property
     def n(self) -> int:
@@ -163,7 +162,6 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
     lam = config.lam
-    m = gram.points.shape[0]
 
     solver = config.solver
     if solver == "auto":
@@ -177,8 +175,8 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
             retries=JITTER_RUNGS if config.jitter else 0,
             null=gram.roundoff(rest) if gram.c < gram.n else None,
         )
-        return CoefficientField(gram.expand(z, rest, lam + jitter), gram.pair_list, m,
-                                jitter_applied=jitter, solver="direct", pairs_checked=True)
+        return CoefficientField(gram.expand(z, rest, lam + jitter), gram,
+                                jitter_applied=jitter, solver="direct")
 
     def shifted(v):
         return gram.reduced_matvec(v) + lam * v
@@ -198,9 +196,8 @@ def fit_krr(gram: PairSystem, responses, config: KrrConfig) -> CoefficientField:
         raise NumericalFailure(
             f"solve residual {residual / scale:.3e} exceeds tolerance {config.cg_tol:g}"
         )
-    return CoefficientField(gram.expand(z, rest, lam), gram.pair_list, m, solver="cg",
-                            cg_iterations=iterations, preconditioner_rank=rank,
-                            pairs_checked=True)
+    return CoefficientField(gram.expand(z, rest, lam), gram, solver="cg",
+                            cg_iterations=iterations, preconditioner_rank=rank)
 
 
 def _pcg(matvec, b, x0, rtol, maxiter, precond=None):

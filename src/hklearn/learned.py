@@ -4,9 +4,12 @@ k*(x, x') = sum_ij beta_ij kk((x_i, x_j), (x, x')) + b.  Both evaluators go
 through the pair-separable form of the hyper-kernel (see
 :mod:`hklearn.hyper`): :func:`eval_pairs` takes row-aligned query pairs,
 :func:`eval_all_pairs` every pair of two point sets as one matrix product
-Phi_A diag(w) Phi_B'.  A pair and its swap share a midpoint, so the
-coefficients are first summed onto the c distinct unordered pairs, and the
-evaluation takes (len(A) + len(B)) * c exponentials.
+Phi_A diag(w) Phi_B'.  The kernel's coefficients hold the
+:class:`~hklearn.hyper.PairSystem` they were fit on, which also gives its
+points and scales.  A pair and its swap share a midpoint, so the coefficients
+are first summed onto the system's c distinct unordered pairs, with the g and
+midpoints the system grouped them with, and the evaluation takes
+(len(A) + len(B)) * c exponentials.
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .errors import FormatError, InvalidInput, NumericalFailure, utf8_input
-from .hyper import (
-    HyperKernelParams,
-    cross_factor,
-    pair_factors,
-    point_factors,
-    sq_dists,
-    unordered_pairs,
-)
+from .hyper import HyperKernelParams, PairSystem, cross_factor, point_factors, sq_dists
 from .krr import CoefficientField
 
 SCHEMA_VERSION = 1
@@ -45,26 +41,23 @@ class DefinitenessReport:
 
 @dataclass(frozen=True, eq=False)
 class LearnedKernel:
-    """Kernel function expanded over stored training pairs.
+    """Kernel function expanded over the training pairs of its coefficients.
 
-    ``coefficients`` aligns with its own pair list; ``bias`` is 0 for ridge
-    fits.  Instances are immutable and safe to share across threads.
+    ``coefficients`` holds the pair system the expansion runs over, whose
+    points and scales the kernel reads; ``bias`` is 0 for ridge fits.
+    Instances are immutable and safe to share across threads.
     """
 
-    points: np.ndarray
     coefficients: CoefficientField
     bias: float
-    hyper_params: HyperKernelParams
 
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != self.hyper_params.dim:
-            raise InvalidInput(
-                f"points have dimension {pts.shape[1]}, expected {self.hyper_params.dim}"
-            )
-        if self.coefficients.m > pts.shape[0]:
-            raise InvalidInput("coefficient pair indices exceed the stored points")
-        object.__setattr__(self, "points", pts)
+    @property
+    def points(self) -> np.ndarray:
+        return self.coefficients.system.points
+
+    @property
+    def hyper_params(self) -> HyperKernelParams:
+        return self.coefficients.system.params
 
 
 def eval_pairs(lk: LearnedKernel, A, B) -> np.ndarray:
@@ -101,11 +94,12 @@ def eval_all_pairs(lk: LearnedKernel, A, B=None) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
-    """:func:`eval_all_pairs` of kernels sharing points, pair list and scales.
+    """:func:`eval_all_pairs` of kernels over one pair system.
 
     Returns a (len(kernels), len(A), len(B)) stack, from one set of pair and
     point factors; each block takes one batched product for as many kernels
     as fit ``_STACK_FLOATS``.  Values that overflow are left inf or nan.
+    Kernels whose coefficients hold different systems raise ``InvalidInput``.
     """
     params = kernels[0].hyper_params
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -137,18 +131,19 @@ def eval_all_pairs_stack(kernels, A, B=None) -> np.ndarray:
 
 
 def _merged_weights(kernels):
-    """Weights and midpoints of kernels sharing points, pair list and scales,
-    over the distinct unordered pairs of that list.
+    """Weights and midpoints of kernels over one pair system, over its c
+    distinct unordered pairs.
 
     Returns ((len(kernels), c) weights, (c, dim) midpoints): the
     coefficients of a pair, its swap and its repeats are summed, for all
     kernels in one ``np.bincount``, and scaled by their g.
     """
-    points = kernels[0].points
-    distinct, col = unordered_pairs(kernels[0].coefficients.pair_list, len(points))
-    P = points[distinct]
-    g, mids = pair_factors(kernels[0].hyper_params, P[:, 0], P[:, 1])
-    k, c = len(kernels), g.size
+    system = kernels[0].coefficients.system
+    if any(lk.coefficients.system is not system for lk in kernels):
+        raise InvalidInput("the kernels of a stack must share one pair system")
+    col, size = system.members
+    g, mids = system.midpoints
+    k, c = len(kernels), size.size
     values = np.concatenate([lk.coefficients.values for lk in kernels])
     index = (col + c * np.arange(k)[:, None]).ravel()
     return np.bincount(index, weights=values, minlength=k * c).reshape(k, c) * g, mids
@@ -231,7 +226,6 @@ def load_learned(path) -> LearnedKernel:
         ) or bool in set(map(type, chain(*columns, *doc["points"]))):
             raise TypeError("a point, coefficient or bias is not a JSON number "
                             "or an index is not an integer")
-        points = points.astype(float, copy=False)
         bias = float(doc["bias"])
         hp_doc = doc["hyper_params"]
         scales = np.array([hp_doc["sigma2"], hp_doc["sigma_h2"]], dtype=float)
@@ -242,5 +236,4 @@ def load_learned(path) -> LearnedKernel:
         hp = HyperKernelParams(**hp_doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model file missing or malformed field: {exc}") from exc
-    field = CoefficientField(values, pairs, points.shape[0])
-    return LearnedKernel(points, field, bias, hp)
+    return LearnedKernel(CoefficientField(values, PairSystem(hp, points, pairs)), bias)

@@ -168,8 +168,9 @@ def fit_extend(X, given_kernel, method: str, hyperparams: dict,
     )
     base = base_config(method, hyperparams)
     system = PairSystem(params, X)
-    coeffs, bias = solve_pair_system(system, Y.ravel(), base, trace_path=trace_path)
-    return LearnedKernel(X, coeffs, bias, params)
+    lk = LearnedKernel(*solve_pair_system(system, Y.ravel(), base, trace_path=trace_path))
+    system.release()
+    return lk
 
 
 def base_config(method: str, hyperparams: dict):
@@ -271,15 +272,13 @@ def cross_validate(X_labeled, y, method: str, config: ExperimentConfig, labels=N
         scores = [[] for _ in regs]  # per reg; ends in NaN once a fold fails
         grams = [[] for _ in regs]
         for train, val in folds:
-            X_train = X[train]
-            system = PairSystem(params, X_train)
+            system = PairSystem(params, X[train])
             responses = Y[np.ix_(train, train)].ravel()
             live = [k for k in range(len(regs)) if not np.isnan(scores[k]).any()]
             fits = {}
             for k in live:
                 try:
-                    coeffs, bias = solve_pair_system(system, responses, bases[k])
-                    fits[k] = LearnedKernel(X_train, coeffs, bias, params)
+                    fits[k] = LearnedKernel(*solve_pair_system(system, responses, bases[k]))
                 except HklearnError:
                     scores[k].append(np.nan)
             if not fits:
@@ -524,14 +523,11 @@ def _study_trial(rng, m, noise_sigma, target, base) -> float:
         scale = responses.std()
         planted /= scale
         responses /= scale
-        target_lk = LearnedKernel(
-            X, CoefficientField(planted, system.pair_list, m), 0.0, params
-        )
+        target_lk = LearnedKernel(CoefficientField(planted, system), 0.0)
     if noise_sigma > 0:
         responses = responses + noise_sigma * rng.standard_normal(m * m)
 
-    coeffs, bias = solve_pair_system(system, responses, base)
-    lk = LearnedKernel(X, coeffs, bias, params)
+    lk = LearnedKernel(*solve_pair_system(system, responses, base))
 
     A = rng.uniform(0.0, 1.0, size=(200, 2))
     B = rng.uniform(0.0, 1.0, size=(200, 2))

@@ -41,26 +41,6 @@ class ScalingConfig:
             raise InvalidInput(f"landmark count must be >= 1, got {self.u}")
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionPlan:
-    """Cluster ids (1-based) per point, plus the final centroids."""
-
-    assignment: np.ndarray
-    centroids: np.ndarray
-
-    def __post_init__(self):
-        assign = np.asarray(self.assignment, dtype=np.intp)
-        cents = np.asarray(self.centroids, dtype=float)
-        v = cents.shape[0]
-        counts = np.bincount(assign, minlength=v + 1)
-        if assign.size and (assign.min() < 1 or assign.max() > v):
-            raise InvalidInput("cluster ids must lie in [1, v]")
-        if np.any(counts[1 : v + 1] == 0):
-            raise InvalidInput("empty cluster in partition plan")
-        object.__setattr__(self, "assignment", assign)
-        object.__setattr__(self, "centroids", cents)
-
-
 @dataclass(frozen=True)
 class DecompositionDiagnostics:
     """Cross-cluster mass, spectrum floor, and the resulting gap bound.
@@ -77,12 +57,13 @@ class DecompositionDiagnostics:
     observed_gap: float | None = None
 
 
-def kmeans_partition(X, v: int, seed: int) -> PartitionPlan:
-    """Lloyd's algorithm with distance-weighted seeding; deterministic per seed.
+def kmeans_partition(X, v: int, seed: int) -> np.ndarray:
+    """The 1-based cluster id of each point, by Lloyd's algorithm with
+    distance-weighted seeding; deterministic per seed.
 
     At most ``KMEANS_MAX_ITER`` rounds run.  Empty clusters are repaired by
-    peeling the farthest point off the largest cluster, so the plan never has
-    fewer than v occupied clusters.
+    peeling the farthest point off the largest cluster, so all v clusters
+    are occupied.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -111,9 +92,7 @@ def kmeans_partition(X, v: int, seed: int) -> PartitionPlan:
         assign = new_assign
         for c in range(v):
             centers[c] = X[assign == c].mean(axis=0)
-
-    centroids = np.vstack([X[assign == c].mean(axis=0) for c in range(v)])
-    return PartitionPlan(assign + 1, centroids)
+    return assign + 1
 
 
 def _repair_empty(assign: np.ndarray, X: np.ndarray, v: int) -> np.ndarray:
@@ -131,14 +110,15 @@ def _repair_empty(assign: np.ndarray, X: np.ndarray, v: int) -> np.ndarray:
     return assign
 
 
-def pair_partition(plan: PartitionPlan, pairs) -> np.ndarray:
-    """Cluster id per pair; RESIDUAL_GROUP (0) when the endpoints disagree."""
+def pair_partition(assignment, pairs) -> np.ndarray:
+    """Cluster id per pair from the cluster ids of the points
+    (:func:`kmeans_partition`); RESIDUAL_GROUP (0) when the endpoints disagree."""
+    assignment = np.asarray(assignment, dtype=np.intp)
     pairs = np.asarray(pairs, dtype=np.intp)
-    m = plan.assignment.size
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
-        raise InvalidInput("pair references a point outside the partition plan")
-    a = plan.assignment[pairs[:, 0]]
-    b = plan.assignment[pairs[:, 1]]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= assignment.size):
+        raise InvalidInput("pair references a point outside the partition")
+    a = assignment[pairs[:, 0]]
+    b = assignment[pairs[:, 1]]
     return np.where(a == b, a, RESIDUAL_GROUP)
 
 
@@ -237,9 +217,11 @@ def fit_decomposed(
     if scaling.u > m:
         raise InvalidInput(f"landmark count {scaling.u} exceeds m={m}")
 
-    plan = kmeans_partition(X, scaling.v, scaling.seed)
+    assignment = kmeans_partition(X, scaling.v, scaling.seed)
     landmarks, pairs = nystrom_restrict(m, scaling.u, scaling.seed)
-    clusters = pair_partition(plan, pairs)
+    clusters = pair_partition(assignment, pairs)
+    full_system = PairSystem(params, X, pairs)
+    y = Y[pairs[:, 0], pairs[:, 1]]
 
     values = np.zeros(pairs.shape[0])
     bias_num = bias_den = 0.0
@@ -247,11 +229,9 @@ def fit_decomposed(
         sel = np.flatnonzero(clusters == c)
         if sel.size == 0:
             continue
-        sub_pairs = pairs[sel]
-        sub_system = PairSystem(params, X, sub_pairs)
-        sub_y = Y[sub_pairs[:, 0], sub_pairs[:, 1]]
+        sub_system = PairSystem(params, X, pairs[sel])
         try:
-            coeffs_c, bias_c = solve_pair_system(sub_system, sub_y, base)
+            coeffs_c, bias_c = solve_pair_system(sub_system, y[sel], base)
         except HklearnError as exc:
             exc.args = (f"cluster {c}: {exc}",) + exc.args[1:]
             raise
@@ -260,13 +240,11 @@ def fit_decomposed(
         bias_den += sel.size
 
     bias = bias_num / bias_den if bias_den else 0.0
-    coeffs = CoefficientField(values, pairs, m)
-    lk = LearnedKernel(X, coeffs, bias, params)
-
-    full_system = PairSystem(params, X, pairs)
     gap = None
     if pairs.shape[0] <= FULL_SOLVE_LIMIT:
-        full, _ = solve_pair_system(full_system, Y[pairs[:, 0], pairs[:, 1]], base)
+        full, _ = solve_pair_system(full_system, y, base)
         gap = float(np.linalg.norm(full.values - values))
     C = base.C if isinstance(base, SvrConfig) else None
-    return lk, decomposition_bound(full_system, clusters, C, gap)
+    diagnostics = decomposition_bound(full_system, clusters, C, gap)
+    full_system.release()
+    return LearnedKernel(CoefficientField(values, full_system), bias), diagnostics

@@ -266,8 +266,7 @@ def fit_svr(gram: PairSystem, responses, config: SvrConfig,
     beta = np.clip(z / size, -C, C)[group]
     support = np.flatnonzero(beta != 0.0)
     obj = float(-0.5 * z @ (K @ z) + z @ y[head] - eps * np.abs(z).sum())
-    coeffs = CoefficientField(beta, gram.pair_list, gram.points.shape[0], solver="smo",
-                              pairs_checked=True)
+    coeffs = CoefficientField(beta, gram, solver="smo")
     return SvrModel(coeffs, bias, support, obj, config)
 
 

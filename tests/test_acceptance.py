@@ -135,9 +135,8 @@ def test_criterion_4_decomposition_bound():
         # the list holds every pair with its swap, so K is singular exactly
         assert diag.sigma_min == 0.0 and diag.bound == float("inf")
         # with jitter the spectrum floor is positive and the bound is finite
-        plan = kmeans_partition(X, 2, k)
         _, pairs = nystrom_restrict(m, m, k)
-        clusters = pair_partition(plan, pairs)
+        clusters = pair_partition(kmeans_partition(X, 2, k), pairs)
         gram = assemble_hyper_gram(params, X, pairs)
         jittered = gram.entries + gram.base_jitter * np.eye(gram.n)
         finite = dense_decomposition_bound(jittered, clusters, base.C, diag.observed_gap)
@@ -227,13 +226,11 @@ def test_criterion_6_out_of_sample_fit_quality():
         pred = eval_pairs(lk, X[test_pairs[:, 0]], X[test_pairs[:, 1]])
         return float(np.sqrt(np.mean((pred - y_te) ** 2)))
 
-    krr_lk = LearnedKernel(
-        X, fit_krr(gram, y_tr, KrrConfig(lam=1e-6)), 0.0, params
-    )
+    krr_lk = LearnedKernel(fit_krr(gram, y_tr, KrrConfig(lam=1e-6)), 0.0)
     assert rmse_of(krr_lk) <= 0.15
 
     model = fit_svr(gram, y_tr, SvrConfig(C=1000.0, epsilon=0.02, kkt_tol=1e-5))
-    svr_lk = LearnedKernel(X, model.beta, model.bias, params)
+    svr_lk = LearnedKernel(model.beta, model.bias)
     assert rmse_of(svr_lk) <= 0.15
 
     assert time.perf_counter() - start < 60.0

@@ -450,6 +450,29 @@ def _fit_artifacts(out):
     return report, (out / "cv_scores.csv").read_bytes(), (out / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["krr", "svr"])
+def test_a_tuned_fit_groups_the_pairs_of_each_system_once(tmp_path, monkeypatch, method):
+    # each (sigma_h2, fold) system and the final fit group their pairs, with
+    # their g and midpoints, once; the learned kernels evaluate over the
+    # grouping of the system they were fit on
+    import hklearn.hyper as hyper
+
+    real, calls = hyper.pair_factors, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):  # wherever the package binds it
+        if name.split(".")[0] == "hklearn" and getattr(module, "pair_factors", None) is real:
+            monkeypatch.setattr(module, "pair_factors", counting)
+    grid = {"sigma_h2_grid": [0.5, 2.0], "reg_grid": [1e-2, 1.0]}
+    config = _write(tmp_path / "cfg.json", json.dumps(grid))
+    assert main(["fit", str(fixture_path("two_moons.csv")), "--config", config,
+                 "--method", method, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2 * 5 + 1
+
+
 @pytest.mark.parametrize("case", ["moons-krr", "moons-svr", "three-classes"])
 def test_tuned_fit_matches_the_per_grid_point_cv_loop(tmp_path, monkeypatch, case):
     import hklearn.cli as cli

@@ -211,7 +211,7 @@ def test_column_sum_spans_column_blocks():
     m = 65
     X = np.random.default_rng(1).standard_normal((m, 2))
     system = PairSystem(HyperKernelParams(1.0, 2.0, 2), X)
-    assert system.n == 4225 and system._factors[2].shape == (65, 2145)
+    assert system.n == 4225 and system._factors[-1].shape == (65, 2145)
     full = system.matvec(np.ones(system.n))
     assert np.all(np.abs(system.column_sum(np.arange(system.n)) - full) <= 1e-12 * full)
 
@@ -263,7 +263,7 @@ def test_pair_system_factors_cover_only_the_points_it_uses():
     v = np.arange(1.0, 6.0)
     K = hyper_gram_reference(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
-    assert system._factors[2].shape == (3, 4)
+    assert system._factors[-1].shape == (3, 4)
 
 
 # swapped pairs, pairs without their swap, diagonal pairs and repeated pairs
@@ -271,12 +271,35 @@ MIXED_PAIRS = np.array([[0, 1], [1, 0], [2, 3], [4, 4], [5, 5], [0, 1], [3, 5], 
                         [1, 4], [4, 4], [2, 0], [5, 3]])
 
 
-def test_unordered_pairs_merge_swaps_and_repeats():
-    distinct, col = hyper.unordered_pairs(MIXED_PAIRS, 6)
-    assert distinct.tolist() == [[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 4], [5, 5]]
+def test_pair_system_merges_swaps_and_repeats():
+    X = np.random.default_rng(0).standard_normal((6, 2))
+    params = HyperKernelParams(0.6, 1.4, 2)
+    system = PairSystem(params, X, MIXED_PAIRS)
+    distinct = np.array([[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 4], [5, 5]])
+    col, size = system.members
+    assert size.tolist() == [3, 1, 1, 1, 3, 2, 1]
     assert np.array_equal(distinct[col], np.sort(MIXED_PAIRS, axis=1))
-    empty, col = hyper.unordered_pairs(np.empty((0, 2), dtype=int), 6)
-    assert empty.shape == (0, 2) and col.shape == (0,)
+    g, mids = system.midpoints
+    ref_g, ref_mids = hyper.pair_factors(params, X[distinct[:, 0]], X[distinct[:, 1]])
+    assert np.array_equal(g, ref_g) and np.array_equal(mids, ref_mids)
+    empty = PairSystem(params, X, np.empty((0, 2), dtype=int))
+    col, size = empty.members
+    g, mids = empty.midpoints
+    assert empty.c == 0 and col.shape == size.shape == g.shape == (0,)
+    assert mids.shape == (0, 2)
+
+
+def test_a_released_system_keeps_its_grouping_and_solves_again():
+    rng = np.random.default_rng(2)
+    system = PairSystem(HyperKernelParams(0.6, 1.4, 2), rng.standard_normal((6, 2)), MIXED_PAIRS)
+    v = rng.standard_normal(system.n)
+    before, (w, _), (col, _), (_, mids) = (system.matvec(v), system.spectrum,
+                                           system.members, system.midpoints)
+    system.release()
+    assert not {"_factors", "block", "spectrum"} & set(vars(system))
+    assert system.members[0] is col and system.midpoints[1] is mids
+    assert np.array_equal(system.matvec(v), before)
+    assert np.array_equal(system.spectrum[0], w)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -286,7 +309,7 @@ def test_pair_system_on_merged_columns_matches_the_midpoint_reference(d):
     params = HyperKernelParams(0.6, 1.4, d)
     system = PairSystem(params, X, MIXED_PAIRS)
     ref = hyper_gram_reference(params, X, MIXED_PAIRS)
-    assert system._factors[2].shape == (6, 7)
+    assert system._factors[-1].shape == (6, 7)
     for v in (rng.standard_normal(system.n), np.ones(system.n)):
         err = np.abs(system.matvec(v) - ref @ v)
         assert np.all(err <= 1e-12 * (ref @ np.abs(v)))

@@ -15,7 +15,6 @@ from hklearn import (
     assemble_hyper_gram,
     data_sigma2,
     fit_krr,
-    full_pair_list,
 )
 from hklearn import krr
 from hklearn.base_kernels import TL1, gram_matrix
@@ -438,11 +437,16 @@ def test_size_mismatch_rejected(rng):
 
 
 def test_coefficient_field_shape_and_finiteness():
-    pairs = full_pair_list(2)
-    field = CoefficientField(np.arange(4.0), pairs, 2)
+    system = PairSystem(HyperKernelParams(1.0, 1.0, 1), np.arange(2.0))
+    field = CoefficientField(np.arange(4.0), system)
     assert field.n == 4 and field.values.shape == (4,)
+    assert field.pair_list is system.pair_list
     with pytest.raises(InvalidInput):
-        CoefficientField(np.array([1.0, np.inf, 0.0, 0.0]), pairs, 2)
+        CoefficientField(np.array([1.0, np.inf, 0.0, 0.0]), system)
+    # values that do not align with the system's pairs
+    for values in (np.arange(3.0), np.arange(5.0), np.zeros((2, 3))):
+        with pytest.raises(InvalidInput, match="do not align"):
+            CoefficientField(values, system)
 
 
 def _study_system(m):

@@ -23,6 +23,7 @@ from hklearn import (
     full_pair_list,
     gram_matrix,
     KrrConfig,
+    PairSystem,
     learned_gram,
     load_learned,
     save_learned,
@@ -31,21 +32,24 @@ from hklearn import learned
 from midpoint_reference import eval_pairs_reference
 
 
+def _kernel(X, values, bias, params, pairs=None):
+    """The learned kernel with the given coefficients over a new pair system."""
+    return LearnedKernel(CoefficientField(values, PairSystem(params, X, pairs)), bias)
+
+
 def _fitted(rng, m=4, d=2):
     X = rng.standard_normal((m, d))
     params = HyperKernelParams(1.0, 0.8, d)
     gram = assemble_hyper_gram(params, X)
     y = rng.standard_normal(m * m)
-    beta = fit_krr(gram, y, KrrConfig(1e-3))
-    lk = LearnedKernel(X, beta, 0.25, params)
+    lk = LearnedKernel(fit_krr(gram, y, KrrConfig(1e-3)), 0.25)
     return lk, gram, y
 
 
 def test_zero_coefficients_give_constant_bias(rng):
     X = rng.standard_normal((3, 2))
     params = HyperKernelParams(1.0, 1.0, 2)
-    field = CoefficientField(np.zeros(9), full_pair_list(3), 3)
-    lk = LearnedKernel(X, field, 0.7, params)
+    lk = _kernel(X, np.zeros(9), 0.7, params)
     np.testing.assert_array_equal(eval_pairs(lk, [5.0, -2.0], [0.1, 0.3]), [0.7])
 
 
@@ -67,8 +71,7 @@ def test_training_pairs_reproduce_solver_values(rng):
 
 def test_learned_gram_constant_kernel(rng):
     X = rng.standard_normal((5, 2))
-    field = CoefficientField(np.zeros(25), full_pair_list(5), 5)
-    lk = LearnedKernel(X, field, 0.4, HyperKernelParams(1.0, 1.0, 2))
+    lk = _kernel(X, np.zeros(25), 0.4, HyperKernelParams(1.0, 1.0, 2))
     matrix, report = learned_gram(lk, X)
     np.testing.assert_array_equal(matrix, 0.4)
     evals = np.sort(np.linalg.eigvalsh(matrix))
@@ -143,17 +146,14 @@ def test_model_file_is_byte_identical_to_json_dumps(tmp_path, rng, case):
     params = HyperKernelParams(0.1, 0.2, 2)
     if case == "extend-tl1":
         X = rng.uniform(0.0, 1.0, (46, 2))
-        field = CoefficientField(1e3 * rng.standard_normal(46 * 46), full_pair_list(46), 46)
-        bias = 0.0
+        values, pairs, bias = 1e3 * rng.standard_normal(46 * 46), None, 0.0
     elif case == "extremes":
         X = rng.standard_normal((2, 2))
-        field = CoefficientField([-0.0, 5e-324, 1e300, -1.5], full_pair_list(2), 2)
-        bias = -0.25
+        values, pairs, bias = [-0.0, 5e-324, 1e300, -1.5], None, -0.25
     else:
         X = rng.standard_normal((3, 2))
-        field = CoefficientField([0.125], [[2, 1]], 3)
-        bias = 1e-300
-    lk = LearnedKernel(X, field, bias, params)
+        values, pairs, bias = [0.125], [[2, 1]], 1e-300
+    lk = _kernel(X, values, bias, params, pairs)
     path = tmp_path / "model.json"
     save_learned(lk, path)
     assert path.read_text() == _json_dumps_model(lk)
@@ -181,6 +181,20 @@ def test_load_rejects_missing_field(tmp_path, rng):
     bad.write_text(json.dumps(blob))
     with pytest.raises(FormatError):
         load_learned(bad)
+
+
+def test_load_rejects_points_that_are_not_a_matrix(tmp_path, rng):
+    # points nested three deep with the model's dimension as their second
+    # axis once passed the load and failed inside the evaluation
+    lk, _, _ = _fitted(rng)
+    path = tmp_path / "model.json"
+    save_learned(lk, path)
+    blob = json.loads(path.read_text())
+    blob["hyper_params"]["dim"] = 1
+    blob["points"] = [[[x, y]] for x, y in blob["points"]]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InvalidInput, match="points must be"):
+        load_learned(path)
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -219,9 +233,8 @@ def _oracle_cases(d):
         s2 = scale * d
         params = HyperKernelParams(s2, mult * s2, d)
         beta = rng.uniform(-bmax, bmax, m * m)
-        pairs = full_pair_list(m)
-        lk = LearnedKernel(X, CoefficientField(beta, pairs, m), 0.0, params)
-        lk_abs = LearnedKernel(X, CoefficientField(np.abs(beta), pairs, m), 0.0, params)
+        lk = _kernel(X, beta, 0.0, params)
+        lk_abs = _kernel(X, np.abs(beta), 0.0, params)
         jitter = spread * np.sqrt(s2) / 3.0
         A = X[rng.integers(0, m, 7)] + jitter * rng.standard_normal((7, d))
         B = X[rng.integers(0, m, 5)] + jitter * rng.standard_normal((5, d))
@@ -269,9 +282,9 @@ def test_a_stack_of_kernels_equals_each_kernel_alone_across_blocks(rng, monkeypa
 
     monkeypatch.setattr(learned, "_QUERY_CHUNK", 4)  # 10 query rows take 3 blocks
     lk, _, _ = _fitted(rng)
-    pairs = lk.coefficients.pair_list
+    system = lk.coefficients.system
     values = [lk.coefficients.values, -3.0 * lk.coefficients.values, np.full(16, 1e308)]
-    scaled = [LearnedKernel(lk.points, CoefficientField(v, pairs, 4), bias, lk.hyper_params)
+    scaled = [LearnedKernel(CoefficientField(v, system), bias)
               for v, bias in zip(values, (0.25, -1.0, 1.79e308))]
     A, B = rng.standard_normal((10, 2)), rng.standard_normal((7, 2))
     # all three kernels in one batched product, then in batches of 2 and 1:
@@ -288,6 +301,20 @@ def test_a_stack_of_kernels_equals_each_kernel_alone_across_blocks(rng, monkeypa
                 eval_all_pairs(scaled[2], A, B_arg)
 
 
+def test_a_stack_rejects_kernels_over_different_systems(rng):
+    lk, _, _ = _fitted(rng)
+    A = rng.standard_normal((3, 2))
+    # equal pairs, points and scales in a second system, and other pairs
+    twin = _kernel(lk.points, lk.coefficients.values, 0.25, lk.hyper_params)
+    other = _kernel(lk.points, np.ones(3), 0.0, lk.hyper_params, [[0, 1], [1, 0], [2, 3]])
+    for kernels in ([lk, twin], [other, lk]):
+        with pytest.raises(InvalidInput, match="one pair system"):
+            learned.eval_all_pairs_stack(kernels, A)
+    shifted = LearnedKernel(lk.coefficients, 1.25)
+    stack = learned.eval_all_pairs_stack([lk, shifted], A)
+    assert np.array_equal(stack[1], eval_all_pairs(shifted, A))
+
+
 def test_evaluators_on_merged_pairs_match_the_midpoint_reference(rng):
     # swapped pairs, pairs without their swap, diagonal pairs and a repeated
     # pair: their coefficients are summed onto 7 unordered pairs
@@ -295,8 +322,9 @@ def test_evaluators_on_merged_pairs_match_the_midpoint_reference(rng):
                       [1, 4], [4, 4], [2, 0], [5, 3]])
     X = rng.standard_normal((6, 2))
     params = HyperKernelParams(0.6, 1.4, 2)
-    kernels = [LearnedKernel(X, CoefficientField(rng.uniform(0.5, 2.0, 12), pairs, 6),
-                             0.0, params) for _ in range(3)]
+    system = PairSystem(params, X, pairs)
+    kernels = [LearnedKernel(CoefficientField(rng.uniform(0.5, 2.0, 12), system), 0.0)
+               for _ in range(3)]
     A, B = X[[0, 2, 4, 1]] + 0.3 * rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
     for B_arg in (None, B):
         Q = A if B_arg is None else B_arg
@@ -311,8 +339,7 @@ def test_evaluators_on_merged_pairs_match_the_midpoint_reference(rng):
 
 def test_all_pairs_zero_coefficients_give_the_bias_exactly(rng):
     X = rng.standard_normal((4, 3))
-    field = CoefficientField(np.zeros(16), full_pair_list(4), 4)
-    lk = LearnedKernel(X, field, -1.3, HyperKernelParams(0.5, 2.0, 3))
+    lk = _kernel(X, np.zeros(16), -1.3, HyperKernelParams(0.5, 2.0, 3))
     A = 20.0 * rng.standard_normal((6, 3))
     assert np.all(eval_all_pairs(lk, A) == -1.3)
     assert np.all(eval_all_pairs(lk, A, X) == -1.3)
@@ -332,8 +359,7 @@ def test_learned_gram_memory_stays_near_its_output():
     rng = np.random.default_rng(3)
     m, d = 12, 4
     X = rng.standard_normal((m, d))
-    field = CoefficientField(rng.standard_normal(m * m), full_pair_list(m), m)
-    lk = LearnedKernel(X, field, 0.1, HyperKernelParams(4.0, 4.0, d))
+    lk = _kernel(X, rng.standard_normal(m * m), 0.1, HyperKernelParams(4.0, 4.0, d))
     Q = rng.standard_normal((1500, d))
     tracemalloc.start()
     try:

@@ -14,12 +14,14 @@ from hklearn import (
     KrrConfig,
     NumericalFailure,
     PipelineFailure,
+    ScalingConfig,
     SlopeUndefined,
     StratificationWarning,
     assemble_hyper_gram,
     cross_validate,
     data_sigma2,
     eval_pairs,
+    fit_decomposed,
     fit_extend,
     learning_rate_study,
     ovr_accuracies,
@@ -133,6 +135,19 @@ def test_rmse_symmetry_and_scaling(values, scale):
 def test_data_sigma2_mean_per_feature_variance():
     X = np.array([[0.0, 0.0], [2.0, 2.0]])
     assert data_sigma2(X) == pytest.approx(1.0)
+
+
+def test_a_fitted_kernel_keeps_its_system_without_the_solver_state(rng):
+    # the kernel evaluates with its system's grouping only, so the factors,
+    # block and spectrum of the solve are not held for the kernel's lifetime
+    X = rng.standard_normal((6, 2))
+    Y = np.exp(-0.5 * ((X[:, None] - X[None]) ** 2).sum(-1))
+    hp = {"sigma2": 1.0, "sigma_h2": 1.0, "reg": 1e-3}
+    kernels = [fit_extend(X, Y, method, hp) for method in ("krr", "svr")]
+    kernels.append(fit_decomposed(X, Y, KrrConfig(1e-3), ScalingConfig(v=2, u=6, seed=0),
+                                  HyperKernelParams(1.0, 1.0, 2))[0])
+    for lk in kernels:
+        assert not {"_factors", "block", "spectrum"} & set(vars(lk.coefficients.system))
 
 
 def test_cross_validate_single_grid_point(rng):

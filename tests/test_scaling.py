@@ -39,22 +39,22 @@ def _blobs(rng, m, gap=20.0, spread=0.5):
 
 
 def test_kmeans_single_cluster(rng):
-    plan = kmeans_partition(rng.standard_normal((6, 2)), 1, seed=0)
-    np.testing.assert_array_equal(plan.assignment, 1)
+    assignment = kmeans_partition(rng.standard_normal((6, 2)), 1, seed=0)
+    np.testing.assert_array_equal(assignment, 1)
 
 
 def test_kmeans_one_cluster_per_point(rng):
     X = rng.standard_normal((5, 2))
-    plan = kmeans_partition(X, 5, seed=0)
-    assert sorted(plan.assignment) == [1, 2, 3, 4, 5]
+    assignment = kmeans_partition(X, 5, seed=0)
+    assert sorted(assignment) == [1, 2, 3, 4, 5]
 
 
 def test_kmeans_separates_blobs_on_every_seed():
     # inter-center distance is 20x the intra-blob spread
     for seed in range(10):
         X = _blobs(np.random.default_rng(seed), 12)
-        plan = kmeans_partition(X, 2, seed=seed)
-        first, second = plan.assignment[:6], plan.assignment[6:]
+        assignment = kmeans_partition(X, 2, seed=seed)
+        first, second = assignment[:6], assignment[6:]
         assert len(set(first)) == 1 and len(set(second)) == 1
         assert first[0] != second[0]
 
@@ -63,15 +63,14 @@ def test_kmeans_deterministic(rng):
     X = rng.standard_normal((20, 3))
     a = kmeans_partition(X, 3, seed=11)
     b = kmeans_partition(X, 3, seed=11)
-    np.testing.assert_array_equal(a.assignment, b.assignment)
-    np.testing.assert_array_equal(a.centroids, b.centroids)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_kmeans_no_empty_clusters(rng):
     # more clusters than distinct locations forces the repair path
     X = np.repeat(rng.standard_normal((3, 2)), 4, axis=0)
-    plan = kmeans_partition(X, 3, seed=5)
-    assert set(plan.assignment) == {1, 2, 3}
+    assignment = kmeans_partition(X, 3, seed=5)
+    assert set(assignment) == {1, 2, 3}
 
 
 def test_kmeans_validation(rng):
@@ -84,29 +83,35 @@ def test_kmeans_validation(rng):
 
 def test_pair_partition_single_cluster(rng):
     X = rng.standard_normal((4, 2))
-    plan = kmeans_partition(X, 1, seed=0)
-    clusters = pair_partition(plan, full_pair_list(4))
+    assignment = kmeans_partition(X, 1, seed=0)
+    clusters = pair_partition(assignment, full_pair_list(4))
     np.testing.assert_array_equal(clusters, 1)
     assert np.count_nonzero(clusters == RESIDUAL_GROUP) == 0
 
 
 def test_pair_partition_cross_pairs_to_residual():
     X = _blobs(np.random.default_rng(0), 6)
-    plan = kmeans_partition(X, 2, seed=0)
-    clusters = pair_partition(plan, full_pair_list(6))
+    assignment = kmeans_partition(X, 2, seed=0)
+    clusters = pair_partition(assignment, full_pair_list(6))
     for k, (i, j) in enumerate(full_pair_list(6)):
-        if plan.assignment[i] != plan.assignment[j]:
+        if assignment[i] != assignment[j]:
             assert clusters[k] == RESIDUAL_GROUP
         else:
-            assert clusters[k] == plan.assignment[i]
+            assert clusters[k] == assignment[i]
+
+
+def test_pair_partition_rejects_pairs_outside_the_assignment():
+    for pairs in ([[0, 3]], [[-1, 0]]):
+        with pytest.raises(InvalidInput, match="outside the partition"):
+            pair_partition(np.array([1, 2, 1]), pairs)
 
 
 @pytest.mark.parametrize("m,v", [(6, 2), (11, 3), (20, 4)])
 def test_pair_partition_count_identity(m, v):
     X = np.random.default_rng(m * v).standard_normal((m, 2))
-    plan = kmeans_partition(X, v, seed=1)
-    clusters = pair_partition(plan, full_pair_list(m))
-    sizes = np.bincount(plan.assignment)[1:]
+    assignment = kmeans_partition(X, v, seed=1)
+    clusters = pair_partition(assignment, full_pair_list(m))
+    sizes = np.bincount(assignment)[1:]
     within = int(np.sum(sizes ** 2))
     residual = int(np.count_nonzero(clusters == RESIDUAL_GROUP))
     assert within + residual == m * m
@@ -178,11 +183,11 @@ def test_diagnostics_match_the_dense_oracle(seed, m, u, v, base):
     Y = gram_matrix(GaussianRBF(0.25), X)
     scaling = ScalingConfig(v=v, u=u, seed=seed)
     _, diag = fit_decomposed(X, Y, base, scaling, params)
-    plan = kmeans_partition(X, v, seed)
+    assignment = kmeans_partition(X, v, seed)
     _, pairs = nystrom_restrict(m, u, seed)
     K = assemble_hyper_gram(params, X, pairs).entries
     C = base.C if isinstance(base, SvrConfig) else None
-    ref = dense_decomposition_bound(K, pair_partition(plan, pairs), C)
+    ref = dense_decomposition_bound(K, pair_partition(assignment, pairs), C)
     assert abs(diag.q_pi - ref.q_pi) <= 1e-12 * ref.q_pi
     # every landmark list holds each pair with its swap: K is singular
     assert abs(ref.sigma_min) <= 1e-12 * eigvalsh(K)[-1]
@@ -298,8 +303,8 @@ def test_far_blobs_decompose_like_full_solve():
     gram = assemble_hyper_gram(params, X)
     full = fit_krr(gram, Y.ravel(), KrrConfig(1e-3))
 
-    plan = kmeans_partition(X, 2, seed=0)
-    clusters = pair_partition(plan, full_pair_list(m))
+    assignment = kmeans_partition(X, 2, seed=0)
+    clusters = pair_partition(assignment, full_pair_list(m))
     cross = np.flatnonzero(clusters == RESIDUAL_GROUP)
     kept = np.flatnonzero(clusters != RESIDUAL_GROUP)
     assert gram.entries[np.ix_(cross, kept)].max() <= 1e-12
@@ -333,8 +338,8 @@ def test_bound_covers_observed_gap_with_jitter(rng):
     full = fit_svr(gram, Y.ravel(), cfg)
     gap = float(np.linalg.norm(full.beta.values - lk.coefficients.values))
 
-    plan = kmeans_partition(X, 2, seed=0)
-    clusters = pair_partition(plan, full_pair_list(8))
+    assignment = kmeans_partition(X, 2, seed=0)
+    clusters = pair_partition(assignment, full_pair_list(8))
     jittered = gram.entries + gram.base_jitter * np.eye(gram.n)
     diag = dense_decomposition_bound(jittered, clusters, C=cfg.C, observed_gap=gap)
     assert diag.bound >= gap

@@ -6,19 +6,22 @@ export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
 that only tests call live under ``tests/``, not in the package.  A
 ``_``-prefixed name belongs to its module: no other module of the package
 imports it.  The functions the benchmark's span wrappers replace by name, and
-the arguments their counters read, exist in the package, and the traced
-benchmark run passes on every workload.  Every field of a solve config is a
+the arguments their counters read, exist in the package, each counter reads
+a real call, and the traced benchmark run passes on every workload.  Every field of a solve config is a
 setting that a command reads.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hklearn"
@@ -99,6 +102,54 @@ def test_benchmark_layers_resolve_with_the_arguments_their_counters_bind():
     for (module, name), arguments in bound.items():
         fn = getattr(importlib.import_module(f"hklearn.{module}"), name)
         assert arguments <= set(inspect.signature(fn).parameters), f"{module}.{name}"
+
+
+def test_every_benchmark_counter_reads_a_real_call(monkeypatch):
+    # the traced run calls no eval_pairs, so its counter is run here, with
+    # every other counter, on a small call through the installed wrappers
+    from hklearn import GaussianRBF, HyperKernelParams, LearnedKernel, PairSystem
+    from hklearn.krr import KrrConfig
+    from hklearn.svr import SvrConfig
+
+    spec = importlib.util.spec_from_file_location("hkbench_spans", ROOT / "hkbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (4, 2))
+    params = HyperKernelParams(0.5, 0.5, 2)
+    y = np.exp(-((X[:, None] - X[None]) ** 2).sum(-1)).ravel()
+    # through the module attributes, which the tracer replaces
+    krr, svr, learned, base_kernels, hyper = (
+        importlib.import_module(f"hklearn.{name}")
+        for name in ("krr", "svr", "learned", "base_kernels", "hyper"))
+
+    def fit():
+        return krr.fit_krr(PairSystem(params, X), y, KrrConfig(1e-3))
+
+    calls = {
+        "base_kernels.gram_matrix": lambda: base_kernels.gram_matrix(GaussianRBF(1.0), X),
+        "hyper.assemble_hyper_gram": lambda: hyper.assemble_hyper_gram(params, X),
+        "krr.fit_krr": fit,
+        "svr.fit_svr": lambda: svr.fit_svr(PairSystem(params, X), y, SvrConfig(C=1.0)),
+        "learned.eval_pairs": lambda: learned.eval_pairs(LearnedKernel(fit(), 0.0),
+                                                         X[:3], X[1:]),
+    }
+    assert set(calls) == set(spans.COUNTERS)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for call in calls.values():
+            call()
+    finally:
+        tracer.uninstall()
+    counts = {s.name: s.counts for s in tracer.spans}
+    assert counts["base_kernels.gram_matrix"] == {"entries": 16}
+    assert counts["hyper.assemble_hyper_gram"]["entries"] == 256
+    assert counts["krr.fit_krr"] == {"unknowns": 16}
+    assert counts["svr.fit_svr"]["unknowns"] == 16
+    assert counts["learned.eval_pairs"] == {"queries": 3, "query_terms": 3 * 16}
+    worst, errors = tracer.check_krr_solves()
+    assert not errors and worst <= spans.DIRECT_RESIDUAL_TOL
 
 
 def test_traced_benchmark_passes_on_every_workload():
