@@ -18,9 +18,10 @@ at its pair midpoints, (K v)_r = cross_r * (Phi diag(g * v) Phi')[i_r, j_r].
 The hyper-kernel is swap-symmetric, so a pair and its swap (and a repeated
 pair) have one midpoint, one g and equal rows of K: Phi holds one column per
 distinct unordered pair.  :class:`PairSystem`, the one type of a pair system,
-is the one place that groups a pair list into those c pairs: every solver
-works over them, and a fit's coefficients and learned kernel keep their
-system, so evaluation reuses its grouping, g and midpoints.
+is the one place that groups a pair list into those c pairs, once, when it
+is built: every solver works over them, and a fit's coefficients and learned
+kernel keep their system, so evaluation reads its grouping, g and midpoints
+and writes nothing to it.
 """
 
 from __future__ import annotations
@@ -183,17 +184,12 @@ def cap_entries(count: int, what: str) -> None:
 def assemble_hyper_gram(params: HyperKernelParams, X, pairs=None) -> PairSystem:
     """The pair system over the given (or all) ordered pairs, its dense Gram filled.
 
-    Entry (r, s) of ``entries`` is cross_factor of pair r times g[s] times the
-    point factors of both points of pair r at midpoint s, from the system's
-    factors, exactly symmetric (:func:`_fill`) and positive semi-definite up
-    to roundoff.  No solver reads it: it is the oracle that tests and the
-    benchmark's residual check read.  ``pairs`` (0-based (i, j) rows) omitted
-    stands for all m^2 ordered pairs in row-major order; n^2 above
-    ``MAX_ENTRIES`` raises ``ResourceLimit``.
+    ``pairs`` (0-based (i, j) rows) omitted stands for all m^2 ordered pairs
+    in row-major order.  No solver reads the Gram: it is the oracle that
+    tests and the benchmark's residual check read (see ``PairSystem.entries``).
     """
     system = PairSystem(params, X, pairs)
-    _, lo, hi, col, *_, g, _, cross, phi = system._factors
-    system.entries = _fill(phi[:, col], lo[col], hi[col], cross[col], g[col])
+    system.entries  # filled here, so that a Gram above the cap raises at assembly
     return system
 
 
@@ -221,25 +217,27 @@ class PairSystem:
     row-major order), as an operator over its c distinct unordered pairs.
 
     A pair, its swap and its repeats have equal rows of K, so K = P B P' with
-    P the n x c indicator of the distinct pairs (``members``) and B their
-    ``block``.  Ridge solves work on M = S^1/2 B S^1/2, S = diag(s), through
-    ``reduce``, ``expand``, ``reduced_*`` and ``spectrum``; ``matvec``,
-    ``column_sum`` and ``diag`` act on K, and ``entries``, the dense K, is
-    formed only by :func:`assemble_hyper_gram`.  Two cached parts serve
-    them all: the grouping into distinct pairs, with their g and midpoints,
-    which a learned kernel's evaluation reads too, and the solver factors,
-    cross and Phi.
+    P the n x c indicator of the distinct pairs and B their ``block``.  The
+    constructor groups the pair list once, into named arrays: ``used``, the
+    points the pairs use; ``lo`` and ``hi``, the distinct pairs as indices
+    into ``used``; ``col``, each pair's distinct pair; ``first``, each
+    distinct pair's first member; ``size`` (s) and ``root`` (sqrt(s)), its
+    member count; ``g`` and ``mids``, its within-pair factor and midpoint.
+    Ridge solves work on M = S^1/2 B S^1/2, S = diag(s), through ``reduce``,
+    ``expand``, ``reduced_*`` and ``spectrum``; ``matvec``, ``column_sum``
+    and ``diag`` act on K, and ``entries`` is the dense K.  All but ``diag``
+    read the solver factors, cross and Phi, computed on first use.
     """
 
     def __init__(self, params: HyperKernelParams, X, pairs=None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
+        if X.ndim != 2 or X.shape[1] != params.dim:
+            raise InvalidInput(f"points must be (m, {params.dim}), got shape {X.shape}")
         m = X.shape[0]
         if m < 1:
             raise InvalidInput("empty input")
-        if X.ndim != 2 or X.shape[1] != params.dim:
-            raise InvalidInput(f"points must be (m, {params.dim}), got shape {X.shape}")
         if pairs is None:
             pairs = full_pair_list(m)
         else:
@@ -249,6 +247,19 @@ class PairSystem:
             if pairs.size and (pairs.min() < 0 or pairs.max() >= m):
                 raise InvalidInput("pair indices out of range")
         self.params, self.points, self.pair_list = params, X, pairs
+        seen = np.zeros(m, dtype=bool)
+        seen[pairs] = True
+        self.used = np.flatnonzero(seen)
+        u = self.used.size
+        local = (np.cumsum(seen) - 1)[pairs]
+        a, b = local[:, 0], local[:, 1]
+        keys, self.first, self.col, self.size = np.unique(
+            np.minimum(a, b) * u + np.maximum(a, b),
+            return_index=True, return_inverse=True, return_counts=True)
+        self.lo, self.hi = np.divmod(keys, u)
+        self.root = np.sqrt(self.size)
+        P = X[self.used]
+        self.g, self.mids = pair_factors(params, P[self.lo], P[self.hi])
 
     @property
     def n(self) -> int:
@@ -256,74 +267,50 @@ class PairSystem:
 
     @property
     def c(self) -> int:
-        return self._grouping[1].size
-
-    @property
-    def members(self):
-        """(col, s): each pair's distinct pair, and each distinct pair's size."""
-        return self._grouping[3], self._grouping[5]
-
-    @property
-    def midpoints(self):
-        """(g, mids): each distinct pair's within-pair factor and midpoint."""
-        return self._grouping[7:]
+        return self.size.size
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return assemble_hyper_gram(self.params, self.points, self.pair_list).entries
-
-    @cached_property
-    def _grouping(self):
-        """The used points, lo and hi (local indices) of the distinct pairs,
-        ``col``, their first members, counts s and sqrt(s), g and midpoints."""
-        seen = np.zeros(self.points.shape[0], dtype=bool)
-        seen[self.pair_list] = True
-        used = np.flatnonzero(seen)
-        u = used.size
-        local = (np.cumsum(seen) - 1)[self.pair_list]
-        a, b = local[:, 0], local[:, 1]
-        keys, first, col, size = np.unique(
-            np.minimum(a, b) * u + np.maximum(a, b),
-            return_index=True, return_inverse=True, return_counts=True)
-        lo, hi = np.divmod(keys, u)
-        X = self.points[used]
-        return (used, lo, hi, col, first, size, np.sqrt(size),
-                *pair_factors(self.params, X[lo], X[hi]))
+        """The dense K: K_rs is cross_r g_s times the point factors of pair r
+        at the midpoint of pair s, exactly symmetric (:func:`_fill`) and PSD
+        up to roundoff; n^2 above ``MAX_ENTRIES`` raises ``ResourceLimit``."""
+        cross, phi = self._factors
+        col = self.col
+        return _fill(phi[:, col], self.lo[col], self.hi[col], cross[col], self.g[col])
 
     @cached_property
     def _factors(self):
-        """The grouping, then the solver factors of the distinct pairs: cross
-        and Phi (u used points x c)."""
-        used, lo, hi, *_, mids = self._grouping
-        cap_entries(used.size * lo.size, "point factors")
-        X = self.points[used]
-        cross = cross_factor(self.params, np.sum((X[lo] - X[hi]) ** 2, axis=1))
-        return (*self._grouping, cross, point_factors(self.params, X, mids))
+        """The solver factors of the distinct pairs: cross and Phi (u used
+        points x c)."""
+        cap_entries(self.used.size * self.c, "point factors")
+        X = self.points[self.used]
+        cross = cross_factor(self.params, np.sum((X[self.lo] - X[self.hi]) ** 2, axis=1))
+        return cross, point_factors(self.params, X, self.mids)
 
     def _apply(self, w) -> np.ndarray:
         """B w in O(u^2 c): cross_k (Phi diag(g w) Phi')[lo_k, hi_k]."""
-        _, lo, hi, *_, g, _, cross, phi = self._factors
-        return cross * ((phi * (g * w)) @ phi.T)[lo, hi]
+        cross, phi = self._factors
+        return cross * ((phi * (self.g * w)) @ phi.T)[self.lo, self.hi]
 
     def matvec(self, v) -> np.ndarray:
         """K v: v summed onto the distinct pairs, B applied, and spread back."""
-        col, size = self.members
-        return self._apply(np.bincount(col, weights=np.ravel(v), minlength=size.size))[col]
+        col = self.col
+        return self._apply(np.bincount(col, weights=np.ravel(v), minlength=self.c))[col]
 
     def reduced_matvec(self, z) -> np.ndarray:
-        root = self._grouping[6]
-        return root * self._apply(root * z)
+        return self.root * self._apply(self.root * z)
 
     def reduced_column(self, k: int) -> np.ndarray:
         """Column k of M in O(c): root_l cross_l Phi[lo_l, k] Phi[hi_l, k] g_k root_k."""
-        _, lo, hi, *_, root, g, _, cross, phi = self._factors
-        p = phi[:, k]
-        return (root * cross) * (p[lo] * p[hi]) * (g[k] * root[k])
+        cross, phi = self._factors
+        p, root = phi[:, k], self.root
+        return (root * cross) * (p[self.lo] * p[self.hi]) * (self.g[k] * root[k])
 
     def reduced_diag(self) -> np.ndarray:
         """The diagonal of M, s_k B_kk, in O(c); a fresh array."""
-        _, lo, hi, _, _, size, _, g, _, cross, phi = self._factors
-        return size * cross * g * phi[lo, np.arange(g.size)] * phi[hi, np.arange(g.size)]
+        cross, phi = self._factors
+        k = np.arange(self.c)
+        return self.size * cross * self.g * phi[self.lo, k] * phi[self.hi, k]
 
     def reduce(self, y):
         """(S^1/2 ybar, y - ybar[col]) for a right-hand side y of K, ybar its
@@ -332,19 +319,19 @@ class PairSystem:
         solves (K + t I) x = y, with a residual of the same norm.  Each part
         is a member's deviation from the first member less their mean one,
         so a pair and its swap get exactly opposite parts."""
-        col, first, size, root = self._grouping[3:7]
-        head = y[first]
+        col = self.col
+        head = y[self.first]
         dev = y - head[col]
         if not dev.any():
-            return root * head, dev
-        shift = np.bincount(col, weights=dev, minlength=size.size) / size
-        return root * (head + shift), dev - shift[col]
+            return self.root * head, dev
+        shift = np.bincount(col, weights=dev, minlength=self.c) / self.size
+        return self.root * (head + shift), dev - shift[col]
 
     def expand(self, z, rest, shift: float) -> np.ndarray:
         """(z / S^1/2)[col] + rest / shift, the solution of (K + shift I) x = y
         from that of the reduced system (see ``reduce``).  One that overflows
         raises ``NumericalFailure``."""
-        x = (z / self._grouping[6])[self._grouping[3]]
+        x = (z / self.root)[self.col]
         if rest.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 x += rest / shift
@@ -354,20 +341,20 @@ class PairSystem:
 
     def _over(self, T, w) -> np.ndarray:
         """K v, v weighting distinct pair T_i by w_i, by one unmerged GEMM."""
-        _, lo, hi, col, *_, g, _, cross, phi = self._factors
+        cross, phi = self._factors
         sub = phi[:, T]
-        return (cross * ((sub * (g[T] * w)) @ sub.T)[lo, hi])[col]
+        return (cross * ((sub * (self.g[T] * w)) @ sub.T)[self.lo, self.hi])[self.col]
 
     def roundoff(self, v) -> float:
         """||fl(K v)|| for a v that K maps to 0, such as ``reduce``'s rest,
         taken over the n columns without first summing the members of each
         distinct pair, as a dense product is: the roundoff such products meet."""
-        return float(np.linalg.norm(self._over(self._grouping[3], v))) if v.any() else 0.0
+        return float(np.linalg.norm(self._over(self.col, v))) if v.any() else 0.0
 
     def column_sum(self, cols) -> np.ndarray:
         """K 1_S, the sum of the columns S = ``cols`` of K, in O(u^2 |S| + n),
         over the distinct pairs of S only, counting S's columns on each."""
-        return self._over(*np.unique(self._grouping[3][np.asarray(cols, dtype=np.intp)],
+        return self._over(*np.unique(self.col[np.asarray(cols, dtype=np.intp)],
                                      return_counts=True))
 
     def diag(self) -> np.ndarray:
@@ -376,14 +363,14 @@ class PairSystem:
         A pair's midpoint lies at squared distance sq / 4 from both of its
         points, so K_rr = cross_factor(sq) * g * exp(-sq / (8 (sigma2 + sigma_h2))).
         """
-        used, lo, hi, col, *_, g, _ = self._grouping
-        X = self.points[used]
-        sq = np.sum((X[lo] - X[hi]) ** 2, axis=1)
+        X = self.points[self.used]
+        sq = np.sum((X[self.lo] - X[self.hi]) ** 2, axis=1)
         sh = self.params.sigma2 + self.params.sigma_h2
-        return (cross_factor(self.params, sq) * g * np.exp(sq / (-8.0 * sh)))[col]
+        return (cross_factor(self.params, sq) * self.g * np.exp(sq / (-8.0 * sh)))[self.col]
 
     def release(self) -> None:
-        """Drop the cached solver state; the grouping a learned kernel reads stays."""
+        """Drop the cached solver state: the factors, ``block`` and ``spectrum``.
+        The grouping stays, and a later solve computes the factors again."""
         for name in ("_factors", "block", "spectrum"):
             self.__dict__.pop(name, None)
 
@@ -395,8 +382,8 @@ class PairSystem:
     @cached_property
     def block(self) -> np.ndarray:
         """B, the c x c block of K between the distinct unordered pairs."""
-        _, lo, hi, *_, g, _, cross, phi = self._factors
-        return _fill(phi, lo, hi, cross, g)
+        cross, phi = self._factors
+        return _fill(phi, self.lo, self.hi, cross, self.g)
 
     @cached_property
     def spectrum(self):
@@ -404,9 +391,10 @@ class PairSystem:
         with M built from the factors for this one eigh of order c; a grid of
         ridge weights on the system shares it.  An eigh that does not
         converge raises ``NumericalFailure``."""
-        _, lo, hi, *_, root, g, _, cross, phi = self._factors
+        cross, phi = self._factors
+        root = self.root
         try:
-            return np.linalg.eigh(_fill(phi, lo, hi, cross * root, g * root))
+            return np.linalg.eigh(_fill(phi, self.lo, self.hi, cross * root, self.g * root))
         except np.linalg.LinAlgError:
             raise NumericalFailure(
                 "eigendecomposition of the hyper-Gram did not converge") from None

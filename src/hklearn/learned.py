@@ -7,9 +7,9 @@ through the pair-separable form of the hyper-kernel (see
 Phi_A diag(w) Phi_B'.  The kernel's coefficients hold the
 :class:`~hklearn.hyper.PairSystem` they were fit on, which also gives its
 points and scales.  A pair and its swap share a midpoint, so the coefficients
-are first summed onto the system's c distinct unordered pairs, with the g and
-midpoints the system grouped them with, and the evaluation takes
-(len(A) + len(B)) * c exponentials.
+are first summed onto the system's c distinct unordered pairs through its
+``col``, scaled by its ``g`` and placed at its ``mids``, and the evaluation
+takes (len(A) + len(B)) * c exponentials.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class LearnedKernel:
 
     ``coefficients`` holds the pair system the expansion runs over, whose
     points and scales the kernel reads; ``bias`` is 0 for ridge fits.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable, and evaluation only reads their system, so a
+    kernel, fitted or loaded, is safe to share across threads.
     """
 
     coefficients: CoefficientField
@@ -134,19 +135,18 @@ def _merged_weights(kernels):
     """Weights and midpoints of kernels over one pair system, over its c
     distinct unordered pairs.
 
-    Returns ((len(kernels), c) weights, (c, dim) midpoints): the
-    coefficients of a pair, its swap and its repeats are summed, for all
-    kernels in one ``np.bincount``, and scaled by their g.
+    Returns ((len(kernels), c) weights, the system's ``mids``): the
+    coefficients of a pair, its swap and its repeats are summed through
+    ``col``, for all kernels in one ``np.bincount``, and scaled by ``g``.
     """
     system = kernels[0].coefficients.system
     if any(lk.coefficients.system is not system for lk in kernels):
         raise InvalidInput("the kernels of a stack must share one pair system")
-    col, size = system.members
-    g, mids = system.midpoints
-    k, c = len(kernels), size.size
+    k, c = len(kernels), system.c
     values = np.concatenate([lk.coefficients.values for lk in kernels])
-    index = (col + c * np.arange(k)[:, None]).ravel()
-    return np.bincount(index, weights=values, minlength=k * c).reshape(k, c) * g, mids
+    index = (system.col + c * np.arange(k)[:, None]).ravel()
+    weights = np.bincount(index, weights=values, minlength=k * c).reshape(k, c)
+    return weights * system.g, system.mids
 
 
 def definiteness(G) -> DefinitenessReport:
@@ -219,16 +219,17 @@ def load_learned(path) -> LearnedKernel:
         columns = [[c[k] for c in coeffs] for k in ("i", "j", "value")]
         pairs = np.column_stack(columns[:2])
         values = np.array(columns[2])
-        # a float index or a numeric string would be cast silently below, and
-        # numpy reads a JSON true among numbers as 1
-        if (pairs.size and pairs.dtype.kind != "i") or any(
-            a.dtype.kind not in "if" for a in (points, values, np.asarray(doc["bias"]))
-        ) or bool in set(map(type, chain(*columns, *doc["points"]))):
-            raise TypeError("a point, coefficient or bias is not a JSON number "
-                            "or an index is not an integer")
-        bias = float(doc["bias"])
         hp_doc = doc["hyper_params"]
-        scales = np.array([hp_doc["sigma2"], hp_doc["sigma_h2"]], dtype=float)
+        scales = [hp_doc["sigma2"], hp_doc["sigma_h2"]]
+        # a float index or a numeric string would be cast silently below, and
+        # numpy and float() read a JSON true among numbers as 1
+        if (pairs.size and pairs.dtype.kind != "i") or type(hp_doc["dim"]) is not int or any(
+            a.dtype.kind not in "if" for a in (points, values, np.asarray(doc["bias"]))
+        ) or bool in set(map(type, chain(*columns, *doc["points"], scales))):
+            raise TypeError("a point, coefficient, bias or scale is not a JSON number, "
+                            "or an index or dim is not an integer")
+        bias = float(doc["bias"])
+        scales = np.array(scales, dtype=float)
         # json reads NaN and Infinity
         for name, value in (("points", points), ("bias", bias), ("hyper_params", scales)):
             if not np.all(np.isfinite(value)):

@@ -254,7 +254,7 @@ def fit_svr(gram: PairSystem, responses, config: SvrConfig,
     if y.size != gram.n:
         raise InvalidInput(f"responses length {y.size} != gram dimension {gram.n}")
     C, eps = config.C, config.epsilon
-    col, _ = gram.members
+    col = gram.col
     key = np.empty(y.size, dtype=complex)  # sorts by distinct pair, then response
     key.real, key.imag = col, y
     _, head, group, size = np.unique(key, return_index=True, return_inverse=True,

@@ -1037,8 +1037,10 @@ def test_model_whose_learned_kernel_overflows_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("i", 1.5), ("i", "1"), ("value", "0.5"), ("bias", "0.1"), ("points", "0.5"),
     ("i", True), ("j", False), ("value", True), ("points", True),
+    ("sigma2", True), ("sigma_h2", True), ("dim", True), ("dim", 2.0),
 ], ids=["float-index", "string-index", "string-value", "string-bias", "string-point",
-        "true-index", "false-index", "true-value", "true-point"])
+        "true-index", "false-index", "true-value", "true-point",
+        "true-sigma2", "true-sigma_h2", "true-dim", "float-dim"])
 def test_model_file_field_of_wrong_json_type_exits_2(tmp_path, capsys, field, value):
     data, _, _ = _write_blobs(tmp_path / "data.csv", m=8)
     assert main(["extend", data, "--output-dir", str(tmp_path / "fit")]) == 0
@@ -1047,6 +1049,8 @@ def test_model_file_field_of_wrong_json_type_exits_2(tmp_path, capsys, field, va
         doc["bias"] = value
     elif field == "points":
         doc["points"][3][1] = value
+    elif field in doc["hyper_params"]:
+        doc["hyper_params"][field] = value
     else:
         doc["coefficients"][5][field] = value
     model = _write(tmp_path / "model.json", json.dumps(doc))

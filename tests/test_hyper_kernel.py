@@ -211,7 +211,7 @@ def test_column_sum_spans_column_blocks():
     m = 65
     X = np.random.default_rng(1).standard_normal((m, 2))
     system = PairSystem(HyperKernelParams(1.0, 2.0, 2), X)
-    assert system.n == 4225 and system._factors[-1].shape == (65, 2145)
+    assert system.n == 4225 and system._factors[1].shape == (65, 2145)
     full = system.matvec(np.ones(system.n))
     assert np.all(np.abs(system.column_sum(np.arange(system.n)) - full) <= 1e-12 * full)
 
@@ -243,6 +243,8 @@ def test_pair_system_validates_like_assembly():
         PairSystem(params, X, [[0, 3]])
     with pytest.raises(InvalidInput):
         PairSystem(params, np.zeros((3, 1)))
+    with pytest.raises(InvalidInput):
+        PairSystem(params, 5.0)
 
 
 def test_pair_system_caps_its_point_factors():
@@ -263,7 +265,7 @@ def test_pair_system_factors_cover_only_the_points_it_uses():
     v = np.arange(1.0, 6.0)
     K = hyper_gram_reference(HyperKernelParams(1.0, 1.0, 2), X, pairs)
     np.testing.assert_allclose(system.matvec(v), K @ v, rtol=1e-12)
-    assert system._factors[-1].shape == (3, 4)
+    assert system._factors[1].shape == (3, 4)
 
 
 # swapped pairs, pairs without their swap, diagonal pairs and repeated pairs
@@ -276,28 +278,28 @@ def test_pair_system_merges_swaps_and_repeats():
     params = HyperKernelParams(0.6, 1.4, 2)
     system = PairSystem(params, X, MIXED_PAIRS)
     distinct = np.array([[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 4], [5, 5]])
-    col, size = system.members
-    assert size.tolist() == [3, 1, 1, 1, 3, 2, 1]
-    assert np.array_equal(distinct[col], np.sort(MIXED_PAIRS, axis=1))
-    g, mids = system.midpoints
+    assert system.used.tolist() == [0, 1, 2, 3, 4, 5]
+    assert np.array_equal(np.column_stack([system.lo, system.hi]), distinct)
+    assert system.size.tolist() == [3, 1, 1, 1, 3, 2, 1]
+    assert np.array_equal(system.root, np.sqrt(system.size))
+    assert np.array_equal(distinct[system.col], np.sort(MIXED_PAIRS, axis=1))
+    # reduce reads each distinct pair's first member for asymmetric responses
+    assert system.first.tolist() == [0, 10, 8, 2, 6, 3, 4]
     ref_g, ref_mids = hyper.pair_factors(params, X[distinct[:, 0]], X[distinct[:, 1]])
-    assert np.array_equal(g, ref_g) and np.array_equal(mids, ref_mids)
+    assert np.array_equal(system.g, ref_g) and np.array_equal(system.mids, ref_mids)
     empty = PairSystem(params, X, np.empty((0, 2), dtype=int))
-    col, size = empty.members
-    g, mids = empty.midpoints
-    assert empty.c == 0 and col.shape == size.shape == g.shape == (0,)
-    assert mids.shape == (0, 2)
+    assert empty.c == 0 and empty.col.shape == empty.size.shape == empty.g.shape == (0,)
+    assert empty.mids.shape == (0, 2)
 
 
 def test_a_released_system_keeps_its_grouping_and_solves_again():
     rng = np.random.default_rng(2)
     system = PairSystem(HyperKernelParams(0.6, 1.4, 2), rng.standard_normal((6, 2)), MIXED_PAIRS)
     v = rng.standard_normal(system.n)
-    before, (w, _), (col, _), (_, mids) = (system.matvec(v), system.spectrum,
-                                           system.members, system.midpoints)
+    before, (w, _), col, mids = system.matvec(v), system.spectrum, system.col, system.mids
     system.release()
     assert not {"_factors", "block", "spectrum"} & set(vars(system))
-    assert system.members[0] is col and system.midpoints[1] is mids
+    assert system.col is col and system.mids is mids
     assert np.array_equal(system.matvec(v), before)
     assert np.array_equal(system.spectrum[0], w)
 
@@ -309,11 +311,11 @@ def test_pair_system_on_merged_columns_matches_the_midpoint_reference(d):
     params = HyperKernelParams(0.6, 1.4, d)
     system = PairSystem(params, X, MIXED_PAIRS)
     ref = hyper_gram_reference(params, X, MIXED_PAIRS)
-    assert system._factors[-1].shape == (6, 7)
+    assert system._factors[1].shape == (6, 7)
     for v in (rng.standard_normal(system.n), np.ones(system.n)):
         err = np.abs(system.matvec(v) - ref @ v)
         assert np.all(err <= 1e-12 * (ref @ np.abs(v)))
-    col, size = system.members
+    col, size = system.col, system.size
     _, first = np.unique(col, return_index=True)
     M = ref[np.ix_(first, first)] * np.sqrt(np.outer(size, size))
     for k in range(system.c):

@@ -123,6 +123,21 @@ def test_save_load_round_trip(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_evaluating_a_loaded_kernel_writes_nothing_to_its_system(tmp_path, rng):
+    # kernels are shared across threads, so evaluation only reads the system
+    lk, _, _ = _fitted(rng)
+    path = tmp_path / "model.json"
+    save_learned(lk, path)
+    back = load_learned(path)
+    system = back.coefficients.system
+    before = dict(vars(system))
+    A, B = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    eval_all_pairs(back, A)
+    eval_pairs(back, A, B)
+    assert vars(system).keys() == before.keys()
+    assert all(vars(system)[name] is value for name, value in before.items())
+
+
 def _json_dumps_model(lk) -> str:
     """The model file as json.dumps wrote it before its coefficients were
     formatted directly."""

@@ -5,10 +5,11 @@ itself or the benchmark (``hkbench/``) refers to it beyond its definition and
 export, or when ``tests/test_acceptance.py`` imports it.  Reference oracles
 that only tests call live under ``tests/``, not in the package.  A
 ``_``-prefixed name belongs to its module: no other module of the package
-imports it.  The functions the benchmark's span wrappers replace by name, and
-the arguments their counters read, exist in the package, each counter reads
-a real call, and the traced benchmark run passes on every workload.  Every field of a solve config is a
-setting that a command reads.
+imports it, and a ``_``-prefixed attribute belongs to its object: only the
+object's own methods read it.  The functions the benchmark's span wrappers
+replace by name, and the arguments their counters read, exist in the package,
+each counter reads a real call, and the traced benchmark run passes on every
+workload.  Every field of a solve config is a setting that a command reads.
 """
 
 import ast
@@ -79,6 +80,20 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_")
             ]
     assert not leaks, f"private names imported across modules: {leaks}"
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # an object's _-prefixed attributes, such as a pair system's cached
+    # factors, are read by its own methods only; dunder names are public
+    leaks = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} reads {ast.unparse(node)}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert not leaks, f"private attributes read outside their object: {leaks}"
 
 
 def test_benchmark_layers_resolve_with_the_arguments_their_counters_bind():
